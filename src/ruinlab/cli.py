@@ -13,11 +13,12 @@ import json
 import math
 import sys
 
-from .engine import SimConfig, estimate_psi, estimate_psi_finite
+from .engine import SimConfig, estimate_psi
 from .errors import (
     ConfigError,
     MgfUnavailable,
     NonFiniteMoment,
+    NotRuinInducing,
     RuinlabError,
     SecondMomentInfinite,
     StepCapExceeded,
@@ -32,7 +33,7 @@ from .lundberg import (
 )
 from .model import RiskModel, model_from_config
 from .tables import TABLES, table_spec
-from .tilts import TiltingPair, check_admissible, hazard_r_max, tilt_from_config
+from .tilts import check_admissible, hazard_r_max, require_ruin_inducing, tilt_from_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -124,29 +125,6 @@ def _exact_fn(model: RiskModel):
     return None
 
 
-def _gate_admissibility(pair: TiltingPair, args) -> None:
-    """Exit 3 unless the pair is ruin-inducing or a legal finite-time override applies."""
-    finite = getattr(args, "horizon", None) is not None
-    try:
-        report = check_admissible(pair)
-    except NonFiniteMoment as exc:
-        if finite and (args.force or pair.variant == "identity"):
-            return
-        print(f"admissibility failure: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_ADMISSIBILITY)
-    if report.in_c_p:
-        return
-    if finite and (args.force or pair.variant == "identity"):
-        return
-    print(
-        "tilt is not ruin-inducing: "
-        f"c*E[W e^delta] = {report.lhs:.10g} > E[X e^gamma] = {report.rhs:.10g} "
-        "(use --force with --horizon for diagnostic runs)",
-        file=sys.stderr,
-    )
-    raise SystemExit(EXIT_ADMISSIBILITY)
-
-
 def _run_grid(model, pair, u_grid, args, exact_fn):
     rows = []
     for u in u_grid:
@@ -158,12 +136,13 @@ def _run_grid(model, pair, u_grid, args, exact_fn):
             horizon=args.horizon,
             threshold=args.threshold,
         )
-        exact = exact_fn(model, u) if (exact_fn and args.horizon is None) else None
-        if cfg.horizon is not None:
-            rep = estimate_psi_finite(model, pair, cfg, exact=exact)
-        else:
-            rep = estimate_psi(model, pair, cfg, exact=exact)
-        rows.append((u, exact, rep))
+        # a threshold b moves the barrier to u - b: the estimate targets psi(u - b)
+        exact = (
+            exact_fn(model, u - (cfg.threshold or 0.0))
+            if (exact_fn and cfg.horizon is None)
+            else None
+        )
+        rows.append((u, estimate_psi(model, pair, cfg, exact=exact)))
     return rows
 
 
@@ -176,7 +155,10 @@ def cmd_estimate(args) -> int:
         exact_fn = _exact_fn(model)
         if exact_fn is None:
             raise ConfigError("--exact requested but no closed form applies to this model")
-    _gate_admissibility(pair, args)
+    # a pair that is not ruin-inducing runs only with a horizon, and then only
+    # crude (identity) or with --force
+    if args.horizon is None or not (args.force or pair.variant == "identity"):
+        require_ruin_inducing(pair)
 
     rows = _run_grid(model, pair, u_grid, args, exact_fn)
     out, close = _open_out(args.out)
@@ -185,7 +167,7 @@ def cmd_estimate(args) -> int:
         out.write(f"# tilt: {pair.label()}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_ESTIMATE_COLUMNS)
-        for u, _exact, rep in rows:
+        for u, rep in rows:
             writer.writerow(
                 [
                     _fmt(float(u)),
@@ -214,11 +196,7 @@ def cmd_table(args) -> int:
         runs = []
         for col in spec.columns:
             pair = tilt_from_config(col.tilt_config, col.model)
-            report = check_admissible(pair)
-            if not report.in_c_p:
-                raise ConfigError(
-                    f"{spec.name}/{col.label}: resolved tilt is not ruin-inducing"
-                )
+            require_ruin_inducing(pair)  # before any CSV line is written
             header_lines.append(
                 f"# {spec.name} {col.label}: {col.model.label()}; tilt {pair.label()}"
             )
@@ -362,11 +340,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (NotRuinInducing, NonFiniteMoment) as exc:
+        print(f"admissibility failure: {exc}", file=sys.stderr)
+        return EXIT_ADMISSIBILITY
     except StepCapExceeded as exc:
         print(f"step cap exceeded: {exc}", file=sys.stderr)
         return EXIT_STEP_CAP
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -9,27 +9,28 @@ as a claim arrives after the horizon. A solvency threshold b shifts the
 barrier: the walk targets u - b, bit-identical to an infinite-time run started
 at that capital.
 
+Infinite-time runs require a ruin-inducing pair; finite-horizon runs accept
+any pair, since the horizon ends every path.
+
 Determinism contract: replication i draws from a Philox generator keyed by
-(master seed, i) -- a counter-based split, so any worker count and any batch
-schedule produce identical draws. Within a replication, each chunk of the walk
-draws the interarrival block first, then the claim block; chunk sizes are a
-fixed function of (model, tilt, effective capital), never of the horizon or
-the worker count. The reduction is an index-ordered array sum.
+(master seed, i) -- a counter-based split, so a replication's draws do not
+depend on which replications ran before it. Within a replication, each chunk
+of the walk draws the interarrival block first, then the claim block; chunk
+sizes are a fixed function of (model, tilt, effective capital), never of the
+horizon. The reduction is an index-ordered array sum.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StepCapExceeded
 from .model import RiskModel
-from .tilts import TiltingPair
+from .tilts import TiltingPair, require_ruin_inducing
 
 __all__ = [
     "SimConfig",
@@ -37,12 +38,8 @@ __all__ = [
     "EstimateReport",
     "run_replication",
     "estimate_psi",
-    "estimate_psi_finite",
-    "estimate_psi_threshold",
-    "default_workers",
 ]
 
-_BATCH = 2048
 _CHUNK_MAX = 65536
 
 
@@ -269,44 +266,30 @@ def run_replication(
     return _simulate(ctx, cursor.rng_for(index), index, record_path)
 
 
-def default_workers() -> int:
-    """Worker count from the RUINLAB_THREADS environment variable (default 1)."""
-    try:
-        return max(1, int(os.environ.get("RUINLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _fill_batch(ctx: _RunContext, seed: int, lo: int, hi: int, weights: np.ndarray) -> None:
-    cursor = _PhiloxCursor(seed)
-    for i in range(lo, hi):
-        out = _simulate(ctx, cursor.rng_for(i), i)
-        weights[i] = math.exp(out.log_weight) if out.ruined else 0.0
-
-
-def _run(
+def estimate_psi(
     model: RiskModel,
     pair: TiltingPair,
     cfg: SimConfig,
-    exact: float | None,
-    workers: int | None,
+    exact: float | None = None,
+    workers: int | None = None,
 ) -> EstimateReport:
+    """Estimate psi(u), or its finite-horizon / solvency-threshold variant, per ``cfg``.
+
+    With ``cfg.horizon`` unset the pair must be ruin-inducing, else
+    NotRuinInducing (or NonFiniteMoment) is raised before any draw. A threshold
+    b targets u - b; with b = 0 the run is bit-identical to one without a
+    threshold. ``workers`` is accepted for compatibility and ignored.
+    """
     start = time.perf_counter()
+    if cfg.horizon is None:
+        require_ruin_inducing(pair)
     ctx = _prepare(model, pair, cfg)
+    cursor = _PhiloxCursor(cfg.seed)
     weights = np.zeros(cfg.k)
-    n_workers = default_workers() if workers is None else max(1, workers)
-    batches = [(lo, min(lo + _BATCH, cfg.k)) for lo in range(0, cfg.k, _BATCH)]
-    if n_workers == 1 or len(batches) == 1:
-        for lo, hi in batches:
-            _fill_batch(ctx, cfg.seed, lo, hi, weights)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(_fill_batch, ctx, cfg.seed, lo, hi, weights)
-                for lo, hi in batches
-            ]
-            for fut in futures:
-                fut.result()
+    for i in range(cfg.k):
+        out = _simulate(ctx, cursor.rng_for(i), i)
+        if out.ruined:
+            weights[i] = math.exp(out.log_weight)
 
     total = float(weights.sum())
     estimate = total / cfg.k
@@ -329,45 +312,7 @@ def _run(
     )
 
 
-def estimate_psi(
-    model: RiskModel,
-    pair: TiltingPair,
-    cfg: SimConfig,
-    exact: float | None = None,
-    workers: int | None = None,
-) -> EstimateReport:
-    """Infinite-time estimate; the pair must be ruin-inducing or paths may never end."""
-    if cfg.horizon is not None:
-        raise ValueError("infinite-time estimation takes no horizon; use estimate_psi_finite")
-    return _run(model, pair, cfg, exact, workers)
-
-
-def estimate_psi_finite(
-    model: RiskModel,
-    pair: TiltingPair,
-    cfg: SimConfig,
-    exact: float | None = None,
-    workers: int | None = None,
-) -> EstimateReport:
-    """Finite-horizon estimate; terminates for any pair, identity included."""
-    if cfg.horizon is None:
-        raise ValueError("finite-time estimation requires cfg.horizon")
-    return _run(model, pair, cfg, exact, workers)
-
-
-def estimate_psi_threshold(
-    model: RiskModel,
-    pair: TiltingPair,
-    cfg: SimConfig,
-    exact: float | None = None,
-    workers: int | None = None,
-) -> EstimateReport:
-    """First passage below a solvency threshold b; the walk targets u - b.
-
-    With b = 0 this reproduces estimate_psi bit-exactly under the same seed.
-    """
-    if cfg.threshold is None:
-        raise ValueError("threshold estimation requires cfg.threshold")
-    if cfg.horizon is not None:
-        raise ValueError("combine threshold with horizon via estimate_psi_finite")
-    return _run(model, pair, cfg, exact, workers)
+# Names for callers that pick the estimator by mode. They must stay bound to
+# the same function object: code that replaces estimate_psi by identity (a
+# tracer, a mock) then covers these names too.
+estimate_psi_finite = estimate_psi_threshold = estimate_psi

@@ -25,8 +25,20 @@ class SecondMomentInfinite(RuinlabError):
     """The claim law has no finite second moment (required by linear tilts)."""
 
 
-class SupportMismatch(RuinlabError):
-    """Target densities are not positive everywhere the model densities are."""
+class NotRuinInducing(RuinlabError):
+    """The pair violates c*E[W e^delta] <= E[X e^gamma].
+
+    Under such a pair the tilted walk may never reach the barrier, and
+    psi(u) = E_Q[weight; ruin] does not hold.
+    """
+
+    def __init__(self, lhs: float, rhs: float):
+        super().__init__(
+            "tilt is not ruin-inducing: "
+            f"c*E[W e^delta] = {lhs:.10g} > E[X e^gamma] = {rhs:.10g}"
+        )
+        self.lhs = lhs
+        self.rhs = rhs
 
 
 class MgfUnavailable(RuinlabError):

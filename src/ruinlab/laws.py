@@ -96,10 +96,6 @@ class PositiveLaw:
     def cumulative_hazard_inverse(self, h):
         raise UnsupportedHazard(f"{self.label()} has no closed-form cumulative hazard")
 
-    @property
-    def has_closed_hazard(self) -> bool:
-        return False
-
     # -- transforms --------------------------------------------------------------
 
     def laplace(self, s: float) -> float:
@@ -174,10 +170,6 @@ class Exponential(PositiveLaw):
 
     def cumulative_hazard_inverse(self, h):
         return np.asarray(h, dtype=float) / self.rate
-
-    @property
-    def has_closed_hazard(self) -> bool:
-        return True
 
     def laplace(self, s: float) -> float:
         if s < 0:
@@ -299,10 +291,6 @@ class Weibull(PositiveLaw):
 
     def cumulative_hazard_inverse(self, h):
         return self.scale * np.asarray(h, dtype=float) ** (1.0 / self.shape)
-
-    @property
-    def has_closed_hazard(self) -> bool:
-        return True
 
     def mgf_radius(self) -> float:
         if self.shape > 1.0:
@@ -562,10 +550,6 @@ class Pareto(PositiveLaw):
     def cumulative_hazard_inverse(self, h):
         return self.scale * np.expm1(np.asarray(h, dtype=float) / self.shape)
 
-    @property
-    def has_closed_hazard(self) -> bool:
-        return True
-
     def mgf_radius(self) -> float:
         return 0.0
 
@@ -580,19 +564,18 @@ class Pareto(PositiveLaw):
 
 
 class Mixture(PositiveLaw):
-    """Finite mixture of positive laws (used for size-biased tilted claim laws).
+    """Two-component mixture of positive laws (the linear tilt's claim law).
 
-    Sampling draws one selector uniform per variate, then fills each
-    component's slots from that component's sampler, in component order.
+    Sampling draws one selector uniform per variate, then fills the first
+    component's slots from its sampler, then the second's.
     """
 
     def __init__(self, components: tuple[PositiveLaw, ...], weights: tuple[float, ...]):
-        _require(len(components) == len(weights) >= 1, "need matching components/weights")
+        _require(len(components) == len(weights) == 2, "need two components and two weights")
         _require(all(w > 0 for w in weights), "weights must be positive")
         _require(abs(sum(weights) - 1.0) < 1e-12, "weights must sum to 1")
         self.components = tuple(components)
         self.weights = tuple(float(w) for w in weights)
-        self._cum = np.cumsum(self.weights)
 
     def pdf(self, x):
         return sum(w * c.pdf(x) for w, c in zip(self.weights, self.components))
@@ -617,20 +600,12 @@ class Mixture(PositiveLaw):
 
     def sample_n(self, rng, n):
         out = np.empty(n)
-        if len(self.components) == 2:
-            second = rng.random(n) >= self.weights[0]
-            k = int(second.sum())
-            if k < n:
-                out[~second] = self.components[0].sample_n(rng, n - k)
-            if k:
-                out[second] = self.components[1].sample_n(rng, k)
-            return out
-        sel = np.searchsorted(self._cum, rng.random(n), side="right")
-        for idx, comp in enumerate(self.components):
-            mask = sel == idx
-            m = int(mask.sum())
-            if m:
-                out[mask] = comp.sample_n(rng, m)
+        second = rng.random(n) >= self.weights[0]
+        k = int(second.sum())
+        if k < n:
+            out[~second] = self.components[0].sample_n(rng, n - k)
+        if k:
+            out[second] = self.components[1].sample_n(rng, k)
         return out
 
     def label(self) -> str:

@@ -39,6 +39,7 @@ from .errors import (
     DomainError,
     MgfUnavailable,
     NonFiniteMoment,
+    NotRuinInducing,
     SecondMomentInfinite,
     UnsupportedCombination,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "TargetTilt",
     "AdmissibilityReport",
     "check_admissible",
+    "require_ruin_inducing",
     "size_biased",
     "hazard_twisted",
     "hazard_r_max",
@@ -428,6 +430,17 @@ def check_admissible(pair: TiltingPair) -> AdmissibilityReport:
         )
     in_c_p = lhs <= rhs * (1.0 + _BOUNDARY_RTOL)
     return AdmissibilityReport(in_c_p, lhs, rhs, pair.moment_method)
+
+
+def require_ruin_inducing(pair: TiltingPair) -> None:
+    """Raise unless the pair is ruin-inducing.
+
+    Raises NotRuinInducing with both sides of the inequality when the pair
+    fails it, and NonFiniteMoment when a tilted first moment is infinite.
+    """
+    report = check_admissible(pair)
+    if not report.in_c_p:
+        raise NotRuinInducing(report.lhs, report.rhs)
 
 
 def _twisted_mean_wait(model: RiskModel, theta: float) -> float:

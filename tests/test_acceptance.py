@@ -28,7 +28,6 @@ from ruinlab import (
     Weibull,
     check_admissible,
     estimate_psi,
-    estimate_psi_finite,
     exact_psi_cl_exp,
     exact_psi_sa_exp,
     hazard_r_max,
@@ -72,7 +71,7 @@ def test_criterion_1_exponential_benchmark():
     failures = []
     rse_30 = None
     for u, psi in zip(TABLE1_U, exact):
-        rep = estimate_psi(model, pair, SimConfig(u=float(u), k=100_000, seed=SEED), workers=1)
+        rep = estimate_psi(model, pair, SimConfig(u=float(u), k=100_000, seed=SEED))
         if abs(rep.estimate - psi) > 4 * rep.std_error:
             failures.append((u, rep.estimate, psi, rep.std_error))
         if u == 30:
@@ -102,7 +101,7 @@ def test_criterion_2_sparre_andersen_benchmark():
     failures = []
     for u in TABLE1_U:
         psi = exact_psi_sa_exp(model, float(u))
-        rep = estimate_psi(model, pair, SimConfig(u=float(u), k=100_000, seed=SEED + 2), workers=1)
+        rep = estimate_psi(model, pair, SimConfig(u=float(u), k=100_000, seed=SEED + 2))
         if abs(rep.estimate - psi) > 4 * rep.std_error:
             failures.append((u, rep.estimate, psi, rep.std_error))
     runtime = time.perf_counter() - t0
@@ -212,23 +211,22 @@ def test_criterion_6_finite_time_oracle_equivalence():
     failures = []
     for u in (1.0, 2.0):
         cfg = SimConfig(u=u, k=100_000, seed=SEED + 6, horizon=50.0)
-        a = estimate_psi_finite(model, crude, cfg)
-        b = estimate_psi_finite(model, tilted, cfg)
+        a = estimate_psi(model, crude, cfg)
+        b = estimate_psi(model, tilted, cfg)
         combined = math.hypot(a.std_error, b.std_error)
         if abs(a.estimate - b.estimate) > 4 * combined:
             failures.append((u, a.estimate, b.estimate, combined))
     _report("6 finite-time oracle equivalence", not failures, f"failures={failures}")
 
 
-def test_criterion_7_determinism(tmp_path, monkeypatch):
+def test_criterion_7_determinism(tmp_path):
     outs = []
-    for name, threads in (("a", "1"), ("b", "1"), ("c", "3")):
-        monkeypatch.setenv("RUINLAB_THREADS", threads)
+    for name in ("a", "b", "c"):
         path = tmp_path / f"{name}.csv"
         assert main(["table", "table1", "--seed", "42", "--K", "10000", "--out", str(path)]) == 0
         outs.append(path.read_bytes())
     ok = outs[0] == outs[1] == outs[2]
-    _report("7 determinism", ok, f"{len(outs)} runs byte-identical={ok} (workers 1,1,3)")
+    _report("7 determinism", ok, f"{len(outs)} runs byte-identical={ok}")
 
 
 def test_criterion_8_tilted_law_goodness_of_fit():

@@ -17,6 +17,14 @@ MODEL_EE = {
 }
 TILT_LINEAR = {"family": "linear", "params": {"xi_factor": 1.95}}
 TILT_IDENTITY = {"family": "identity"}
+# c*E[W e^delta] = 1.5 * 2 > E[X e^gamma] = 2 on MODEL_EE: not ruin-inducing
+TILT_TARGET = {
+    "family": "from_target",
+    "params": {
+        "claim": {"family": "gamma", "params": {"shape": 40.0, "rate": 20.0}},
+        "wait": {"family": "exp", "params": {"rate": 0.5}},
+    },
+}
 
 
 @pytest.fixture
@@ -27,7 +35,10 @@ def configs(tmp_path):
     tilt.write_text(json.dumps(TILT_LINEAR))
     ident = tmp_path / "identity.json"
     ident.write_text(json.dumps(TILT_IDENTITY))
-    return {"model": str(model), "tilt": str(tilt), "identity": str(ident)}
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(TILT_TARGET))
+    return {"model": str(model), "tilt": str(tilt), "identity": str(ident),
+            "target": str(target)}
 
 
 def read_csv(path):
@@ -79,6 +90,19 @@ def test_estimate_without_exact_leaves_are_blank(configs, tmp_path):
     assert rows[0][header.index("are")] == ""
 
 
+def test_threshold_exact_targets_shifted_reserve(configs, tmp_path):
+    # with b = u the barrier sits at 0: the reference is psi(0) = 2/3, not psi(u)
+    out = tmp_path / "b.csv"
+    assert main(
+        ["estimate", "--model", configs["model"], "--tilt", configs["tilt"],
+         "--u", "10", "--threshold", "10", "--K", "20000", "--seed", "1",
+         "--exact", "--out", str(out)]
+    ) == 0
+    header, rows = read_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert float(row["are"]) <= 4 * float(row["rse"])
+
+
 def test_empty_grid_is_config_error(configs):
     code = main(
         ["estimate", "--model", configs["model"], "--tilt", configs["tilt"],
@@ -128,6 +152,31 @@ def test_force_requires_horizon(configs, tmp_path):
          "--out", str(out)]
     )
     assert code == 0
+
+
+def test_finite_horizon_needs_force_for_non_ruin_inducing_pair(configs, tmp_path, capsys):
+    args = ["estimate", "--model", configs["model"], "--tilt", configs["target"],
+            "--u", "1", "--K", "200", "--seed", "1", "--horizon", "5",
+            "--out", str(tmp_path / "t.csv")]
+    assert main(args) == 3
+    assert "= 3 > " in capsys.readouterr().err
+    assert main(args + ["--force"]) == 0
+
+
+def test_infinite_tilted_moment_exits_3(tmp_path, capsys):
+    model = tmp_path / "pareto.json"
+    model.write_text(json.dumps({
+        "claim": {"family": "pareto", "params": {"shape": 1.5, "scale": 3.0}},
+        "wait": {"family": "exp", "params": {"rate": 1.0}},
+        "safety_loading": 0.5,
+    }))
+    tilt = tmp_path / "hazard.json"  # Pa(0.75, 3) tilted claims have no mean
+    tilt.write_text(json.dumps({"family": "hazard", "params": {"r": 0.5, "theta": 1.0}}))
+    assert main(
+        ["estimate", "--model", str(model), "--tilt", str(tilt),
+         "--u", "1", "--K", "10", "--seed", "1"]
+    ) == 3
+    assert "admissibility failure" in capsys.readouterr().err
 
 
 def test_step_cap_exit_code(configs):

@@ -5,21 +5,23 @@ import pytest
 
 from ruinlab import (
     EsscherTilt,
+    Exponential,
+    Gamma,
     HazardTwist,
     IdentityTilt,
     LinearTilt,
     SimConfig,
+    TargetTilt,
     check_admissible,
     estimate_psi,
-    estimate_psi_finite,
-    estimate_psi_threshold,
     exact_psi_cl_exp,
     lundberg_root,
     run_replication,
     xi_hat,
 )
+from ruinlab import engine
 from ruinlab.engine import _PhiloxCursor
-from ruinlab.errors import StepCapExceeded
+from ruinlab.errors import NotRuinInducing, StepCapExceeded
 
 
 @pytest.fixture
@@ -93,29 +95,29 @@ def test_step_cap_exceeded(model_exp_exp):
     assert err.value.replication == 7
 
 
-def test_step_cap_propagates_from_batch_run(model_exp_exp):
-    cfg = SimConfig(u=500.0, k=50, seed=5, max_steps=500)
+def test_step_cap_propagates_from_batch_run(model_exp_exp, linear_pair):
+    cfg = SimConfig(u=50.0, k=50, seed=5, max_steps=5)
     with pytest.raises(StepCapExceeded) as err:
-        estimate_psi(model_exp_exp, IdentityTilt(model_exp_exp), cfg, workers=2)
+        estimate_psi(model_exp_exp, linear_pair, cfg)
     assert 0 <= err.value.replication < 50
 
 
-def test_seed_determinism_across_workers(model_exp_exp, linear_pair):
-    cfg = SimConfig(u=5.0, k=30_000, seed=99)
-    a = estimate_psi(model_exp_exp, linear_pair, cfg, workers=1)
-    b = estimate_psi(model_exp_exp, linear_pair, cfg, workers=4)
-    assert a.estimate == b.estimate
-    assert a.std_error == b.std_error
-    assert a.ess == b.ess
-    assert a.max_norm_weight == b.max_norm_weight
+def test_estimate_rejects_pairs_that_are_not_ruin_inducing(model_exp_exp):
+    # Ga(40,20)/Exp(0.5) targets: c*E[W e^delta] = 1.5 * 2 > E[X e^gamma] = 2;
+    # simulated, each replication would walk until the step cap
+    target = TargetTilt(model_exp_exp, Gamma(40.0, 20.0), Exponential(0.5))
+    for pair, sides in ((IdentityTilt(model_exp_exp), (1.5, 1.0)), (target, (3.0, 2.0))):
+        with pytest.raises(NotRuinInducing) as err:
+            estimate_psi(model_exp_exp, pair, SimConfig(u=1.0, k=10, seed=1))
+        assert (err.value.lhs, err.value.rhs) == pytest.approx(sides, rel=1e-12)
+        # a horizon ends every path, so any pair may run
+        rep = estimate_psi(model_exp_exp, pair, SimConfig(u=1.0, k=200, seed=1, horizon=5.0))
+        assert rep.estimate > 0.0
 
 
-def test_env_var_worker_override(model_exp_exp, linear_pair, monkeypatch):
-    cfg = SimConfig(u=2.0, k=10_000, seed=17)
-    base = estimate_psi(model_exp_exp, linear_pair, cfg, workers=1)
-    monkeypatch.setenv("RUINLAB_THREADS", "3")
-    alt = estimate_psi(model_exp_exp, linear_pair, cfg)
-    assert alt.estimate == base.estimate
+def test_mode_named_entry_points_are_estimate_psi():
+    assert engine.estimate_psi_finite is engine.estimate_psi
+    assert engine.estimate_psi_threshold is engine.estimate_psi
 
 
 def test_weights_positive_and_diagnostics(model_exp_exp, linear_pair):
@@ -205,13 +207,13 @@ def test_tilted_walk_moments_match_analytics(model_exp_exp, linear_pair, rng):
 
 def test_finite_horizon_zero_is_zero(model_exp_exp):
     cfg = SimConfig(u=1.0, k=500, seed=9, horizon=0.0)
-    rep = estimate_psi_finite(model_exp_exp, IdentityTilt(model_exp_exp), cfg)
+    rep = estimate_psi(model_exp_exp, IdentityTilt(model_exp_exp), cfg)
     assert rep.estimate == 0.0
 
 
 def test_identity_finite_time_is_crude_frequency(model_exp_exp):
     cfg = SimConfig(u=1.0, k=20_000, seed=9, horizon=10.0)
-    rep = estimate_psi_finite(model_exp_exp, IdentityTilt(model_exp_exp), cfg)
+    rep = estimate_psi(model_exp_exp, IdentityTilt(model_exp_exp), cfg)
     count = rep.estimate * cfg.k
     assert count == pytest.approx(round(count), abs=1e-9)
     assert rep.ess == pytest.approx(round(count), abs=1e-6)
@@ -222,7 +224,7 @@ def test_finite_horizon_monotone_under_common_seed(model_exp_exp):
     estimates = []
     for y in (5.0, 20.0, 60.0):
         cfg = SimConfig(u=1.0, k=20_000, seed=9, horizon=y)
-        estimates.append(estimate_psi_finite(model_exp_exp, ident, cfg).estimate)
+        estimates.append(estimate_psi(model_exp_exp, ident, cfg).estimate)
     assert estimates[0] <= estimates[1] <= estimates[2]
 
 
@@ -230,20 +232,21 @@ def test_finite_horizon_approaches_infinite_time(model_exp_exp, linear_pair):
     # 50 mean interarrival scales: the truncation error is far below noise at u=1
     exact = exact_psi_cl_exp(model_exp_exp, 1.0)
     cfg = SimConfig(u=1.0, k=100_000, seed=15, horizon=50.0)
-    crude = estimate_psi_finite(model_exp_exp, IdentityTilt(model_exp_exp), cfg)
+    crude = estimate_psi(model_exp_exp, IdentityTilt(model_exp_exp), cfg)
     assert within_se(crude.estimate, exact, crude.std_error)
-    tilted = estimate_psi_finite(model_exp_exp, linear_pair, cfg)
+    tilted = estimate_psi(model_exp_exp, linear_pair, cfg)
     combined = math.hypot(crude.std_error, tilted.std_error)
     assert abs(crude.estimate - tilted.estimate) <= 4 * combined
 
 
-def test_mode_validation(model_exp_exp, linear_pair):
-    with pytest.raises(ValueError):
-        estimate_psi(model_exp_exp, linear_pair, SimConfig(u=1.0, k=10, seed=1, horizon=5.0))
-    with pytest.raises(ValueError):
-        estimate_psi_finite(model_exp_exp, linear_pair, SimConfig(u=1.0, k=10, seed=1))
-    with pytest.raises(ValueError):
-        estimate_psi_threshold(model_exp_exp, linear_pair, SimConfig(u=1.0, k=10, seed=1))
+def test_estimate_psi_accepts_every_mode(model_exp_exp, linear_pair):
+    for cfg in (
+        SimConfig(u=2.0, k=200, seed=1, horizon=5.0),
+        SimConfig(u=2.0, k=200, seed=1, threshold=1.0),
+        SimConfig(u=2.0, k=200, seed=1, horizon=5.0, threshold=1.0),
+    ):
+        rep = estimate_psi(model_exp_exp, linear_pair, cfg)
+        assert 0.0 < rep.estimate and rep.rse > 0.0
 
 
 # -- threshold shift --------------------------------------------------------------
@@ -253,18 +256,18 @@ def test_threshold_zero_reproduces_estimate_bit_exactly(model_exp_exp, linear_pa
     cfg_plain = SimConfig(u=10.0, k=20_000, seed=5)
     cfg_b0 = SimConfig(u=10.0, k=20_000, seed=5, threshold=0.0)
     a = estimate_psi(model_exp_exp, linear_pair, cfg_plain)
-    b = estimate_psi_threshold(model_exp_exp, linear_pair, cfg_b0)
+    b = estimate_psi(model_exp_exp, linear_pair, cfg_b0)
     assert a.estimate == b.estimate and a.ess == b.ess
 
 
 def test_threshold_full_capital_targets_psi_zero(model_exp_exp, linear_pair):
     cfg = SimConfig(u=10.0, k=100_000, seed=5, threshold=10.0)
-    rep = estimate_psi_threshold(model_exp_exp, linear_pair, cfg)
+    rep = estimate_psi(model_exp_exp, linear_pair, cfg)
     assert within_se(rep.estimate, 2.0 / 3.0, rep.std_error)
 
 
 def test_threshold_half_capital_targets_shifted_psi(model_exp_exp, linear_pair):
     cfg = SimConfig(u=20.0, k=100_000, seed=5, threshold=10.0)
-    rep = estimate_psi_threshold(model_exp_exp, linear_pair, cfg)
+    rep = estimate_psi(model_exp_exp, linear_pair, cfg)
     exact = exact_psi_cl_exp(model_exp_exp, 10.0)  # 2.378e-02
     assert within_se(rep.estimate, exact, rep.std_error)
