@@ -18,6 +18,12 @@ depend on which replications ran before it. Within a replication, each chunk
 of the walk draws the interarrival block first, then the claim block; chunk
 sizes are a fixed function of (model, tilt, effective capital), never of the
 horizon. The reduction is an index-ordered array sum.
+
+Replications advance in blocks: every live replication takes the same chunk,
+a block keys (or resumes) each row's generator and draws its raw variates,
+and the transforms, the walk, the stop tests and the log-weights then run
+once along the rows. Each row's log-weight and time are summed over exactly
+its own steps, so the block layout never changes a result.
 """
 
 from __future__ import annotations
@@ -41,6 +47,11 @@ __all__ = [
 ]
 
 _CHUNK_MAX = 65536
+# variates per block of the walk (rows x chunk); blocks go breadth-first
+_BLOCK_ELEMS = 1 << 14
+# replications per walk: bounds the walk's per-replication state (about 80
+# bytes each) however large K is
+_WALK_REPS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -95,7 +106,8 @@ class EstimateReport:
 
     ``std_error`` is the weight-sample standard deviation (1/K normalization,
     which makes rse^2 = (K/ess - 1)/K an exact identity) divided by sqrt(K).
-    ``are`` is |exact - estimate| / exact when an exact value was supplied.
+    ``are`` is |exact - estimate| / exact when an exact value was supplied, and
+    nan when that value is 0.
     Estimates above 1 are reported as-is; ``exceeds_one`` flags them.
     """
 
@@ -120,6 +132,8 @@ class _PhiloxCursor:
     Resetting the bit-generator state to key (seed, i) with a zero counter and
     an empty buffer is bit-identical to constructing ``Philox(key=[seed, i])``
     fresh (asserted in the test suite) and roughly six times cheaper.
+    ``resume`` restores a replication's generator from the 11 words that
+    ``words`` saved, so its draws continue where they stopped.
     """
 
     def __init__(self, seed: int):
@@ -136,6 +150,28 @@ class _PhiloxCursor:
         st["uinteger"] = 0
         self._bg.state = st
         return self._gen
+
+    def resume(self, index: int, words: np.ndarray) -> np.random.Generator:
+        st = self._state
+        st["state"]["key"][1] = index
+        st["state"]["counter"][:] = words[:4]
+        st["buffer"][:] = words[4:8]
+        st["buffer_pos"] = int(words[8])
+        st["has_uint32"] = int(words[9])
+        st["uinteger"] = int(words[10])
+        self._bg.state = st
+        return self._gen
+
+    def words(self) -> list[int]:
+        """The generator's position: counter, buffer, buffer_pos, has_uint32, uinteger."""
+        st = self._bg.state
+        return [
+            *st["state"]["counter"].tolist(),
+            *st["buffer"].tolist(),
+            st["buffer_pos"],
+            st["has_uint32"],
+            st["uinteger"],
+        ]
 
 
 @dataclass(frozen=True)
@@ -174,83 +210,151 @@ def _prepare(model: RiskModel, pair: TiltingPair, cfg: SimConfig) -> _RunContext
     )
 
 
-def _simulate(
-    ctx: _RunContext, rng: np.random.Generator, index: int, record_path: bool = False
-) -> ReplicationOutcome:
-    c = ctx.premium
-    z = 0.0
-    t = 0.0
-    n = 0
-    log_w = 0.0
-    chunk = ctx.first_chunk
-    path_x: list[np.ndarray] | None = [] if record_path else None
-    path_w: list[np.ndarray] | None = [] if record_path else None
-
-    while True:
-        remaining = ctx.max_steps - n
-        if remaining <= 0:
-            raise StepCapExceeded(index, ctx.max_steps)
-        m = min(chunk, remaining)
-        w = ctx.qw.sample_n(rng, m)
-        x = ctx.qx.sample_n(rng, m)
-        zc = z + np.cumsum(x - c * w)
-        hit = zc >= ctx.u_eff
-        j_ruin = int(np.argmax(hit))
-        if not hit[j_ruin]:
-            j_ruin = m
-
-        late = False
-        if ctx.horizon is not None:
-            tc = t + np.cumsum(w)
-            over = tc > ctx.horizon
-            j_late = int(np.argmax(over))
-            if not over[j_late]:
-                j_late = m
-            if j_late <= j_ruin:
-                late = True
-            j_stop = min(j_ruin, j_late)
-        else:
-            j_stop = j_ruin
-
-        if j_stop < m:
-            used = j_stop + 1
-            if not ctx.is_identity:
-                log_w -= ctx.path_log_weight(x[:used], w[:used])
-            if record_path:
-                path_x.append(x[:used])
-                path_w.append(w[:used])
-            n += used
-            t += float(w[:used].sum())
-            if late:
-                # the claim at j_stop lands after the horizon: no contribution
-                return ReplicationOutcome(
-                    False,
-                    n - 1,
-                    math.nan,
-                    log_w,
-                    math.nan,
-                    np.concatenate(path_x) if record_path else None,
-                    np.concatenate(path_w) if record_path else None,
-                )
-            return ReplicationOutcome(
-                True,
-                n,
-                t,
-                log_w,
-                float(zc[j_stop] - ctx.u_eff),
-                np.concatenate(path_x) if record_path else None,
-                np.concatenate(path_w) if record_path else None,
-            )
-
-        if not ctx.is_identity:
-            log_w -= ctx.path_log_weight(x, w)
-        if record_path:
-            path_x.append(x)
-            path_w.append(w)
-        z = float(zc[-1])
-        t += float(w.sum())
+def _chunks(ctx: _RunContext):
+    """Chunk sizes of every walk: doubling up to _CHUNK_MAX, cut at max_steps."""
+    n, chunk = 0, ctx.first_chunk
+    while n < ctx.max_steps:
+        m = min(chunk, ctx.max_steps - n)
+        yield m
         n += m
         chunk = min(2 * chunk, _CHUNK_MAX)
+
+
+@dataclass(frozen=True)
+class _Walked:
+    """Per-replication outcomes of a walk; position j is replication first + j."""
+
+    ruined: np.ndarray
+    n_claims: np.ndarray
+    ruin_time: np.ndarray
+    log_weight: np.ndarray
+    overshoot: np.ndarray
+
+
+def _draw_block(cursor: _PhiloxCursor, qw, qx, ids, words, m: int):
+    """Waits (law ``qw``) and claims (``qx``) of the next ``m`` steps of
+    replications ``ids``, one row each.
+
+    Row r keys replication ids[r] afresh (``words`` is None) or resumes it
+    from ``words[r]``, then draws the wait block and the claim block, as
+    ``sample_n`` would. Returns the transformed (rows, m) blocks and each
+    row's generator words after its draws.
+    """
+    raw_w = np.empty((len(ids), qw._raw_width * m))
+    raw_x = np.empty((len(ids), qx._raw_width * m))
+    saved = []
+    for r, i in enumerate(ids):
+        rng = cursor.rng_for(i) if words is None else cursor.resume(i, words[r])
+        qw._draw(rng, raw_w[r])
+        qx._draw(rng, raw_x[r])
+        saved.append(cursor.words())
+    return qw._from_raw(raw_w), qx._from_raw(raw_x), saved
+
+
+def _walk(ctx: _RunContext, seed: int, first: int, k: int) -> _Walked:
+    """Walk replications first, ..., first + k - 1 until each stops.
+
+    Every live replication takes the same chunk, so a chunk is walked for all
+    of them before the next, in blocks of about _BLOCK_ELEMS variates.
+    """
+    out = _Walked(
+        ruined=np.zeros(k, dtype=bool),
+        n_claims=np.zeros(k, dtype=np.int64),
+        ruin_time=np.full(k, math.nan),
+        log_weight=np.zeros(k),
+        overshoot=np.full(k, math.nan),
+    )
+    cursor = _PhiloxCursor(seed)
+    # the live replications: offsets from ``first``, walk position z, elapsed
+    # time t, log-weight and saved generator words (None: fresh keys)
+    live, z, t, log_w, words = np.arange(k), np.zeros(k), np.zeros(k), np.zeros(k), None
+    n = 0
+    for m in _chunks(ctx):
+        if not live.size:
+            break
+        rows = max(1, _BLOCK_ELEMS // m)
+        go = np.empty(live.size, dtype=bool)
+        next_words = []
+        for lo in range(0, live.size, rows):
+            b = slice(lo, lo + rows)
+            go[b], block_words = _walk_block(
+                ctx,
+                cursor,
+                out,
+                first,
+                n,
+                m,
+                live[b],
+                z[b],
+                t[b],
+                log_w[b],
+                None if words is None else words[b],
+            )
+            next_words.append(block_words)
+        live, z, t, log_w = live[go], z[go], t[go], log_w[go]
+        words = np.concatenate(next_words)
+        n += m
+    if live.size:
+        raise StepCapExceeded(first + int(live[0]), ctx.max_steps)
+    return out
+
+
+def _walk_block(ctx: _RunContext, cursor, out: _Walked, first, n, m, pos, z, t, log_w, words):
+    """Advance replications first + pos, ``n`` steps in, by one chunk of ``m``.
+
+    Per replication this only keys or resumes the generator and draws raw
+    variates; the transforms, the walk, the stop tests and the log-weights run
+    once along the rows. Stopped replications are written to ``out``; ``z``,
+    ``t`` and ``log_w`` are advanced in place. Returns which rows go on and
+    their generator words.
+    """
+    w, x, saved = _draw_block(cursor, ctx.qw, ctx.qx, (first + pos).tolist(), words, m)
+    zc = z[:, None] + np.cumsum(x - ctx.premium * w, axis=1)
+    hit = zc >= ctx.u_eff
+    j_stop = np.where(hit.any(axis=1), hit.argmax(axis=1), m)
+    late = np.zeros(len(pos), dtype=bool)
+    if ctx.horizon is not None:
+        over = t[:, None] + np.cumsum(w, axis=1) > ctx.horizon
+        j_late = np.where(over.any(axis=1), over.argmax(axis=1), m)
+        late = j_late <= j_stop
+        j_stop = np.minimum(j_stop, j_late)
+
+    # rows sorted by steps used: each group of equal length sums its weights
+    # and waits over exactly its own steps
+    used = np.minimum(j_stop + 1, m)
+    order = np.argsort(used, kind="stable")
+    dlw = np.zeros(len(pos))
+    dt = np.empty(len(pos))
+    edges = [0, *(np.flatnonzero(np.diff(used[order])) + 1).tolist(), len(pos)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rows = order[lo:hi]
+        # basic slices are views: no copy for a whole block or one row
+        if hi - lo == len(pos):
+            g = slice(None)
+        elif hi - lo == 1:
+            g = slice(int(rows[0]), int(rows[0]) + 1)
+        else:
+            g = rows
+        steps = int(used[rows[0]])
+        wg = w[g, :steps]
+        if not ctx.is_identity:
+            dlw[rows] = ctx.path_log_weight(x[g, :steps], wg)
+        dt[rows] = wg.sum(axis=1)
+    log_w -= dlw
+    t += dt
+
+    stop = j_stop < m
+    p, late_s, ruined = pos[stop], late[stop], ~late[stop]
+    out.ruined[p] = ruined
+    out.n_claims[p] = n + used[stop] - late_s
+    out.log_weight[p] = log_w[stop]
+    out.ruin_time[p[ruined]] = t[stop][ruined]
+    rows_r = np.flatnonzero(stop)[ruined]
+    out.overshoot[p[ruined]] = zc[rows_r, j_stop[rows_r]] - ctx.u_eff
+    z[:] = zc[:, -1]
+    go = ~stop
+    kept = [saved[r] for r in np.flatnonzero(go).tolist()]
+    return go, np.array(kept, dtype=np.uint64).reshape(-1, 11)
 
 
 def run_replication(
@@ -260,10 +364,37 @@ def run_replication(
     index: int,
     record_path: bool = False,
 ) -> ReplicationOutcome:
-    """Simulate replication ``index`` of the run defined by ``cfg``."""
+    """Simulate replication ``index`` of the run defined by ``cfg``.
+
+    With ``record_path`` the replication's stream is drawn once more, chunk
+    by chunk, to return the claims and waits the walk consumed.
+    """
     ctx = _prepare(model, pair, cfg)
-    cursor = _PhiloxCursor(cfg.seed)
-    return _simulate(ctx, cursor.rng_for(index), index, record_path)
+    walked = _walk(ctx, cfg.seed, index, 1)
+    ruined = bool(walked.ruined[0])
+    n_claims = int(walked.n_claims[0])
+    claims = waits = None
+    if record_path:
+        # a late replication also consumed the claim that crossed the horizon
+        used = n_claims if ruined else n_claims + 1
+        rng = _PhiloxCursor(cfg.seed).rng_for(index)
+        xs, ws = [], []
+        for m in _chunks(ctx):
+            ws.append(ctx.qw.sample_n(rng, m))
+            xs.append(ctx.qx.sample_n(rng, m))
+            if sum(map(len, xs)) >= used:
+                break
+        claims = np.concatenate(xs)[:used]
+        waits = np.concatenate(ws)[:used]
+    return ReplicationOutcome(
+        ruined,
+        n_claims,
+        float(walked.ruin_time[0]),
+        float(walked.log_weight[0]),
+        float(walked.overshoot[0]),
+        claims,
+        waits,
+    )
 
 
 def estimate_psi(
@@ -284,12 +415,12 @@ def estimate_psi(
     if cfg.horizon is None:
         require_ruin_inducing(pair)
     ctx = _prepare(model, pair, cfg)
-    cursor = _PhiloxCursor(cfg.seed)
     weights = np.zeros(cfg.k)
-    for i in range(cfg.k):
-        out = _simulate(ctx, cursor.rng_for(i), i)
-        if out.ruined:
-            weights[i] = math.exp(out.log_weight)
+    for first in range(0, cfg.k, _WALK_REPS):
+        walked = _walk(ctx, cfg.seed, first, min(_WALK_REPS, cfg.k - first))
+        lw = walked.log_weight[walked.ruined]
+        ruined_at = first + np.flatnonzero(walked.ruined)
+        weights[ruined_at] = np.fromiter(map(math.exp, lw), float, lw.size)
 
     total = float(weights.sum())
     estimate = total / cfg.k
@@ -298,7 +429,11 @@ def estimate_psi(
     sum_sq = float((weights**2).sum())
     ess = total * total / sum_sq if sum_sq > 0 else 0.0
     max_norm = float(weights.max()) / total if total > 0 else math.nan
-    are = abs(exact - estimate) / exact if exact is not None else None
+    if exact is None:
+        are = None
+    else:
+        # a closed form that underflows to 0 leaves no relative error to report
+        are = abs(exact - estimate) / exact if exact else math.nan
     return EstimateReport(
         estimate=estimate,
         std_error=std_error,

@@ -129,13 +129,15 @@ class TiltingPair:
         """E[W exp(delta(W))]; may be inf."""
         raise NotImplementedError
 
-    def path_log_weight(self, x: np.ndarray, w: np.ndarray) -> float:
-        """sum(gamma(x)) + sum(delta(w)) over one path segment.
+    def path_log_weight(self, x: np.ndarray, w: np.ndarray):
+        """sum(gamma(x)) + sum(delta(w)) along the last axis.
 
+        A 1-D pair of arrays is one path segment; a (rows, L) block gives one
+        value per row, bit-identical to calling this on each row alone.
         Subclasses override with the algebraically reduced form; it must agree
         with summing gamma/delta pointwise to float rounding.
         """
-        return float(np.sum(self.gamma(x)) + np.sum(self.delta(w)))
+        return np.sum(self.gamma(x), axis=-1) + np.sum(self.delta(w), axis=-1)
 
     @property
     def moment_method(self) -> str:
@@ -168,9 +170,6 @@ class IdentityTilt(TiltingPair):
 
     def tilted_wait_mean(self):
         return self.model.wait_mean
-
-    def path_log_weight(self, x, w):
-        return 0.0
 
 
 class EsscherTilt(TiltingPair):
@@ -223,9 +222,11 @@ class EsscherTilt(TiltingPair):
         return exp_weighted_mean(self.model.wait_law, -self.y) * math.exp(-self._ln_lw)
 
     def path_log_weight(self, x, w):
-        n = x.size
-        return float(
-            self.r * np.sum(x) - self.y * np.sum(w) - n * (self._ln_mx + self._ln_lw)
+        n = x.shape[-1]
+        return (
+            self.r * np.sum(x, axis=-1)
+            - self.y * np.sum(w, axis=-1)
+            - n * (self._ln_mx + self._ln_lw)
         )
 
     @property
@@ -303,8 +304,8 @@ class LinearTilt(TiltingPair):
 
     def path_log_weight(self, x, w):
         # the per-step normalizers of gamma and delta cancel exactly
-        return float(
-            np.sum(np.log1p(-self.xi * x)) + self.xi * self._beta * self._m1 * np.sum(w)
+        return np.sum(np.log1p(-self.xi * x), axis=-1) + (
+            self.xi * self._beta * self._m1 * np.sum(w, axis=-1)
         )
 
     def resolved_params(self):
@@ -366,15 +367,15 @@ class HazardTwist(TiltingPair):
         return self._qw.mean()
 
     def path_log_weight(self, x, w):
-        n = x.size
+        n = x.shape[-1]
         total = 0.0
         if self.r != 1.0:
-            total += n * math.log(self.r) - (self.r - 1.0) * float(
-                np.sum(self.model.claim_law.cumulative_hazard(x))
+            total += n * math.log(self.r) - (self.r - 1.0) * np.sum(
+                self.model.claim_law.cumulative_hazard(x), axis=-1
             )
         if self.theta != 1.0:
-            total += n * math.log(self.theta) - (self.theta - 1.0) * float(
-                np.sum(self.model.wait_law.cumulative_hazard(w))
+            total += n * math.log(self.theta) - (self.theta - 1.0) * np.sum(
+                self.model.wait_law.cumulative_hazard(w), axis=-1
             )
         return total
 

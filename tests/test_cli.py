@@ -103,6 +103,17 @@ def test_threshold_exact_targets_shifted_reserve(configs, tmp_path):
     assert float(row["are"]) <= 4 * float(row["rse"])
 
 
+def test_exact_underflow_reports_nan_are(configs, tmp_path):
+    # exact_psi_cl_exp underflows to 0.0 near u = 2300: no relative error, no traceback
+    out = tmp_path / "deep.csv"
+    assert main(
+        ["estimate", "--model", configs["model"], "--tilt", configs["tilt"],
+         "--u", "2300", "--K", "20", "--seed", "1", "--exact", "--out", str(out)]
+    ) == 0
+    header, rows = read_csv(out)
+    assert rows[0][header.index("are")] == "nan"
+
+
 def test_empty_grid_is_config_error(configs):
     code = main(
         ["estimate", "--model", configs["model"], "--tilt", configs["tilt"],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,22 @@ from ruinlab import (
     EsscherTilt,
     Exponential,
     Gamma,
+    GenGamma,
     HazardTwist,
     IdentityTilt,
+    InvGamma,
+    InvWeibull,
     LinearTilt,
+    LogNormal,
+    Pareto,
+    RiskModel,
     SimConfig,
     TargetTilt,
+    Weibull,
     check_admissible,
     estimate_psi,
     exact_psi_cl_exp,
+    hazard_twisted,
     lundberg_root,
     run_replication,
     xi_hat,
@@ -41,6 +50,65 @@ def test_philox_cursor_matches_fresh_construction():
             np.random.Philox(key=np.array([987654321, i], dtype=np.uint64))
         ).random(32)
         assert np.array_equal(got, ref)
+
+
+def _philox(seed, i):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+
+
+def test_philox_cursor_resumes_saved_words():
+    cursor = _PhiloxCursor(5)
+    cursor.rng_for(3).standard_gamma(0.7, 13)  # leaves a part-used buffer
+    words = np.array(cursor.words(), dtype=np.uint64)
+    ref = _philox(5, 3)
+    ref.standard_gamma(0.7, 13)
+    cursor.rng_for(4).random(9)
+    assert np.array_equal(cursor.resume(3, words).random(7), ref.random(7))
+
+
+def _linear_claims(claim):
+    model = RiskModel.from_safety_loading(claim, Exponential(1.0), 0.5)
+    return LinearTilt(model, 1.95 * xi_hat(model)).tilted_claim_law()
+
+
+BLOCK_LAWS = [
+    Exponential(1.3),
+    Gamma(0.7, 2.5),
+    Weibull(0.75, 1.68),
+    InvGamma(3.0, 4.0),
+    InvWeibull(3.0, 1.48),
+    GenGamma(1.5, 2.0, 0.8),
+    GenGamma(-2.0, 1.3, 2.2),
+    LogNormal(0.3, 0.5),
+    Pareto(1.5, 3.0),
+    hazard_twisted(Exponential(1.0), 0.55),
+    hazard_twisted(Weibull(0.375, 0.5), 1.3),
+    hazard_twisted(Pareto(1.5, 3.0), 0.8),
+    _linear_claims(Exponential(1.0)),
+    _linear_claims(Weibull(0.75, 1.68)),
+    _linear_claims(LogNormal(0.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("law", BLOCK_LAWS, ids=[law.label() for law in BLOCK_LAWS])
+def test_block_rows_equal_sample_n(law):
+    # rows of a block, fresh and resumed, are the draws sample_n makes on the
+    # replication's own Philox(seed, i) stream: wait block, then claim block
+    cursor = _PhiloxCursor(99)
+    ids = list(range(5, 205))
+    for m in (1, 2, 64):
+        w, x, saved = engine._draw_block(cursor, law, law, ids, None, m)
+        w2, x2, _ = engine._draw_block(
+            cursor, law, law, ids, np.array(saved, dtype=np.uint64), m
+        )
+        for r, i in enumerate(ids):
+            rng = _philox(99, i)
+            for row in (w[r], x[r], w2[r], x2[r]):
+                assert np.array_equal(row, law.sample_n(rng, m)), (m, i)
+    if hasattr(law, "weights"):
+        # rows drawing from one component only are covered too
+        ks = {int(np.sum(_philox(99, i).random(2) >= law.weights[0])) for i in ids}
+        assert {0, 2} <= ks
 
 
 def test_report_flags_estimates_above_one():
@@ -93,6 +161,103 @@ def test_step_cap_exceeded(model_exp_exp):
     with pytest.raises(StepCapExceeded) as err:
         run_replication(model_exp_exp, IdentityTilt(model_exp_exp), cfg, 7)
     assert err.value.replication == 7
+
+
+def reference_walk(model, pair, cfg, i):
+    """Replication i walked alone on 1-D arrays, chunk by chunk.
+
+    (ruined, n_claims, ruin_time, log_weight, overshoot); the block walk must
+    reproduce it bit for bit.
+    """
+    ctx = engine._prepare(model, pair, cfg)
+    rng = _philox(cfg.seed, i)
+    z = t = log_w = 0.0
+    n = 0
+    for m in engine._chunks(ctx):
+        w = ctx.qw.sample_n(rng, m)
+        x = ctx.qx.sample_n(rng, m)
+        zc = z + np.cumsum(x - model.premium * w)
+        hits = np.flatnonzero(zc >= ctx.u_eff)
+        j = hits[0] if hits.size else m
+        late = False
+        if cfg.horizon is not None:
+            overs = np.flatnonzero(t + np.cumsum(w) > cfg.horizon)
+            if overs.size and overs[0] <= j:
+                j, late = overs[0], True
+        used = min(j + 1, m)
+        if pair.variant != "identity":
+            log_w -= pair.path_log_weight(x[:used], w[:used])
+        t += w[:used].sum()
+        n += used
+        if late:
+            return False, n - 1, math.nan, log_w, math.nan
+        if j < m:
+            return True, n, t, log_w, zc[j] - ctx.u_eff
+        z = zc[-1]
+    raise StepCapExceeded(i, cfg.max_steps)
+
+
+def _same(a, b):
+    return all(p == q or (p != p and q != q) for p, q in zip(a, b))
+
+
+# (tilt, config, whether some replications need a third chunk); K is more
+# than one block and not a multiple of the block rows in every case
+WALK_CASES = {
+    "infinite": ("linear", SimConfig(u=5.0, k=600, seed=3), True),
+    "threshold": ("linear", SimConfig(u=10.0, k=600, seed=3, threshold=5.0), True),
+    "horizon_crude": ("identity", SimConfig(u=1.0, k=600, seed=3, horizon=300.0), True),
+    "horizon_tilted": ("linear", SimConfig(u=2.0, k=700, seed=3, horizon=20.0), False),
+}
+
+
+@pytest.mark.parametrize("case", list(WALK_CASES))
+def test_block_walk_matches_replications_walked_alone(model_exp_exp, linear_pair, case):
+    tilt, cfg, deep = WALK_CASES[case]
+    pair = linear_pair if tilt == "linear" else IdentityTilt(model_exp_exp)
+    first = engine._prepare(model_exp_exp, pair, cfg).first_chunk
+    rows = engine._BLOCK_ELEMS // first
+    assert cfg.k > rows and cfg.k % rows  # several blocks, the last one partial
+    outs = [run_replication(model_exp_exp, pair, cfg, i) for i in range(cfg.k)]
+    assert (max(o.n_claims for o in outs) > 3 * first) == deep
+    for i, o in enumerate(outs):
+        got = (o.ruined, o.n_claims, o.ruin_time, o.log_weight, o.overshoot)
+        assert _same(got, reference_walk(model_exp_exp, pair, cfg, i)), (case, i)
+
+    # estimate_psi is the index-ordered reduction of the replications' weights
+    weights = np.zeros(cfg.k)
+    for i, o in enumerate(outs):
+        if o.ruined:
+            weights[i] = math.exp(o.log_weight)
+    total = weights.sum()
+    rep = estimate_psi(model_exp_exp, pair, cfg)
+    assert rep.estimate == total / cfg.k
+    assert rep.std_error == weights.std() / math.sqrt(cfg.k)
+    assert rep.ess == total * total / (weights**2).sum()
+    assert rep.max_norm_weight == weights.max() / total
+
+
+def test_walk_ranges_leave_the_estimate_unchanged(model_exp_exp, linear_pair, monkeypatch):
+    cfg = SimConfig(u=5.0, k=1000, seed=3)
+    whole = estimate_psi(model_exp_exp, linear_pair, cfg)
+    monkeypatch.setattr(engine, "_WALK_REPS", 300)  # three full walks and a partial one
+    parts = estimate_psi(model_exp_exp, linear_pair, cfg)
+    fields = ("estimate", "std_error", "ess", "max_norm_weight")
+    assert [getattr(parts, f) for f in fields] == [getattr(whole, f) for f in fields]
+
+
+def test_step_cap_names_lowest_live_replication(model_exp_exp, linear_pair, monkeypatch):
+    cfg = SimConfig(u=5.0, k=600, seed=3)
+    cap = engine._prepare(model_exp_exp, linear_pair, cfg).first_chunk
+    steps = [run_replication(model_exp_exp, linear_pair, cfg, i).n_claims for i in range(cfg.k)]
+    lowest = next(i for i, n in enumerate(steps) if n > cap)
+    assert lowest > 1
+    # in the first walk, and in a later one when walks are shorter than `lowest`
+    for reps in (engine._WALK_REPS, lowest // 2):
+        monkeypatch.setattr(engine, "_WALK_REPS", reps)
+        with pytest.raises(StepCapExceeded) as err:
+            estimate_psi(model_exp_exp, linear_pair, dataclasses.replace(cfg, max_steps=cap))
+        assert err.value.replication == lowest
 
 
 def test_step_cap_propagates_from_batch_run(model_exp_exp, linear_pair):

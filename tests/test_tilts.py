@@ -105,6 +105,33 @@ def test_path_log_weight_matches_pointwise(model_exp_exp, model_pareto_weibull, 
         assert pair.path_log_weight(x, w) == pytest.approx(direct, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["identity", "esscher", "linear", "hazard", "from_target"])
+def test_block_path_log_weight_equals_row_calls(model_exp_exp, model_pareto_weibull, kind):
+    # the engine weighs a (rows, L) block in one call, or a (1, L) view of a
+    # wider block; each row must be bit-identical to the 1-D call on a copy
+    pair = {
+        "identity": IdentityTilt(model_exp_exp),
+        "esscher": EsscherTilt(model_exp_exp, 0.25),
+        "linear": LinearTilt(model_exp_exp, -0.4875),
+        "hazard": HazardTwist(model_pareto_weibull, 0.9, 1.2),
+        "from_target": TargetTilt(model_exp_exp, Gamma(2.0, 2.0), Exponential(1.3)),
+    }[kind]
+    rng = np.random.default_rng(17)
+    for length in (1, 7, 8, 9, 127, 128, 129, 300, 1000):
+        x = rng.uniform(0.1, 5.0, (5, length + 3))
+        w = rng.uniform(0.1, 5.0, (5, length + 3))
+        rows = [
+            pair.path_log_weight(x[r, :length].copy(), w[r, :length].copy()) for r in range(5)
+        ]
+        for xb, wb in (
+            (x[:, :length].copy(), w[:, :length].copy()),  # contiguous block
+            (x[:, :length], w[:, :length]),  # strided view
+        ):
+            assert np.array_equal(pair.path_log_weight(xb, wb), rows), (kind, length)
+        one = pair.path_log_weight(x[2:3, :length], w[2:3, :length])
+        assert one.shape == (1,) and one[0] == rows[2]
+
+
 # -- tilted laws ---------------------------------------------------------------
 
 
