@@ -40,41 +40,16 @@ EXIT_CONFIG = 2
 EXIT_ADMISSIBILITY = 3
 EXIT_STEP_CAP = 4
 
-_ESTIMATE_COLUMNS = [
-    "u",
-    "estimate",
-    "std_error",
-    "rse",
-    "are",
-    "ess",
-    "max_norm_weight",
-    "K",
-    "seed",
-    "runtime_seconds",
-]
-
-_TABLE_COLUMNS = [
-    "table",
-    "config",
-    "u",
-    "exact",
-    "estimate",
-    "std_error",
-    "rse",
-    "are",
-    "ess",
-    "max_norm_weight",
-    "K",
-    "seed",
-]
+# the report fields every estimate row carries, in CSV order
+_REPORT_COLUMNS = ["estimate", "std_error", "rse", "are", "ess", "max_norm_weight", "K", "seed"]
+_ESTIMATE_COLUMNS = ["u", *_REPORT_COLUMNS, "runtime_seconds"]
+_TABLE_COLUMNS = ["table", "config", "u", "exact", *_REPORT_COLUMNS]
 
 
 def _fmt(value) -> str:
     """Locale-independent cell formatting; floats keep 11 significant digits."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -84,6 +59,14 @@ def _fmt(value) -> str:
             return f"{value:g}"
         return f"{value:.10e}"
     return str(value)
+
+
+def _report_cells(rep) -> list[str]:
+    """The ``_REPORT_COLUMNS`` cells of one estimate report."""
+    fields = (
+        rep.estimate, rep.std_error, rep.rse, rep.are, rep.ess, rep.max_norm_weight, rep.k, rep.seed
+    )
+    return [_fmt(v) for v in fields]
 
 
 def _load_json(path: str) -> dict:
@@ -168,20 +151,7 @@ def cmd_estimate(args) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_ESTIMATE_COLUMNS)
         for u, rep in rows:
-            writer.writerow(
-                [
-                    _fmt(float(u)),
-                    _fmt(rep.estimate),
-                    _fmt(rep.std_error),
-                    _fmt(rep.rse),
-                    _fmt(rep.are),
-                    _fmt(rep.ess),
-                    _fmt(rep.max_norm_weight),
-                    _fmt(rep.k),
-                    _fmt(rep.seed),
-                    _fmt(rep.runtime_seconds),
-                ]
-            )
+            writer.writerow([_fmt(float(u)), *_report_cells(rep), _fmt(rep.runtime_seconds)])
     finally:
         if close:
             out.close()
@@ -211,20 +181,7 @@ def cmd_table(args) -> int:
                 exact = col.exact(col.model, u) if col.exact else None
                 rep = estimate_psi(col.model, pair, cfg, exact=exact)
                 writer.writerow(
-                    [
-                        spec.name,
-                        col.label,
-                        _fmt(float(u)),
-                        _fmt(exact),
-                        _fmt(rep.estimate),
-                        _fmt(rep.std_error),
-                        _fmt(rep.rse),
-                        _fmt(rep.are),
-                        _fmt(rep.ess),
-                        _fmt(rep.max_norm_weight),
-                        _fmt(rep.k),
-                        _fmt(rep.seed),
-                    ]
+                    [spec.name, col.label, _fmt(float(u)), _fmt(exact), *_report_cells(rep)]
                 )
     finally:
         if close:

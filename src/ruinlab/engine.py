@@ -66,14 +66,14 @@ class SimConfig:
     threshold: float | None = None
 
     def __post_init__(self):
-        if self.u < 0:
-            raise ValueError("initial reserve u must be nonnegative")
+        if not 0 <= self.u < math.inf:
+            raise ValueError("initial reserve u must be finite and nonnegative")
         if self.k < 1:
             raise ValueError("replication count K must be at least 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if self.horizon is not None and self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        if self.horizon is not None and not 0 <= self.horizon < math.inf:
+            raise ValueError("horizon must be finite and nonnegative")
         if self.threshold is not None and not 0 <= self.threshold <= self.u:
             raise ValueError("threshold must lie in [0, u]")
 
@@ -84,7 +84,6 @@ class ReplicationOutcome:
 
     ``log_weight`` is -sum(gamma(X_j)) - sum(delta(W_j)) over the claims up to
     termination; ``overshoot`` is Z_N - u_eff >= 0 at ruin (nan otherwise).
-    When the path was recorded, ``claims``/``waits`` hold the consumed draws.
     """
 
     ruined: bool
@@ -92,8 +91,6 @@ class ReplicationOutcome:
     ruin_time: float
     log_weight: float
     overshoot: float
-    claims: np.ndarray | None = None
-    waits: np.ndarray | None = None
 
     @property
     def weight(self) -> float:
@@ -358,42 +355,20 @@ def _walk_block(ctx: _RunContext, cursor, out: _Walked, first, n, m, pos, z, t, 
 
 
 def run_replication(
-    model: RiskModel,
-    pair: TiltingPair,
-    cfg: SimConfig,
-    index: int,
-    record_path: bool = False,
+    model: RiskModel, pair: TiltingPair, cfg: SimConfig, index: int
 ) -> ReplicationOutcome:
-    """Simulate replication ``index`` of the run defined by ``cfg``.
+    """Replication ``index`` of the run defined by ``cfg``, walked on its own.
 
-    With ``record_path`` the replication's stream is drawn once more, chunk
-    by chunk, to return the claims and waits the walk consumed.
+    The walk is the one ``estimate_psi`` takes, so the outcome is bit-identical
+    to that replication's part of the estimate; no admissibility gate applies.
     """
-    ctx = _prepare(model, pair, cfg)
-    walked = _walk(ctx, cfg.seed, index, 1)
-    ruined = bool(walked.ruined[0])
-    n_claims = int(walked.n_claims[0])
-    claims = waits = None
-    if record_path:
-        # a late replication also consumed the claim that crossed the horizon
-        used = n_claims if ruined else n_claims + 1
-        rng = _PhiloxCursor(cfg.seed).rng_for(index)
-        xs, ws = [], []
-        for m in _chunks(ctx):
-            ws.append(ctx.qw.sample_n(rng, m))
-            xs.append(ctx.qx.sample_n(rng, m))
-            if sum(map(len, xs)) >= used:
-                break
-        claims = np.concatenate(xs)[:used]
-        waits = np.concatenate(ws)[:used]
+    walked = _walk(_prepare(model, pair, cfg), cfg.seed, index, 1)
     return ReplicationOutcome(
-        ruined,
-        n_claims,
+        bool(walked.ruined[0]),
+        int(walked.n_claims[0]),
         float(walked.ruin_time[0]),
         float(walked.log_weight[0]),
         float(walked.overshoot[0]),
-        claims,
-        waits,
     )
 
 

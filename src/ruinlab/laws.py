@@ -2,9 +2,8 @@
 
 Every law exposes the pieces the tilting machinery and the simulation engine
 need: density / distribution function, raw moments (``math.inf`` when the
-moment does not exist), cumulative hazard and its inverse where a closed form
-exists, Laplace transform / moment generating function, and deterministic
-sampling.
+moment does not exist), cumulative hazard where a closed form exists,
+Laplace transform / moment generating function, and deterministic sampling.
 
 Sampling contract: each family uses a fixed, documented algorithm driven by a
 ``numpy.random.Generator`` (exponential, Weibull, Pareto and log-normal via
@@ -96,9 +95,6 @@ class PositiveLaw:
         """H(x) = -ln(1 - F(x)); only families with a closed form support this."""
         raise UnsupportedHazard(f"{self.label()} has no closed-form cumulative hazard")
 
-    def cumulative_hazard_inverse(self, h):
-        raise UnsupportedHazard(f"{self.label()} has no closed-form cumulative hazard")
-
     # -- transforms --------------------------------------------------------------
 
     def laplace(self, s: float) -> float:
@@ -186,9 +182,6 @@ class Exponential(PositiveLaw):
     def cumulative_hazard(self, x):
         return self.rate * np.asarray(x, dtype=float)
 
-    def cumulative_hazard_inverse(self, h):
-        return np.asarray(h, dtype=float) / self.rate
-
     def laplace(self, s: float) -> float:
         if s < 0:
             return self.mgf(-s)
@@ -207,9 +200,6 @@ class Exponential(PositiveLaw):
 
     def label(self) -> str:
         return f"Exp({self.rate:g})"
-
-    def as_gengamma(self) -> "GenGamma":
-        return GenGamma(1.0, 1.0 / self.rate, 1.0)
 
 
 @dataclass(frozen=True)
@@ -264,9 +254,6 @@ class Gamma(PositiveLaw):
     def label(self) -> str:
         return f"Ga({self.shape:g},{self.rate:g})"
 
-    def as_gengamma(self) -> "GenGamma":
-        return GenGamma(1.0, 1.0 / self.rate, self.shape)
-
 
 @dataclass(frozen=True)
 class Weibull(PositiveLaw):
@@ -304,9 +291,6 @@ class Weibull(PositiveLaw):
     def cumulative_hazard(self, x):
         return (np.asarray(x, dtype=float) / self.scale) ** self.shape
 
-    def cumulative_hazard_inverse(self, h):
-        return self.scale * np.asarray(h, dtype=float) ** (1.0 / self.shape)
-
     def mgf_radius(self) -> float:
         if self.shape > 1.0:
             return math.inf
@@ -319,9 +303,6 @@ class Weibull(PositiveLaw):
 
     def label(self) -> str:
         return f"Wei({self.shape:g},{self.scale:g})"
-
-    def as_gengamma(self) -> "GenGamma":
-        return GenGamma(self.shape, self.scale, 1.0)
 
 
 @dataclass(frozen=True)
@@ -366,9 +347,6 @@ class InvGamma(PositiveLaw):
     def label(self) -> str:
         return f"InvGa({self.shape:g},{self.scale:g})"
 
-    def as_gengamma(self) -> "GenGamma":
-        return GenGamma(-1.0, self.scale, self.shape)
-
 
 @dataclass(frozen=True)
 class InvWeibull(PositiveLaw):
@@ -410,9 +388,6 @@ class InvWeibull(PositiveLaw):
 
     def label(self) -> str:
         return f"InvWei({self.shape:g},{self.scale:g})"
-
-    def as_gengamma(self) -> "GenGamma":
-        return GenGamma(-self.shape, self.scale, 1.0)
 
 
 @dataclass(frozen=True)
@@ -553,9 +528,6 @@ class Pareto(PositiveLaw):
     def cumulative_hazard(self, x):
         return self.shape * np.log1p(np.asarray(x, dtype=float) / self.scale)
 
-    def cumulative_hazard_inverse(self, h):
-        return self.scale * np.expm1(np.asarray(h, dtype=float) / self.shape)
-
     def mgf_radius(self) -> float:
         return 0.0
 
@@ -676,9 +648,11 @@ def law_from_config(obj: dict) -> PositiveLaw:
         raise ConfigError(f"unknown law family {family!r}")
     cls, names = _FAMILIES[family]
     params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"{family} params must be a dict, got {params!r}")
     if set(params) != set(names):
         raise ConfigError(f"{family} expects params {set(names)}, got {set(params)}")
     try:
         return cls(**{k: float(params[k]) for k in names})
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {family} parameters: {exc}") from exc

@@ -18,7 +18,6 @@ which the Esscher pair stops being ruin-inducing.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -35,14 +34,11 @@ __all__ = [
     "theta_prime",
     "lundberg_root",
     "memm_point",
-    "mmm_premium",
     "xi_hat",
     "exact_psi_cl_exp",
     "exact_psi_sa_exp",
     "exp_weighted_mean",
 ]
-
-logger = logging.getLogger(__name__)
 
 _RESIDUAL_TOL = 1e-12
 _BISECT_WIDTH = 1e-10
@@ -103,8 +99,8 @@ def theta_of_r(model: RiskModel, r: float) -> AdjustmentSolution:
     """Solve the adjustment equation for theta at tilt argument r in [0, r_X).
 
     The left-hand side is strictly decreasing in theta, so the root is
-    bracketed by doubling, bisected to width 1e-10 and polished with Newton
-    steps until the residual drops below 1e-12.
+    bracketed by doubling, then bisected and Newton-polished by the shared
+    root refiner with the analytic slope.
     """
     radius = _require_light_tail(model)
     if not 0.0 <= r < radius:
@@ -125,38 +121,8 @@ def theta_of_r(model: RiskModel, r: float) -> AdjustmentSolution:
     else:
         raise NoBracket("could not bracket the adjustment equation root")
 
-    bisections = 0
-    while hi - lo > _BISECT_WIDTH * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
-        bisections += 1
-
-    # Newton polish; float noise may place the root a few ulps outside the
-    # bisection bracket, so only steps larger than the bracket are rejected
-    y = 0.5 * (lo + hi)
-    width = hi - lo
-    newton_steps = 0
-    for _ in range(5):
-        res = g(y)
-        if abs(res) <= _RESIDUAL_TOL:
-            break
-        slope = -mx * exp_weighted_mean(wait, -y)
-        step = res / slope
-        if abs(step) > width:
-            y = 0.5 * (lo + hi)
-            break
-        y = y - step
-        newton_steps += 1
-
-    sol = AdjustmentSolution(r, y - model.premium * r, y, abs(g(y)))
-    logger.debug(
-        "theta_of_r(r=%g): %d bisections, %d Newton steps, residual %.2e",
-        r, bisections, newton_steps, sol.residual,
-    )
-    return sol
+    y = _refine_root(g, lo, hi, lambda y: -mx * exp_weighted_mean(wait, -y))
+    return AdjustmentSolution(r, y - model.premium * r, y, abs(g(y)))
 
 
 def theta_prime(model: RiskModel, r: float) -> float:
@@ -192,6 +158,8 @@ def _refine_root(fn, lo: float, hi: float, dfn=None) -> float:
             lo, flo = mid, fmid
         else:
             hi = mid
+    # float noise may place the root a few ulps outside the bisection
+    # bracket, so only steps larger than the bracket are rejected
     x = 0.5 * (lo + hi)
     width = hi - lo
     for _ in range(5):
@@ -273,23 +241,6 @@ def xi_hat(model: RiskModel) -> float:
         )
     beta = model.wait_law.rate
     return (beta * model.claim_mean - model.premium) / (beta * m2)
-
-
-def mmm_premium(model: RiskModel) -> float:
-    """Premium of the variance-minimal boundary tilt: beta*(E[X] - xi_hat*E[X^2]).
-
-    Substituting xi_hat gives back the model premium exactly; the identity is
-    exercised as a self-test.
-    """
-    beta = model.wait_law.rate if isinstance(model.wait_law, Exponential) else None
-    if beta is None:
-        raise UnsupportedCombination("the boundary premium requires exponential interarrivals")
-    m2 = model.claim_law.raw_moment(2.0)
-    if not math.isfinite(m2):
-        raise SecondMomentInfinite(
-            f"claim law {model.claim_law.label()} has infinite second moment"
-        )
-    return beta * (model.claim_mean - xi_hat(model) * m2)
 
 
 def exact_psi_cl_exp(model: RiskModel, u: float) -> float:

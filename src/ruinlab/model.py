@@ -75,5 +75,5 @@ def model_from_config(obj: dict) -> RiskModel:
         if has_c:
             return RiskModel(claim, wait, float(obj["premium"]))
         return RiskModel.from_safety_loading(claim, wait, float(obj["safety_loading"]))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -73,7 +73,6 @@ __all__ = [
     "size_biased",
     "hazard_twisted",
     "hazard_r_max",
-    "hazard_theta_min",
     "normalization_residuals",
     "tilt_from_config",
     "xi_hat",
@@ -444,17 +443,13 @@ def require_ruin_inducing(pair: TiltingPair) -> None:
         raise NotRuinInducing(report.lhs, report.rhs)
 
 
-def _twisted_mean_wait(model: RiskModel, theta: float) -> float:
-    return hazard_twisted(model.wait_law, theta).mean()
-
-
 def hazard_r_max(model: RiskModel, theta: float) -> float:
     """Largest admissible claim twist r for a given wait twist theta.
 
     Solves c * E[W e^delta] = E[X e^gamma] using the closed-form mean of the
     twisted claim law; defined for exponential, Pareto and Weibull claims.
     """
-    mw = _twisted_mean_wait(model, theta)
+    mw = hazard_twisted(model.wait_law, theta).mean()
     if not math.isfinite(mw):
         raise NonFiniteMoment("twisted interarrival mean is infinite")
     cmw = model.premium * mw
@@ -466,22 +461,6 @@ def hazard_r_max(model: RiskModel, theta: float) -> float:
     if isinstance(claw, Weibull):
         return (claw.mean() / cmw) ** claw.shape
     raise UnsupportedCombination(f"no closed-form twist boundary for {claw.label()}")
-
-
-def hazard_theta_min(model: RiskModel, r: float) -> float:
-    """Smallest admissible wait twist theta for a given claim twist r."""
-    mx = hazard_twisted(model.claim_law, r).mean()
-    if not math.isfinite(mx):
-        raise NonFiniteMoment("twisted claim mean is infinite; increase r")
-    target = mx / model.premium  # required twisted wait mean
-    wlaw = model.wait_law
-    if isinstance(wlaw, Exponential):
-        return 1.0 / (wlaw.rate * target)
-    if isinstance(wlaw, Weibull):
-        return (wlaw.mean() / target) ** wlaw.shape
-    if isinstance(wlaw, Pareto):
-        return (1.0 + wlaw.scale / target) / wlaw.shape
-    raise UnsupportedCombination(f"no closed-form twist boundary for {wlaw.label()}")
 
 
 def normalization_residuals(pair: TiltingPair) -> tuple[float, float]:
@@ -506,6 +485,8 @@ def tilt_from_config(obj: dict, model: RiskModel) -> TiltingPair:
         raise ConfigError("tilt config must be a dict with a 'family' key")
     family = obj["family"]
     params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"{family} tilt params must be a dict, got {params!r}")
     try:
         if family == "identity":
             return IdentityTilt(model)
@@ -537,6 +518,7 @@ def tilt_from_config(obj: dict, model: RiskModel) -> TiltingPair:
     except KeyError as exc:
         raise ConfigError(f"tilt config missing parameter {exc}") from exc
     except (
+        TypeError,
         ValueError,
         UnsupportedCombination,
         MgfUnavailable,

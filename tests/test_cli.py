@@ -212,6 +212,42 @@ def test_bad_model_config_exits_2(tmp_path, configs):
     ) == 2
 
 
+_EXP = {"family": "exp", "params": {"rate": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "model, tilt",
+    [
+        ({**MODEL_EE, "claim": {"family": "exp", "params": None}}, None),
+        ({**MODEL_EE, "claim": {"family": "exp", "params": {"rate": [1]}}}, None),
+        ({"claim": _EXP, "wait": _EXP, "premium": [2]}, None),
+        (MODEL_EE, {"family": "linear", "params": None}),
+        (MODEL_EE, {"family": "esscher", "params": {"r": [0.1]}}),
+    ],
+    ids=["law-params-null", "law-param-list", "premium-list", "tilt-params-null", "r-list"],
+)
+def test_malformed_config_values_exit_2(tmp_path, model, tilt):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model))
+    argv = ["check", "--model", str(model_path)]
+    if tilt is not None:
+        tilt_path = tmp_path / "tilt.json"
+        tilt_path.write_text(json.dumps(tilt))
+        argv += ["--tilt", str(tilt_path)]
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [["--u", "inf"], ["--u", "nan"], ["--u", "1", "--horizon", "inf"],
+     ["--u", "1", "--horizon", "nan"]],
+    ids=["u-inf", "u-nan", "horizon-inf", "horizon-nan"],
+)
+def test_non_finite_reserve_or_horizon_exits_2(configs, grid):
+    assert main(["estimate", "--model", configs["model"], "--tilt", configs["tilt"],
+                 "--K", "10", "--seed", "1", *grid]) == 2
+
+
 def test_unknown_table_exits_2():
     proc = subprocess.run(
         [sys.executable, "-m", "ruinlab.cli", "table", "table9", "--K", "10", "--seed", "1"],

@@ -130,21 +130,30 @@ def test_sim_config_validation():
         SimConfig(u=1.0, k=10, seed=1, threshold=2.0)
     with pytest.raises(ValueError):
         SimConfig(u=1.0, k=10, seed=1, max_steps=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SimConfig(u=bad, k=10, seed=1)
+        with pytest.raises(ValueError):
+            SimConfig(u=1.0, k=10, seed=1, horizon=bad)
 
 
 def test_replication_replay_oracle(model_exp_exp, linear_pair):
-    out = run_replication(
-        model_exp_exp, linear_pair, SimConfig(u=5.0, k=1, seed=3), 11, record_path=True
-    )
+    cfg = SimConfig(u=5.0, k=1, seed=3)
+    out = run_replication(model_exp_exp, linear_pair, cfg, 11)
     assert out.ruined
-    replay = -(float(np.sum(linear_pair.gamma(out.claims)))
-               + float(np.sum(linear_pair.delta(out.waits))))
+    # replay the first chunk of Philox(3, 11): the wait block, then the claim block
+    m = engine._prepare(model_exp_exp, linear_pair, cfg).first_chunk
+    assert out.n_claims <= m
+    rng = _philox(3, 11)
+    waits = linear_pair.tilted_wait_law().sample_n(rng, m)[: out.n_claims]
+    claims = linear_pair.tilted_claim_law().sample_n(rng, m)[: out.n_claims]
+    replay = -(float(np.sum(linear_pair.gamma(claims)))
+               + float(np.sum(linear_pair.delta(waits))))
     assert out.log_weight == pytest.approx(replay, abs=1e-12)
-    assert out.ruin_time == pytest.approx(float(out.waits.sum()), abs=1e-12)
-    assert out.n_claims == len(out.claims) == len(out.waits)
+    assert out.ruin_time == pytest.approx(float(waits.sum()), abs=1e-12)
     assert out.overshoot >= 0.0
     # the walk ruins exactly at the last claim and not before
-    z = np.cumsum(out.claims - model_exp_exp.premium * out.waits)
+    z = np.cumsum(claims - model_exp_exp.premium * waits)
     assert np.all(z[:-1] < 5.0) and z[-1] >= 5.0
     assert out.overshoot == pytest.approx(float(z[-1]) - 5.0, abs=1e-12)
 

@@ -16,7 +16,6 @@ from ruinlab import (
     exact_psi_sa_exp,
     lundberg_root,
     memm_point,
-    mmm_premium,
     theta_of_r,
     theta_prime,
     xi_hat,
@@ -119,23 +118,6 @@ def test_esscher_admissibility_interval(model_exp_exp):
     assert check_admissible(EsscherTilt(model_exp_exp, rho)).in_c_p
     assert check_admissible(EsscherTilt(model_exp_exp, mp.r * 1.02)).in_c_p
     assert not check_admissible(EsscherTilt(model_exp_exp, mp.r * 0.95)).in_c_p
-
-
-def test_mmm_premium_identity(model_exp_exp):
-    assert mmm_premium(model_exp_exp) == pytest.approx(1.5, rel=1e-12)
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        theta = float(rng.uniform(0.3, 3.0))
-        beta = float(rng.uniform(0.3, 3.0))
-        eta = float(rng.uniform(0.05, 1.5))
-        model = RiskModel.from_safety_loading(Exponential(theta), Exponential(beta), eta)
-        assert mmm_premium(model) == pytest.approx(model.premium, rel=1e-12)
-
-
-def test_mmm_premium_requires_second_moment():
-    model = RiskModel.from_safety_loading(Pareto(1.5, 3.0), Exponential(1.0), 0.5)
-    with pytest.raises(SecondMomentInfinite):
-        mmm_premium(model)
 
 
 def test_xi_hat_examples(model_exp_exp):

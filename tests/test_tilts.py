@@ -24,7 +24,6 @@ from ruinlab import (
     check_admissible,
     expectation,
     hazard_r_max,
-    hazard_theta_min,
     hazard_twisted,
     lundberg_root,
     normalization_residuals,
@@ -270,9 +269,6 @@ def test_hazard_boundary_equality(model_pareto_weibull):
 
 
 def test_hazard_region_bounds_consistency(model_pareto_weibull):
-    for theta in (0.5, 1.0, 1.2, 2.0):
-        r_max = hazard_r_max(model_pareto_weibull, theta)
-        assert hazard_theta_min(model_pareto_weibull, r_max) == pytest.approx(theta, rel=1e-10)
     # closed form for Pareto claims with Weibull waits
     a, b = 1.5, 3.0
     ew = model_pareto_weibull.wait_mean
