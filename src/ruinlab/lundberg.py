@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import MgfUnavailable, NoBracket, SecondMomentInfinite, UnsupportedCombination
 from .laws import Exponential, Gamma, PositiveLaw, expectation
@@ -39,9 +40,6 @@ __all__ = [
     "exact_psi_sa_exp",
     "exp_weighted_mean",
 ]
-
-_RESIDUAL_TOL = 1e-12
-_BISECT_WIDTH = 1e-10
 
 
 @dataclass(frozen=True)
@@ -98,9 +96,8 @@ def _require_light_tail(model: RiskModel) -> float:
 def theta_of_r(model: RiskModel, r: float) -> AdjustmentSolution:
     """Solve the adjustment equation for theta at tilt argument r in [0, r_X).
 
-    The left-hand side is strictly decreasing in theta, so the root is
-    bracketed by doubling, then bisected and Newton-polished by the shared
-    root refiner with the analytic slope.
+    The left-hand side is strictly decreasing in y = theta + c*r, so the root
+    is bracketed by doubling y and then located by Brent's method.
     """
     radius = _require_light_tail(model)
     if not 0.0 <= r < radius:
@@ -121,7 +118,7 @@ def theta_of_r(model: RiskModel, r: float) -> AdjustmentSolution:
     else:
         raise NoBracket("could not bracket the adjustment equation root")
 
-    y = _refine_root(g, lo, hi, lambda y: -mx * exp_weighted_mean(wait, -y))
+    y = _refine_root(g, lo, hi)
     return AdjustmentSolution(r, y - model.premium * r, y, abs(g(y)))
 
 
@@ -136,44 +133,30 @@ def theta_prime(model: RiskModel, r: float) -> float:
     return num / _esscher_wait_mean(model.wait_law, sol.y) - model.premium
 
 
-def _ascending_probes(radius: float) -> list[float]:
+def _refine_root(fn, lo: float, hi: float) -> float:
+    # Brent's method (scipy's brentq). Each caller's bracket comes from the
+    # monotonicity or convexity of its function, so fn(lo) and fn(hi) differ
+    # in sign and fn crosses zero once in between
+    return brentq(fn, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
+
+
+def _climb_to_root(fn, lo: float, radius: float) -> float | None:
+    """Root of fn above lo, where fn(lo) <= 0 and fn changes sign at most once.
+
+    Probes r = radius*(1 - 2^-j) for a finite radius and 2^j otherwise; None
+    when fn is still not positive at the last probe.
+    """
     if math.isfinite(radius):
-        below = [radius * 0.5**j for j in range(40, 1, -1)]
-        near = [radius * (1.0 - 0.5**j) for j in range(1, 50)]
-        return below + near
-    return [2.0**j for j in range(-40, 64)]
-
-
-def _refine_root(fn, lo: float, hi: float, dfn=None) -> float:
-    # bisection to fixed width, then a few Newton/secant polish steps
-    flo = fn(lo)
-    for _ in range(200):
-        if hi - lo <= _BISECT_WIDTH * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    # float noise may place the root a few ulps outside the bisection
-    # bracket, so only steps larger than the bracket are rejected
-    x = 0.5 * (lo + hi)
-    width = hi - lo
-    for _ in range(5):
-        fx = fn(x)
-        if abs(fx) <= _RESIDUAL_TOL:
-            break
-        slope = dfn(x) if dfn is not None else (fn(x + 1e-9) - fx) / 1e-9
-        if slope == 0.0 or not math.isfinite(slope):
-            break
-        step = fx / slope
-        if abs(step) > width:
-            break
-        x = x - step
-    return x
+        probes = (radius * (1.0 - 0.5**j) for j in range(1, 50))
+    else:
+        probes = (2.0**j for j in range(64))
+    for r in probes:
+        if r <= lo:
+            continue
+        if fn(r) > 0.0:
+            return _refine_root(fn, lo, r)
+        lo = r
+    return None
 
 
 def lundberg_root(model: RiskModel) -> float | None:
@@ -188,17 +171,21 @@ def lundberg_root(model: RiskModel) -> float | None:
             return math.inf
         return mx * wait.laplace(c * r) - 1.0
 
-    # phi(0) = 0 with phi'(0) < 0 under the NPC, so scan for the dip-then-rise
-    neg_r = None
-    for r in _ascending_probes(radius):
-        v = phi(r)
-        if v <= 0.0:
-            neg_r = r
-        elif neg_r is not None:
-            return _refine_root(phi, neg_r, r)
-        else:
-            raise NoBracket("phi positive before any negative probe")  # defensive
-    return None
+    # phi is convex with phi(0) = 0 and phi'(0) < 0 under the NPC, so it is
+    # negative on (0, rho) and positive past rho. Probes start at radius/2
+    # (or 1) and halve only until phi < 0: near 0, |phi| sinks below the
+    # quadrature noise and its sign says nothing
+    start = radius / 2.0 if math.isfinite(radius) else 1.0
+    lo = start
+    for _ in range(60):
+        if phi(lo) < 0.0:
+            break
+        lo /= 2.0
+    else:
+        raise NoBracket(f"phi is not negative on any probe down to r = {lo:g}")
+    if lo < start:
+        return _refine_root(phi, lo, 2.0 * lo)
+    return _climb_to_root(phi, lo, radius)
 
 
 def memm_point(model: RiskModel) -> MemmPoint | None:
@@ -208,16 +195,9 @@ def memm_point(model: RiskModel) -> MemmPoint | None:
     if not h0 < 0.0:
         raise AssertionError("theta'(0) must be negative under the net profit condition")
 
+    # theta is convex, so theta' is increasing from its closed-form theta'(0) < 0
     h = lambda r: theta_prime(model, r)
-    neg_r = 0.0
-    root = None
-    for r in _ascending_probes(radius):
-        v = h(r)
-        if v <= 0.0:
-            neg_r = r
-        else:
-            root = _refine_root(h, neg_r, r)
-            break
+    root = _climb_to_root(h, 0.0, radius)
     if root is None:
         return None
 

@@ -25,3 +25,9 @@ def model_exp_gamma():
 def model_pareto_weibull():
     """Pa(3/2,3) claims, Wei(0.375,1/2) waits, safety loading 1/2."""
     return RiskModel.from_safety_loading(Pareto(1.5, 3.0), Weibull(0.375, 0.5), 0.5)
+
+
+@pytest.fixture
+def model_exp_weibull():
+    """Exp(1) claims, Wei(0.375,1/2) waits (the table4 wait law), safety loading 1/2."""
+    return RiskModel.from_safety_loading(Exponential(1.0), Weibull(0.375, 0.5), 0.5)

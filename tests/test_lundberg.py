@@ -7,6 +7,7 @@ from ruinlab import (
     EsscherTilt,
     Exponential,
     Gamma,
+    GenGamma,
     LogNormal,
     Pareto,
     RiskModel,
@@ -20,6 +21,7 @@ from ruinlab import (
     theta_prime,
     xi_hat,
 )
+from ruinlab import laws, lundberg
 from ruinlab.errors import MgfUnavailable, SecondMomentInfinite, UnsupportedCombination
 
 RHO_EXP_GAMMA = (-15 + math.sqrt(513)) / 18  # positive root of 9r^2 + 15r - 8
@@ -166,3 +168,51 @@ def test_lundberg_root_weibull_claims():
     assert rho is not None and rho > 0
     sol = theta_of_r(model, rho)
     assert abs(sol.theta) < 1e-8
+
+
+@pytest.mark.parametrize("eta", [1e-3, 1e-2, 1e-1])
+@pytest.mark.parametrize(
+    "claim, wait",
+    [
+        (Exponential(1.0), Weibull(0.375, 0.5)),
+        (GenGamma(1.5, 1.0, 2.0), LogNormal(0.0, 0.5)),
+        (Weibull(2.0, 1.0), Exponential(1.0)),
+    ],
+    ids=["Exp/Wei(0.375,0.5)", "GenGa(1.5,1,2)/LN(0,0.5)", "Wei(2,1)/Exp"],
+)
+def test_rho_and_r_m_at_small_safety_loadings(claim, wait, eta):
+    # near r = 0, |phi| sinks below the quadrature noise of a heavy Weibull
+    # Laplace transform, so a probe there can read the wrong sign
+    model = RiskModel.from_safety_loading(claim, wait, eta)
+    rho = lundberg_root(model)
+    mp = memm_point(model)
+    assert rho is not None and mp is not None
+    assert 0.0 < mp.r < rho
+    assert theta_prime(model, rho) > 0.0
+    assert abs(theta_of_r(model, rho).theta) <= 1e-10
+
+
+@pytest.mark.parametrize("eta", [1e-4, 1e-2, 0.5, 5.0, 50.0])
+def test_exp_exp_roots_match_closed_forms(eta):
+    model = RiskModel.from_safety_loading(Exponential(1.0), Exponential(1.0), eta)
+    assert lundberg_root(model) == pytest.approx(eta / (1.0 + eta), rel=0, abs=5e-12)
+    assert memm_point(model).r == pytest.approx(
+        1.0 - (1.0 + eta) ** -0.5, rel=0, abs=5e-12
+    )
+
+
+def test_memm_point_quadrature_budget(monkeypatch, model_exp_weibull):
+    # every Weibull Laplace transform and tilted moment is one quadrature
+    calls = []
+    inner = laws.expectation
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(laws, "expectation", counted)
+    monkeypatch.setattr(lundberg, "expectation", counted)
+    memm_point(model_exp_weibull)
+    assert len(calls) <= 600
+    for r in (0.02, 0.1, 0.3, 0.6, 0.78):
+        assert theta_of_r(model_exp_weibull, r).residual <= 1e-12
