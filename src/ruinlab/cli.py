@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -24,9 +25,10 @@ from .errors import (
     StepCapExceeded,
     UnsupportedCombination,
 )
+from .laws import Exponential
 from .lundberg import (
     exact_psi_cl_exp,
-    exact_psi_sa_exp,
+    exact_psi_sa_exp_at_root,
     lundberg_root,
     memm_point,
     xi_hat,
@@ -97,15 +99,19 @@ def _parse_u_grid(text: str) -> list[float]:
     return grid
 
 
-def _exact_fn(model: RiskModel):
-    """Closed-form psi for the model, or None when no formula applies."""
-    for fn in (exact_psi_cl_exp, exact_psi_sa_exp):
-        try:
-            fn(model, 0.0)
-            return fn
-        except RuinlabError:
-            continue
-    return None
+def _exact_fn(model: RiskModel, rho: float | None):
+    """Closed-form psi(u) for the model, or None when no formula applies.
+
+    ``rho`` is the model's Lundberg root (None when it has none), solved once
+    by the caller; only exponential claims with other waits need it.
+    """
+    if not isinstance(model.claim_law, Exponential):
+        return None
+    if isinstance(model.wait_law, Exponential):
+        return functools.partial(exact_psi_cl_exp, model)
+    if rho is None:
+        return None
+    return functools.partial(exact_psi_sa_exp_at_root, model, rho)
 
 
 def _run_grid(model, pair, u_grid, args, exact_fn):
@@ -121,7 +127,7 @@ def _run_grid(model, pair, u_grid, args, exact_fn):
         )
         # a threshold b moves the barrier to u - b: the estimate targets psi(u - b)
         exact = (
-            exact_fn(model, u - (cfg.threshold or 0.0))
+            exact_fn(u - (cfg.threshold or 0.0))
             if (exact_fn and cfg.horizon is None)
             else None
         )
@@ -135,7 +141,11 @@ def cmd_estimate(args) -> int:
     u_grid = _parse_u_grid(args.u)
     exact_fn = None
     if args.exact:
-        exact_fn = _exact_fn(model)
+        try:
+            rho = lundberg_root(model)
+        except RuinlabError:
+            rho = None
+        exact_fn = _exact_fn(model, rho)
         if exact_fn is None:
             raise ConfigError("--exact requested but no closed form applies to this model")
     # a pair that is not ruin-inducing runs only with a horizon, and then only
@@ -199,6 +209,7 @@ def cmd_check(args) -> int:
     lines.append(("safety_loading", _fmt(model.safety_loading)))
     lines.append(("npc", "holds"))  # construction rejects violations
 
+    rho = None
     try:
         rho = lundberg_root(model)
         lines.append(("rho", _fmt(rho) if rho is not None else "not found"))
@@ -218,8 +229,8 @@ def cmd_check(args) -> int:
         lines.append(("xi_hat", _fmt(xi_hat(model))))
     except (UnsupportedCombination, SecondMomentInfinite) as exc:
         lines.append(("xi_hat", f"unavailable ({exc})"))
-    exact_fn = _exact_fn(model)
-    lines.append(("exact_psi_0", _fmt(exact_fn(model, 0.0)) if exact_fn else "unavailable"))
+    exact_fn = _exact_fn(model, rho)
+    lines.append(("exact_psi_0", _fmt(exact_fn(0.0)) if exact_fn else "unavailable"))
 
     if args.tilt:
         pair = tilt_from_config(_load_json(args.tilt), model)

@@ -15,6 +15,14 @@ state and call sequence. A sampler is split in two: ``_draw`` makes the
 generator calls and ``_from_raw`` transforms the raw variates elementwise, so
 the engine can draw many replications' streams row by row and transform the
 whole block at once, bit-identical to ``sample_n`` on each row.
+
+Float path: each family writes its log-density once, as ``_logpdf(x, xp)``
+with ``xp`` the ``math`` or the ``numpy`` module. ``logpdf`` and ``pdf`` hand
+a Python float to ``math`` and anything else, as an array, to numpy (see
+``_by_kind``), so a quadrature integrand, called with one float at a time,
+runs as plain float arithmetic while the engine's array calls keep their
+numpy arithmetic bit for bit. Constants of a density, such as ``gammaln`` of
+a shape, are computed once when the law is built.
 """
 
 from __future__ import annotations
@@ -53,11 +61,27 @@ __all__ = [
 
 _QUAD_RTOL = 1e-11
 _QUAD_LIMIT = 200
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValueError(msg)
+
+
+def _by_kind(formula, x):
+    """``formula(x, math)`` for a Python float, ``formula(array, numpy)`` otherwise.
+
+    The float path returns a Python float. Where ``math`` raises instead of
+    giving an IEEE special value (log of 0, overflow in ``**`` or ``exp``), the
+    float takes the numpy path, so both paths give the same -inf, inf or nan.
+    """
+    if type(x) is float:
+        try:
+            return formula(x, math)
+        except (ArithmeticError, ValueError):
+            return float(formula(np.float64(x), np))
+    return formula(np.asarray(x, dtype=float), np)
 
 
 class PositiveLaw:
@@ -66,9 +90,16 @@ class PositiveLaw:
     # -- density / distribution ------------------------------------------------
 
     def pdf(self, x):
-        return np.exp(self.logpdf(x))
+        return _by_kind(self._pdf, x)
+
+    def _pdf(self, x, xp):
+        return xp.exp(self.logpdf(x))
 
     def logpdf(self, x):
+        return _by_kind(self._logpdf, x)
+
+    def _logpdf(self, x, xp):
+        """The log-density formula; ``xp`` is the ``math`` or the ``numpy`` module."""
         raise NotImplementedError
 
     def cdf(self, x):
@@ -103,7 +134,7 @@ class PositiveLaw:
             return self.mgf(-s)
         if s == 0.0:
             return 1.0
-        return expectation(self, lambda x: -s * x, fn_is_log=True)
+        return expectation(self, lambda x: -s * x)
 
     def mgf(self, r: float) -> float:
         """E[exp(r Z)]; ``math.inf`` for r at or beyond the convergence radius."""
@@ -111,7 +142,7 @@ class PositiveLaw:
             return 1.0 if r == 0.0 else self.laplace(-r)
         if r >= self.mgf_radius():
             return math.inf
-        return expectation(self, lambda x: r * x, fn_is_log=True)
+        return expectation(self, lambda x: r * x)
 
     def mgf_radius(self) -> float:
         """Abscissa of convergence r_Z = sup{r >= 0 : E[exp(rZ)] < inf}."""
@@ -162,10 +193,10 @@ class Exponential(PositiveLaw):
 
     def __post_init__(self):
         _require(self.rate > 0, "rate must be positive")
+        object.__setattr__(self, "_log_rate", float(np.log(self.rate)))
 
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.log(self.rate) - self.rate * x
+    def _logpdf(self, x, xp):
+        return self._log_rate - self.rate * x
 
     def cdf(self, x):
         return -np.expm1(-self.rate * np.asarray(x, dtype=float))
@@ -211,15 +242,11 @@ class Gamma(PositiveLaw):
 
     def __post_init__(self):
         _require(self.shape > 0 and self.rate > 0, "shape and rate must be positive")
+        log_norm = self.shape * math.log(self.rate) - float(gammaln(self.shape))
+        object.__setattr__(self, "_log_norm", log_norm)
 
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return (
-            self.shape * math.log(self.rate)
-            - gammaln(self.shape)
-            + (self.shape - 1.0) * np.log(x)
-            - self.rate * x
-        )
+    def _logpdf(self, x, xp):
+        return self._log_norm + (self.shape - 1.0) * xp.log(x) - self.rate * x
 
     def cdf(self, x):
         return gammainc(self.shape, self.rate * np.asarray(x, dtype=float))
@@ -264,15 +291,11 @@ class Weibull(PositiveLaw):
 
     def __post_init__(self):
         _require(self.shape > 0 and self.scale > 0, "shape and scale must be positive")
+        object.__setattr__(self, "_log_norm", math.log(self.shape / self.scale))
 
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _logpdf(self, x, xp):
         t = x / self.scale
-        return (
-            math.log(self.shape / self.scale)
-            + (self.shape - 1.0) * np.log(t)
-            - t**self.shape
-        )
+        return self._log_norm + (self.shape - 1.0) * xp.log(t) - t**self.shape
 
     def cdf(self, x):
         t = np.asarray(x, dtype=float) / self.scale
@@ -314,15 +337,11 @@ class InvGamma(PositiveLaw):
 
     def __post_init__(self):
         _require(self.shape > 0 and self.scale > 0, "shape and scale must be positive")
+        log_norm = self.shape * math.log(self.scale) - float(gammaln(self.shape))
+        object.__setattr__(self, "_log_norm", log_norm)
 
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return (
-            self.shape * math.log(self.scale)
-            - gammaln(self.shape)
-            - (self.shape + 1.0) * np.log(x)
-            - self.scale / x
-        )
+    def _logpdf(self, x, xp):
+        return self._log_norm - (self.shape + 1.0) * xp.log(x) - self.scale / x
 
     def cdf(self, x):
         return gammaincc(self.shape, self.scale / np.asarray(x, dtype=float))
@@ -357,15 +376,11 @@ class InvWeibull(PositiveLaw):
 
     def __post_init__(self):
         _require(self.shape > 0 and self.scale > 0, "shape and scale must be positive")
+        object.__setattr__(self, "_log_norm", math.log(self.shape / self.scale))
 
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _logpdf(self, x, xp):
         t = self.scale / x
-        return (
-            math.log(self.shape / self.scale)
-            + (self.shape + 1.0) * np.log(t)
-            - t**self.shape
-        )
+        return self._log_norm + (self.shape + 1.0) * xp.log(t) - t**self.shape
 
     def cdf(self, x):
         t = self.scale / np.asarray(x, dtype=float)
@@ -406,15 +421,19 @@ class GenGamma(PositiveLaw):
     def __post_init__(self):
         _require(self.alpha != 0, "alpha must be nonzero")
         _require(self.scale > 0 and self.shape > 0, "scale and shape must be positive")
+        a, b, p = self.alpha, self.scale, self.shape
+        # kept as separate terms: the array path sums them in this order
+        object.__setattr__(self, "_log_abs_alpha", math.log(abs(a)))
+        object.__setattr__(self, "_log_scale_pow", a * p * math.log(b))
+        object.__setattr__(self, "_gammaln_shape", float(gammaln(p)))
 
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _logpdf(self, x, xp):
         a, b, p = self.alpha, self.scale, self.shape
         return (
-            math.log(abs(a))
-            + (a * p - 1.0) * np.log(x)
-            - a * p * math.log(b)
-            - gammaln(p)
+            self._log_abs_alpha
+            + (a * p - 1.0) * xp.log(x)
+            - self._log_scale_pow
+            - self._gammaln_shape
             - (x / b) ** a
         )
 
@@ -464,11 +483,12 @@ class LogNormal(PositiveLaw):
 
     def __post_init__(self):
         _require(self.sigma > 0, "sigma must be positive")
+        object.__setattr__(self, "_log_sigma", math.log(self.sigma))
 
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (np.log(x) - self.mu) / self.sigma
-        return -np.log(x) - math.log(self.sigma) - 0.5 * math.log(2 * math.pi) - 0.5 * z * z
+    def _logpdf(self, x, xp):
+        log_x = xp.log(x)
+        z = (log_x - self.mu) / self.sigma
+        return -log_x - self._log_sigma - _HALF_LOG_2PI - 0.5 * z * z
 
     def cdf(self, x):
         return ndtr((np.log(np.asarray(x, dtype=float)) - self.mu) / self.sigma)
@@ -501,11 +521,11 @@ class Pareto(PositiveLaw):
 
     def __post_init__(self):
         _require(self.shape > 0 and self.scale > 0, "shape and scale must be positive")
+        log_norm = math.log(self.shape) + self.shape * math.log(self.scale)
+        object.__setattr__(self, "_log_norm", log_norm)
 
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        a, b = self.shape, self.scale
-        return math.log(a) + a * math.log(b) - (a + 1.0) * np.log(b + x)
+    def _logpdf(self, x, xp):
+        return self._log_norm - (self.shape + 1.0) * xp.log(self.scale + x)
 
     def cdf(self, x):
         t = np.asarray(x, dtype=float) / self.scale
@@ -559,8 +579,8 @@ class Mixture(PositiveLaw):
     def pdf(self, x):
         return sum(w * c.pdf(x) for w, c in zip(self.weights, self.components))
 
-    def logpdf(self, x):
-        return np.log(self.pdf(x))
+    def _logpdf(self, x, xp):
+        return xp.log(self.pdf(x))
 
     def cdf(self, x):
         return sum(w * c.cdf(x) for w, c in zip(self.weights, self.components))
@@ -604,19 +624,24 @@ class Mixture(PositiveLaw):
         return f"Mix({parts})"
 
 
-def expectation(law: PositiveLaw, fn, fn_is_log: bool = False) -> float:
-    """E[fn(Z)] by adaptive quadrature over (0, inf), relative tolerance 1e-11.
+def expectation(law: PositiveLaw, log_fn) -> float:
+    """E[exp(log_fn(Z))] by adaptive quadrature over (0, inf), relative tolerance 1e-11.
 
-    With ``fn_is_log`` the integrand is exp(fn(x) + logpdf(x)), which keeps
-    exponential reweighting factors finite where the density underflows. The
+    The integrand is exp(log_fn(x) + logpdf(x)), which keeps exponential
+    reweighting factors finite where the density underflows. QUADPACK calls
+    it with one Python float at a time, so with a ``log_fn`` in float
+    arithmetic it runs on the laws' float path and never enters numpy. The
     axis is split at the law's median and 0.999 quantile so the adaptive rule
     sees the bulk and the tail separately; the unbounded piece goes through
     QUADPACK's standard infinite-interval transformation.
     """
-    if fn_is_log:
-        integrand = lambda x: np.exp(fn(x) + law.logpdf(x))
-    else:
-        integrand = lambda x: fn(x) * law.pdf(x)
+
+    def integrand(x):
+        try:
+            return math.exp(log_fn(x) + law.logpdf(x))
+        except OverflowError:
+            return math.inf
+
     knots = [0.0, float(law.ppf(0.5)), float(law.ppf(0.999)), math.inf]
     total = 0.0
     for a, b in zip(knots[:-1], knots[1:]):

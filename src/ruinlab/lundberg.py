@@ -18,6 +18,7 @@ which the Esscher pair stops being ruin-inducing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,7 @@ __all__ = [
     "xi_hat",
     "exact_psi_cl_exp",
     "exact_psi_sa_exp",
+    "exact_psi_sa_exp_at_root",
     "exp_weighted_mean",
 ]
 
@@ -50,6 +52,7 @@ class AdjustmentSolution:
     theta: float
     y: float  # theta + c*r
     residual: float  # |M_X(r) * L_W(y) - 1|
+    wait_laplace: float  # L_W(y)
 
 
 @dataclass(frozen=True)
@@ -73,15 +76,11 @@ def exp_weighted_mean(law: PositiveLaw, t: float) -> float:
         return law.mgf(t) * law.shape / (law.rate - t)
     if t > 0 and t >= law.mgf_radius():
         return math.inf
-    return expectation(law, lambda x: np.log(x) + t * x, fn_is_log=True)
+    return expectation(law, lambda x: math.log(x) + t * x)
 
 
 def _esscher_claim_mean(law: PositiveLaw, r: float) -> float:
     return exp_weighted_mean(law, r) / law.mgf(r)
-
-
-def _esscher_wait_mean(law: PositiveLaw, y: float) -> float:
-    return exp_weighted_mean(law, -y) / law.laplace(y)
 
 
 def _require_light_tail(model: RiskModel) -> float:
@@ -97,17 +96,19 @@ def theta_of_r(model: RiskModel, r: float) -> AdjustmentSolution:
     """Solve the adjustment equation for theta at tilt argument r in [0, r_X).
 
     The left-hand side is strictly decreasing in y = theta + c*r, so the root
-    is bracketed by doubling y and then located by Brent's method.
+    is bracketed by doubling y and then located by Brent's method. Each L_W(y)
+    is computed once per solve: the doubling loop, Brent's bracket ends, the
+    residual and ``wait_laplace`` share it.
     """
     radius = _require_light_tail(model)
     if not 0.0 <= r < radius:
         raise ValueError(f"r must lie in [0, {radius:g}), got {r:g}")
     if r == 0.0:
-        return AdjustmentSolution(0.0, 0.0, 0.0, 0.0)
+        return AdjustmentSolution(0.0, 0.0, 0.0, 0.0, 1.0)
 
     mx = model.claim_law.mgf(r)
-    wait = model.wait_law
-    g = lambda y: mx * wait.laplace(y) - 1.0
+    laplace = functools.cache(model.wait_law.laplace)
+    g = lambda y: mx * laplace(y) - 1.0
 
     # g(0) = mx - 1 >= 0 and g -> -1 as y -> inf: double until the sign flips
     lo, hi = 0.0, 1.0
@@ -119,7 +120,7 @@ def theta_of_r(model: RiskModel, r: float) -> AdjustmentSolution:
         raise NoBracket("could not bracket the adjustment equation root")
 
     y = _refine_root(g, lo, hi)
-    return AdjustmentSolution(r, y - model.premium * r, y, abs(g(y)))
+    return AdjustmentSolution(r, y - model.premium * r, y, abs(g(y)), laplace(y))
 
 
 def theta_prime(model: RiskModel, r: float) -> float:
@@ -130,13 +131,16 @@ def theta_prime(model: RiskModel, r: float) -> float:
     num = _esscher_claim_mean(model.claim_law, r)
     if not math.isfinite(num):
         return math.inf
-    return num / _esscher_wait_mean(model.wait_law, sol.y) - model.premium
+    wait_mean = exp_weighted_mean(model.wait_law, -sol.y) / sol.wait_laplace
+    return num / wait_mean - model.premium
 
 
 def _refine_root(fn, lo: float, hi: float) -> float:
     # Brent's method (scipy's brentq). Each caller's bracket comes from the
     # monotonicity or convexity of its function, so fn(lo) and fn(hi) differ
-    # in sign and fn crosses zero once in between
+    # in sign and fn crosses zero once in between. brentq evaluates fn at both
+    # ends again and returns a point it evaluated, so callers wrap fn in
+    # functools.cache to share those values with their probes and residuals
     return brentq(fn, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
 
 
@@ -165,6 +169,7 @@ def lundberg_root(model: RiskModel) -> float | None:
     c = model.premium
     claim, wait = model.claim_law, model.wait_law
 
+    @functools.cache
     def phi(r: float) -> float:
         mx = claim.mgf(r)
         if not math.isfinite(mx):
@@ -196,7 +201,7 @@ def memm_point(model: RiskModel) -> MemmPoint | None:
         raise AssertionError("theta'(0) must be negative under the net profit condition")
 
     # theta is convex, so theta' is increasing from its closed-form theta'(0) < 0
-    h = lambda r: theta_prime(model, r)
+    h = functools.cache(lambda r: theta_prime(model, r))
     root = _climb_to_root(h, 0.0, radius)
     if root is None:
         return None
@@ -246,5 +251,10 @@ def exact_psi_sa_exp(model: RiskModel, u: float) -> float:
     rho = lundberg_root(model)
     if rho is None:
         raise NoBracket("no Lundberg root; the closed form does not apply")
+    return exact_psi_sa_exp_at_root(model, rho, u)
+
+
+def exact_psi_sa_exp_at_root(model: RiskModel, rho: float, u: float) -> float:
+    """``exact_psi_sa_exp`` for a caller that already holds the Lundberg root rho."""
     zeta = model.claim_law.rate
     return (1.0 - rho / zeta) * math.exp(-rho * u)

@@ -83,9 +83,14 @@ __all__ = [
 _BOUNDARY_RTOL = 1e-9
 
 
-def _pos(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.size and np.min(v) <= 0.0:
+def _pos(v):
+    """``v`` checked to lie in (0, inf); a Python float stays a float, all else an array."""
+    if type(v) is float:
+        low = v
+    else:
+        v = np.asarray(v, dtype=float)
+        low = np.min(v) if v.size else math.inf
+    if low <= 0.0:
         raise DomainError("tilting functions are defined on (0, inf) only")
     return v
 
@@ -182,7 +187,7 @@ class EsscherTilt(TiltingPair):
         self.adjustment = theta_of_r(model, self.r)  # validates r in [0, r_X)
         self.y = self.adjustment.y
         self._ln_mx = math.log(model.claim_law.mgf(self.r)) if self.r else 0.0
-        self._ln_lw = math.log(model.wait_law.laplace(self.y)) if self.y else 0.0
+        self._ln_lw = math.log(self.adjustment.wait_laplace) if self.y else 0.0
 
     def gamma(self, x):
         return self.r * _pos(x) - self._ln_mx
@@ -465,12 +470,8 @@ def hazard_r_max(model: RiskModel, theta: float) -> float:
 
 def normalization_residuals(pair: TiltingPair) -> tuple[float, float]:
     """Quadrature residuals |E[e^gamma] - 1| and |E[e^delta] - 1|."""
-    claim_res = abs(
-        expectation(pair.model.claim_law, pair.gamma, fn_is_log=True) - 1.0
-    )
-    wait_res = abs(
-        expectation(pair.model.wait_law, pair.delta, fn_is_log=True) - 1.0
-    )
+    claim_res = abs(expectation(pair.model.claim_law, pair.gamma) - 1.0)
+    wait_res = abs(expectation(pair.model.wait_law, pair.delta) - 1.0)
     return claim_res, wait_res
 
 

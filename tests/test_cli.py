@@ -1,10 +1,14 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ruinlab
+from ruinlab import cli, lundberg
 from ruinlab.cli import main
 from ruinlab.errors import ConfigError
 from ruinlab.laws import Weibull
@@ -249,9 +253,13 @@ def test_non_finite_reserve_or_horizon_exits_2(configs, grid):
 
 
 def test_unknown_table_exits_2():
+    # the child imports the same ruinlab as this process, installed or not
+    path = [str(Path(ruinlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "ruinlab.cli", "table", "table9", "--K", "10", "--seed", "1"],
         capture_output=True,
+        env=env,
     )
     assert proc.returncode == 2
 
@@ -318,3 +326,34 @@ def test_check_heavy_tail_reports_unavailable(tmp_path, capsys):
 def test_check_identity_not_ruin_inducing(configs, capsys):
     assert main(["check", "--model", configs["model"], "--tilt", configs["identity"]]) == 0
     assert "in_c_p: False" in capsys.readouterr().out
+
+
+def test_one_lundberg_root_solve_per_model(tmp_path, monkeypatch, capsys):
+    # Exp(1) claims and Wei(0.375, 1/2) waits: the exact column needs rho
+    model = tmp_path / "exp_wei.json"
+    model.write_text(json.dumps({
+        "claim": {"family": "exp", "params": {"rate": 1.0}},
+        "wait": {"family": "weibull", "params": {"shape": 0.375, "scale": 0.5}},
+        "safety_loading": 0.5,
+    }))
+    tilt = tmp_path / "hazard.json"
+    tilt.write_text(json.dumps({"family": "hazard", "params": {"theta": 1.0, "r_factor": 0.9}}))
+    calls = []
+    inner = lundberg.lundberg_root
+
+    def counted(m):
+        calls.append(None)
+        return inner(m)
+
+    monkeypatch.setattr(cli, "lundberg_root", counted)
+    monkeypatch.setattr(lundberg, "lundberg_root", counted)
+    assert main(["check", "--model", str(model)]) == 0
+    assert len(calls) == 1
+    assert "exact_psi_0: " in capsys.readouterr().out
+    calls.clear()
+    out = tmp_path / "est.csv"
+    assert main(["estimate", "--model", str(model), "--tilt", str(tilt), "--u", "0,1,2",
+                 "--K", "200", "--seed", "1", "--exact", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    header, rows = read_csv(out)
+    assert all(row[header.index("are")] != "" for row in rows)

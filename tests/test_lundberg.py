@@ -213,6 +213,6 @@ def test_memm_point_quadrature_budget(monkeypatch, model_exp_weibull):
     monkeypatch.setattr(laws, "expectation", counted)
     monkeypatch.setattr(lundberg, "expectation", counted)
     memm_point(model_exp_weibull)
-    assert len(calls) <= 600
+    assert len(calls) <= 300
     for r in (0.02, 0.1, 0.3, 0.6, 0.78):
         assert theta_of_r(model_exp_weibull, r).residual <= 1e-12

@@ -284,15 +284,9 @@ def test_hazard_boundary_cross_checked_by_quadrature(model_pareto_weibull):
     theta = 1.2
     r_max = hazard_r_max(model_pareto_weibull, theta)
     pair = HazardTwist(model_pareto_weibull, r_max, theta)
-    rhs = expectation(
-        model_pareto_weibull.claim_law,
-        lambda x: np.log(x) + pair.gamma(x),
-        fn_is_log=True,
-    )
+    rhs = expectation(model_pareto_weibull.claim_law, lambda x: np.log(x) + pair.gamma(x))
     lhs = model_pareto_weibull.premium * expectation(
-        model_pareto_weibull.wait_law,
-        lambda w: np.log(w) + pair.delta(w),
-        fn_is_log=True,
+        model_pareto_weibull.wait_law, lambda w: np.log(w) + pair.delta(w)
     )
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
