@@ -3,6 +3,10 @@ and print analytic diagnostics for a model/tilt configuration.
 
 Exit codes: 0 success, 2 configuration error, 3 admissibility failure,
 4 step cap exceeded.
+
+Admissibility has one rule, applied by ``estimate_psi``: without a horizon the
+pair must be ruin-inducing (exit 3 before any CSV row is written); with
+``--horizon`` every pair runs.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .lundberg import (
 )
 from .model import RiskModel, model_from_config
 from .tables import TABLES, table_spec
-from .tilts import check_admissible, hazard_r_max, require_ruin_inducing, tilt_from_config
+from .tilts import check_admissible, hazard_r_max, tilt_from_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -148,11 +152,6 @@ def cmd_estimate(args) -> int:
         exact_fn = _exact_fn(model, rho)
         if exact_fn is None:
             raise ConfigError("--exact requested but no closed form applies to this model")
-    # a pair that is not ruin-inducing runs only with a horizon, and then only
-    # crude (identity) or with --force
-    if args.horizon is None or not (args.force or pair.variant == "identity"):
-        require_ruin_inducing(pair)
-
     rows = _run_grid(model, pair, u_grid, args, exact_fn)
     out, close = _open_out(args.out)
     try:
@@ -176,7 +175,6 @@ def cmd_table(args) -> int:
         runs = []
         for col in spec.columns:
             pair = tilt_from_config(col.tilt_config, col.model)
-            require_ruin_inducing(pair)  # before any CSV line is written
             header_lines.append(
                 f"# {spec.name} {col.label}: {col.model.label()}; tilt {pair.label()}"
             )
@@ -277,11 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     est.add_argument("--out", default=None, help="CSV output path (default stdout)")
     est.add_argument("--exact", action="store_true", help="add ARE from the closed form")
-    est.add_argument(
-        "--force",
-        action="store_true",
-        help="run a non-ruin-inducing tilt anyway (finite-time mode only)",
-    )
     est.set_defaults(fn=cmd_estimate)
 
     tab = sub.add_parser("table", help="run a named benchmark configuration")

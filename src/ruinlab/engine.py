@@ -70,6 +70,8 @@ class SimConfig:
             raise ValueError("initial reserve u must be finite and nonnegative")
         if self.k < 1:
             raise ValueError("replication count K must be at least 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2^64): Philox keys are uint64")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
         if self.horizon is not None and not 0 <= self.horizon < math.inf:
@@ -92,10 +94,6 @@ class ReplicationOutcome:
     log_weight: float
     overshoot: float
 
-    @property
-    def weight(self) -> float:
-        return math.exp(self.log_weight)
-
 
 @dataclass(frozen=True)
 class EstimateReport:
@@ -104,8 +102,7 @@ class EstimateReport:
     ``std_error`` is the weight-sample standard deviation (1/K normalization,
     which makes rse^2 = (K/ess - 1)/K an exact identity) divided by sqrt(K).
     ``are`` is |exact - estimate| / exact when an exact value was supplied, and
-    nan when that value is 0.
-    Estimates above 1 are reported as-is; ``exceeds_one`` flags them.
+    nan when that value is 0. Estimates above 1 are reported as-is.
     """
 
     estimate: float
@@ -117,10 +114,6 @@ class EstimateReport:
     seed: int
     runtime_seconds: float
     are: float | None = None
-
-    @property
-    def exceeds_one(self) -> bool:
-        return self.estimate > 1.0
 
 
 class _PhiloxCursor:

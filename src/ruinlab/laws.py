@@ -69,6 +69,12 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _require_positive(**params: float) -> None:
+    """Raise ValueError unless every named parameter lies in (0, inf)."""
+    bad = [name for name, v in params.items() if not 0 < v < math.inf]
+    _require(not bad, f"{' and '.join(bad)} must be positive and finite")
+
+
 def _by_kind(formula, x):
     """``formula(x, math)`` for a Python float, ``formula(array, numpy)`` otherwise.
 
@@ -192,7 +198,7 @@ class Exponential(PositiveLaw):
     rate: float
 
     def __post_init__(self):
-        _require(self.rate > 0, "rate must be positive")
+        _require_positive(rate=self.rate)
         object.__setattr__(self, "_log_rate", float(np.log(self.rate)))
 
     def _logpdf(self, x, xp):
@@ -241,7 +247,7 @@ class Gamma(PositiveLaw):
     rate: float
 
     def __post_init__(self):
-        _require(self.shape > 0 and self.rate > 0, "shape and rate must be positive")
+        _require_positive(shape=self.shape, rate=self.rate)
         log_norm = self.shape * math.log(self.rate) - float(gammaln(self.shape))
         object.__setattr__(self, "_log_norm", log_norm)
 
@@ -290,7 +296,7 @@ class Weibull(PositiveLaw):
     scale: float
 
     def __post_init__(self):
-        _require(self.shape > 0 and self.scale > 0, "shape and scale must be positive")
+        _require_positive(shape=self.shape, scale=self.scale)
         object.__setattr__(self, "_log_norm", math.log(self.shape / self.scale))
 
     def _logpdf(self, x, xp):
@@ -336,7 +342,7 @@ class InvGamma(PositiveLaw):
     scale: float
 
     def __post_init__(self):
-        _require(self.shape > 0 and self.scale > 0, "shape and scale must be positive")
+        _require_positive(shape=self.shape, scale=self.scale)
         log_norm = self.shape * math.log(self.scale) - float(gammaln(self.shape))
         object.__setattr__(self, "_log_norm", log_norm)
 
@@ -375,7 +381,7 @@ class InvWeibull(PositiveLaw):
     scale: float
 
     def __post_init__(self):
-        _require(self.shape > 0 and self.scale > 0, "shape and scale must be positive")
+        _require_positive(shape=self.shape, scale=self.scale)
         object.__setattr__(self, "_log_norm", math.log(self.shape / self.scale))
 
     def _logpdf(self, x, xp):
@@ -419,8 +425,8 @@ class GenGamma(PositiveLaw):
     shape: float
 
     def __post_init__(self):
-        _require(self.alpha != 0, "alpha must be nonzero")
-        _require(self.scale > 0 and self.shape > 0, "scale and shape must be positive")
+        _require(self.alpha != 0 and math.isfinite(self.alpha), "alpha must be nonzero and finite")
+        _require_positive(scale=self.scale, shape=self.shape)
         a, b, p = self.alpha, self.scale, self.shape
         # kept as separate terms: the array path sums them in this order
         object.__setattr__(self, "_log_abs_alpha", math.log(abs(a)))
@@ -482,7 +488,8 @@ class LogNormal(PositiveLaw):
     sigma: float
 
     def __post_init__(self):
-        _require(self.sigma > 0, "sigma must be positive")
+        _require(math.isfinite(self.mu), "mu must be finite")
+        _require_positive(sigma=self.sigma)
         object.__setattr__(self, "_log_sigma", math.log(self.sigma))
 
     def _logpdf(self, x, xp):
@@ -520,7 +527,7 @@ class Pareto(PositiveLaw):
     scale: float
 
     def __post_init__(self):
-        _require(self.shape > 0 and self.scale > 0, "shape and scale must be positive")
+        _require_positive(shape=self.shape, scale=self.scale)
         log_norm = math.log(self.shape) + self.shape * math.log(self.scale)
         object.__setattr__(self, "_log_norm", log_norm)
 

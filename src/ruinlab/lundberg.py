@@ -79,10 +79,6 @@ def exp_weighted_mean(law: PositiveLaw, t: float) -> float:
     return expectation(law, lambda x: math.log(x) + t * x)
 
 
-def _esscher_claim_mean(law: PositiveLaw, r: float) -> float:
-    return exp_weighted_mean(law, r) / law.mgf(r)
-
-
 def _require_light_tail(model: RiskModel) -> float:
     radius = model.claim_law.mgf_radius()
     if radius <= 0.0:
@@ -96,9 +92,9 @@ def theta_of_r(model: RiskModel, r: float) -> AdjustmentSolution:
     """Solve the adjustment equation for theta at tilt argument r in [0, r_X).
 
     The left-hand side is strictly decreasing in y = theta + c*r, so the root
-    is bracketed by doubling y and then located by Brent's method. Each L_W(y)
-    is computed once per solve: the doubling loop, Brent's bracket ends, the
-    residual and ``wait_laplace`` share it.
+    is bracketed by climbing y = 1, 2, 4, ... and then located by Brent's
+    method. Each L_W(y) is computed once per solve: the climb, Brent's bracket
+    ends, the residual and ``wait_laplace`` share it.
     """
     radius = _require_light_tail(model)
     if not 0.0 <= r < radius:
@@ -110,16 +106,10 @@ def theta_of_r(model: RiskModel, r: float) -> AdjustmentSolution:
     laplace = functools.cache(model.wait_law.laplace)
     g = lambda y: mx * laplace(y) - 1.0
 
-    # g(0) = mx - 1 >= 0 and g -> -1 as y -> inf: double until the sign flips
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if g(hi) < 0.0:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
+    # g(0) = mx - 1 >= 0 and g -> -1 as y -> inf: -g climbs through zero once
+    y = _climb_to_root(lambda y: -g(y), 0.0, math.inf)
+    if y is None:
         raise NoBracket("could not bracket the adjustment equation root")
-
-    y = _refine_root(g, lo, hi)
     return AdjustmentSolution(r, y - model.premium * r, y, abs(g(y)), laplace(y))
 
 
@@ -128,7 +118,7 @@ def theta_prime(model: RiskModel, r: float) -> float:
     if r == 0.0:
         return model.claim_mean / model.wait_mean - model.premium
     sol = theta_of_r(model, r)
-    num = _esscher_claim_mean(model.claim_law, r)
+    num = exp_weighted_mean(model.claim_law, r) / model.claim_law.mgf(r)
     if not math.isfinite(num):
         return math.inf
     wait_mean = exp_weighted_mean(model.wait_law, -sol.y) / sol.wait_laplace
@@ -153,7 +143,7 @@ def _climb_to_root(fn, lo: float, radius: float) -> float | None:
     if math.isfinite(radius):
         probes = (radius * (1.0 - 0.5**j) for j in range(1, 50))
     else:
-        probes = (2.0**j for j in range(64))
+        probes = (2.0**j for j in range(200))
     for r in probes:
         if r <= lo:
             continue

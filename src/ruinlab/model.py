@@ -17,7 +17,8 @@ class RiskModel:
 
     The premium may be given directly or derived from a safety loading eta via
     c = (1 + eta) * E[X] / E[W]. Construction rejects models violating the net
-    profit condition c * E[W] > E[X] or with non-finite first moments.
+    profit condition c * E[W] > E[X], a non-finite premium or non-finite
+    first moments.
     """
 
     claim_law: PositiveLaw
@@ -27,6 +28,8 @@ class RiskModel:
     wait_mean: float = field(init=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.premium):
+            raise ValueError(f"premium must be finite, got {self.premium!r}")
         mx = self.claim_law.mean()
         mw = self.wait_law.mean()
         if not (math.isfinite(mx) and math.isfinite(mw)):
@@ -43,8 +46,8 @@ class RiskModel:
     def from_safety_loading(
         cls, claim_law: PositiveLaw, wait_law: PositiveLaw, eta: float
     ) -> "RiskModel":
-        if eta <= 0:
-            raise ValueError("safety loading must be positive")
+        if not 0 < eta < math.inf:
+            raise ValueError("safety loading must be positive and finite")
         c = (1.0 + eta) * claim_law.mean() / wait_law.mean()
         return cls(claim_law, wait_law, c)
 

@@ -75,7 +75,6 @@ __all__ = [
     "hazard_r_max",
     "normalization_residuals",
     "tilt_from_config",
-    "xi_hat",
 ]
 
 # boundary pairs (xi = xi_hat, r = r_max) sit on the equality edge of the
@@ -126,12 +125,12 @@ class TiltingPair:
         raise NotImplementedError
 
     def tilted_claim_mean(self) -> float:
-        """E[X exp(gamma(X))]; may be inf."""
-        raise NotImplementedError
+        """E[X exp(gamma(X))], the tilted claim law's mean; may be inf."""
+        return self.tilted_claim_law().mean()
 
     def tilted_wait_mean(self) -> float:
-        """E[W exp(delta(W))]; may be inf."""
-        raise NotImplementedError
+        """E[W exp(delta(W))], the tilted wait law's mean; may be inf."""
+        return self.tilted_wait_law().mean()
 
     def path_log_weight(self, x: np.ndarray, w: np.ndarray):
         """sum(gamma(x)) + sum(delta(w)) along the last axis.
@@ -168,12 +167,6 @@ class IdentityTilt(TiltingPair):
 
     def tilted_wait_law(self):
         return self.model.wait_law
-
-    def tilted_claim_mean(self):
-        return self.model.claim_mean
-
-    def tilted_wait_mean(self):
-        return self.model.wait_mean
 
 
 class EsscherTilt(TiltingPair):
@@ -364,12 +357,6 @@ class HazardTwist(TiltingPair):
     def tilted_wait_law(self):
         return self._qw
 
-    def tilted_claim_mean(self):
-        return self._qx.mean()
-
-    def tilted_wait_mean(self):
-        return self._qw.mean()
-
     def path_log_weight(self, x, w):
         n = x.shape[-1]
         total = 0.0
@@ -410,12 +397,6 @@ class TargetTilt(TiltingPair):
 
     def tilted_wait_law(self):
         return self.target_wait
-
-    def tilted_claim_mean(self):
-        return self.target_claim.mean()
-
-    def tilted_wait_mean(self):
-        return self.target_wait.mean()
 
     def label(self):
         return f"from_target(X~{self.target_claim.label()}, W~{self.target_wait.label()})"

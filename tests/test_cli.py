@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ruinlab
-from ruinlab import cli, lundberg
+from ruinlab import cli, lundberg, tables
 from ruinlab.cli import main
 from ruinlab.errors import ConfigError
 from ruinlab.laws import Weibull
@@ -154,28 +156,18 @@ def test_identity_allowed_with_horizon(configs, tmp_path):
     assert code == 0
 
 
-def test_force_requires_horizon(configs, tmp_path):
-    code = main(
-        ["estimate", "--model", configs["model"], "--tilt", configs["identity"],
-         "--u", "1", "--K", "10", "--seed", "1", "--force"]
-    )
-    assert code == 3  # no horizon: force does not apply
-    out = tmp_path / "f.csv"
-    code = main(
-        ["estimate", "--model", configs["model"], "--tilt", configs["identity"],
-         "--u", "1", "--K", "1000", "--seed", "1", "--force", "--horizon", "10",
-         "--out", str(out)]
-    )
-    assert code == 0
-
-
-def test_finite_horizon_needs_force_for_non_ruin_inducing_pair(configs, tmp_path, capsys):
+def test_non_ruin_inducing_pair_runs_only_with_horizon(configs, tmp_path, capsys):
+    # one rule, the library's: ruin-inducing is required only without a horizon
+    out = tmp_path / "t.csv"
     args = ["estimate", "--model", configs["model"], "--tilt", configs["target"],
-            "--u", "1", "--K", "200", "--seed", "1", "--horizon", "5",
-            "--out", str(tmp_path / "t.csv")]
+            "--u", "1", "--K", "200", "--seed", "1", "--out", str(out)]
     assert main(args) == 3
     assert "= 3 > " in capsys.readouterr().err
-    assert main(args + ["--force"]) == 0
+    assert not out.exists()
+    assert main(args + ["--horizon", "5"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--horizon", "5", "--force"])
+    assert exc.value.code == 2
 
 
 def test_infinite_tilted_moment_exits_3(tmp_path, capsys):
@@ -252,6 +244,32 @@ def test_non_finite_reserve_or_horizon_exits_2(configs, grid):
                  "--K", "10", "--seed", "1", *grid]) == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)], ids=["negative", "2^64"])
+def test_out_of_range_seed_exits_2(configs, seed):
+    assert main(["estimate", "--model", configs["model"], "--tilt", configs["tilt"],
+                 "--u", "1", "--K", "10", "--seed", seed]) == 2
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"claim": {"family": "exp", "params": {"rate": "inf"}}, "wait": _EXP, "premium": 1.0},
+        {"claim": {"family": "weibull", "params": {"shape": "inf", "scale": 1.0}},
+         "wait": _EXP, "safety_loading": 0.5},
+        {"claim": {"family": "gamma", "params": {"shape": 2.0, "rate": "1e309"}},
+         "wait": _EXP, "premium": 1.0},
+        {"claim": _EXP, "wait": _EXP, "premium": "inf"},
+        {"claim": _EXP, "wait": _EXP, "safety_loading": "inf"},
+    ],
+    ids=["exp-rate-inf", "weibull-shape-inf", "gamma-rate-1e309", "premium-inf",
+         "safety-loading-inf"],
+)
+def test_non_finite_model_parameters_exit_2(tmp_path, model):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert main(["check", "--model", str(path)]) == 2
+
+
 def test_unknown_table_exits_2():
     # the child imports the same ruinlab as this process, installed or not
     path = [str(Path(ruinlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
@@ -262,6 +280,22 @@ def test_unknown_table_exits_2():
         env=env,
     )
     assert proc.returncode == 2
+
+
+def test_readme_cli_flags_are_parser_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: set(p._option_string_actions) for name, p in subparsers.choices.items()}
+    # each example command, its backslash-continued lines joined
+    commands = re.findall(r"^ruinlab (\S+)((?:.*\\\n)*.*)$", section, re.M)
+    assert commands
+    for name, rest in commands:
+        flags = set(re.findall(r"--[\w-]+", rest))
+        assert flags <= options[name], (name, flags - options[name])
+    # flags named in the prose belong to some subcommand
+    assert set(re.findall(r"--[\w-]+", section)) <= set().union(*options.values())
 
 
 def test_table_headers_record_resolved_parameters(tmp_path):
@@ -345,8 +379,8 @@ def test_one_lundberg_root_solve_per_model(tmp_path, monkeypatch, capsys):
         calls.append(None)
         return inner(m)
 
-    monkeypatch.setattr(cli, "lundberg_root", counted)
-    monkeypatch.setattr(lundberg, "lundberg_root", counted)
+    for module in (cli, lundberg, tables):
+        monkeypatch.setattr(module, "lundberg_root", counted)
     assert main(["check", "--model", str(model)]) == 0
     assert len(calls) == 1
     assert "exact_psi_0: " in capsys.readouterr().out
@@ -357,3 +391,7 @@ def test_one_lundberg_root_solve_per_model(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
     header, rows = read_csv(out)
     assert all(row[header.index("are")] != "" for row in rows)
+    calls.clear()
+    # table5's exact column: one root for its nine reserves
+    assert main(["table", "table5", "--K", "10", "--seed", "1", "--out", str(out)]) == 0
+    assert len(calls) == 1

@@ -240,6 +240,34 @@ def test_invalid_parameters_rejected():
         Mixture((Exponential(1.0),), (0.5,))
 
 
+_VALID_PARAMS = {
+    "exp": {"rate": 1.0},
+    "gamma": {"shape": 2.0, "rate": 1.0},
+    "weibull": {"shape": 2.0, "scale": 1.0},
+    "invgamma": {"shape": 3.0, "scale": 4.0},
+    "invweibull": {"shape": 3.0, "scale": 1.5},
+    "gengamma": {"alpha": 1.5, "scale": 1.0, "shape": 2.0},
+    "lognormal": {"mu": 0.0, "sigma": 0.5},
+    "pareto": {"shape": 2.0, "scale": 3.0},
+}
+
+
+def test_non_finite_parameters_rejected():
+    for family, (cls, names) in _FAMILIES.items():
+        valid = _VALID_PARAMS[family]
+        cls(**valid)
+        for name in names:
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError):
+                    cls(**{**valid, name: bad})
+    exp1 = Exponential(1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            RiskModel(exp1, exp1, bad)
+        with pytest.raises(ValueError):
+            RiskModel.from_safety_loading(exp1, exp1, bad)
+
+
 _FAMILY_STRATEGIES = st.one_of(
     st.builds(Exponential, st.floats(0.01, 100)),
     st.builds(Gamma, st.floats(0.1, 50), st.floats(0.01, 100)),

@@ -64,6 +64,16 @@ def test_theta_prime_matches_finite_differences(model_exp_exp):
         assert theta_prime(model_exp_exp, r) == pytest.approx(fd, rel=1e-5)
 
 
+def test_theta_of_r_brackets_roots_beyond_2_to_63():
+    # M_X(r) = 1/(1-r) = 2^53 at the last float below r_X = 1, so with Exp(1e4)
+    # waits y = 1e4 * (2^53 - 1), about 9.0e19: past 2^63, inside 2^199
+    model = RiskModel(Exponential(1.0), Exponential(1e4), 1.5e4)
+    r = math.nextafter(1.0, 0.0)
+    sol = theta_of_r(model, r)
+    assert sol.y > 2.0**63
+    assert sol.y == pytest.approx(1e4 * (1 / (1 - r) - 1), rel=1e-12)
+
+
 def test_theta_requires_valid_range(model_exp_exp):
     with pytest.raises(ValueError):
         theta_of_r(model_exp_exp, 1.0)  # r_X = 1 for Exp(1) claims
