@@ -2,11 +2,13 @@
 and print analytic diagnostics for a model/tilt configuration.
 
 Exit codes: 0 success, 2 configuration error, 3 admissibility failure,
-4 step cap exceeded.
+4 step cap exceeded (``engine._MAX_STEPS``, 10^8 steps per replication).
+
+Every setting is checked and every row computed before the one CSV write, so a
+command that exits non-zero leaves no ``--out`` file.
 
 Admissibility has one rule, applied by ``estimate_psi``: without a horizon the
-pair must be ruin-inducing (exit 3 before any CSV row is written); with
-``--horizon`` every pair runs.
+pair must be ruin-inducing (exit 3); with ``--horizon`` every pair runs.
 """
 
 from __future__ import annotations
@@ -83,10 +85,23 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+def _write_csv(path: str | None, header_lines, columns, rows) -> None:
+    """Write ``# `` header lines, the column row and ``rows`` to ``path``
+    (stdout when None or "-"); the one place an output file is opened."""
+    to_stdout = path is None or path == "-"
+    try:
+        out = sys.stdout if to_stdout else open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    try:
+        for line in header_lines:
+            out.write(f"# {line}\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+    finally:
+        if not to_stdout:
+            out.close()
 
 
 def _parse_u_grid(text: str) -> list[float]:
@@ -96,8 +111,6 @@ def _parse_u_grid(text: str) -> list[float]:
         raise ConfigError(f"cannot parse reserve grid {text!r}") from exc
     if not grid:
         raise ConfigError("reserve grid is empty")
-    if any(u < 0 for u in grid):
-        raise ConfigError("reserves must be nonnegative")
     if grid != sorted(grid):
         raise ConfigError("reserve grid must be sorted ascending")
     return grid
@@ -118,82 +131,56 @@ def _exact_fn(model: RiskModel, rho: float | None):
     return functools.partial(exact_psi_sa_exp_at_root, model, rho)
 
 
-def _run_grid(model, pair, u_grid, args, exact_fn):
+def _run(model, pair, cfgs, exact_fn) -> list:
+    """(exact, report) for each config; exact is None without ``exact_fn``."""
     rows = []
-    for u in u_grid:
-        cfg = SimConfig(
-            u=u,
-            k=args.K,
-            seed=args.seed,
-            max_steps=args.max_steps,
-            horizon=args.horizon,
-            threshold=args.threshold,
-        )
+    for cfg in cfgs:
         # a threshold b moves the barrier to u - b: the estimate targets psi(u - b)
-        exact = (
-            exact_fn(u - (cfg.threshold or 0.0))
-            if (exact_fn and cfg.horizon is None)
-            else None
-        )
-        rows.append((u, estimate_psi(model, pair, cfg, exact=exact)))
+        exact = exact_fn(cfg.u - (cfg.threshold or 0.0)) if exact_fn else None
+        rows.append((exact, estimate_psi(model, pair, cfg, exact=exact)))
     return rows
 
 
 def cmd_estimate(args) -> int:
     model = model_from_config(_load_json(args.model))
     pair = tilt_from_config(_load_json(args.tilt), model)
-    u_grid = _parse_u_grid(args.u)
+    cfgs = [
+        SimConfig(u=u, k=args.K, seed=args.seed, horizon=args.horizon, threshold=args.threshold)
+        for u in _parse_u_grid(args.u)
+    ]
     exact_fn = None
-    if args.exact:
+    if args.exact and args.horizon is None:
         try:
             rho = lundberg_root(model)
         except RuinlabError:
             rho = None
         exact_fn = _exact_fn(model, rho)
-        if exact_fn is None:
-            raise ConfigError("--exact requested but no closed form applies to this model")
-    rows = _run_grid(model, pair, u_grid, args, exact_fn)
-    out, close = _open_out(args.out)
-    try:
-        out.write(f"# model: {model.label()}\n")
-        out.write(f"# tilt: {pair.label()}\n")
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_ESTIMATE_COLUMNS)
-        for u, rep in rows:
-            writer.writerow([_fmt(float(u)), *_report_cells(rep), _fmt(rep.runtime_seconds)])
-    finally:
-        if close:
-            out.close()
+    if args.exact and exact_fn is None:
+        raise ConfigError("--exact requested but no closed form applies to this model or horizon")
+    rows = [
+        [_fmt(cfg.u), *_report_cells(rep), _fmt(rep.runtime_seconds)]
+        for cfg, (_, rep) in zip(cfgs, _run(model, pair, cfgs, exact_fn))
+    ]
+    _write_csv(
+        args.out, [f"model: {model.label()}", f"tilt: {pair.label()}"], _ESTIMATE_COLUMNS, rows
+    )
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
     spec = table_spec(args.name)
-    out, close = _open_out(args.out)
-    try:
-        header_lines = []
-        runs = []
-        for col in spec.columns:
-            pair = tilt_from_config(col.tilt_config, col.model)
-            header_lines.append(
-                f"# {spec.name} {col.label}: {col.model.label()}; tilt {pair.label()}"
-            )
-            runs.append((col, pair))
-        for line in header_lines:
-            out.write(line + "\n")
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_TABLE_COLUMNS)
-        for col, pair in runs:
-            for u in spec.u_grid:
-                cfg = SimConfig(u=float(u), k=args.K, seed=args.seed)
-                exact = col.exact(col.model, u) if col.exact else None
-                rep = estimate_psi(col.model, pair, cfg, exact=exact)
-                writer.writerow(
-                    [spec.name, col.label, _fmt(float(u)), _fmt(exact), *_report_cells(rep)]
-                )
-    finally:
-        if close:
-            out.close()
+    cfgs = [SimConfig(u=float(u), k=args.K, seed=args.seed) for u in spec.u_grid]
+    pairs = [tilt_from_config(col.tilt_config, col.model) for col in spec.columns]
+    header_lines = [
+        f"{spec.name} {col.label}: {col.model.label()}; tilt {pair.label()}"
+        for col, pair in zip(spec.columns, pairs)
+    ]
+    rows = []
+    for col, pair in zip(spec.columns, pairs):
+        exact_fn = functools.partial(col.exact, col.model) if col.exact else None
+        for cfg, (exact, rep) in zip(cfgs, _run(col.model, pair, cfgs, exact_fn)):
+            rows.append([spec.name, col.label, _fmt(cfg.u), _fmt(exact), *_report_cells(rep)])
+    _write_csv(args.out, header_lines, _TABLE_COLUMNS, rows)
     return EXIT_OK
 
 
@@ -247,10 +234,7 @@ def cmd_check(args) -> int:
     for key, value in lines:
         print(f"{key}: {value}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["key", "value"])
-            writer.writerows(lines)
+        _write_csv(args.out, [], ["key", "value"], lines)
     return EXIT_OK
 
 
@@ -270,9 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--seed", type=int, required=True, help="master seed")
     est.add_argument("--horizon", type=float, default=None, help="finite time horizon")
     est.add_argument("--threshold", type=float, default=None, help="solvency threshold b")
-    est.add_argument(
-        "--max-steps", type=int, default=10**8, help="per-replication step cap"
-    )
     est.add_argument("--out", default=None, help="CSV output path (default stdout)")
     est.add_argument("--exact", action="store_true", help="add ARE from the closed form")
     est.set_defaults(fn=cmd_estimate)

@@ -10,7 +10,8 @@ barrier: the walk targets u - b, bit-identical to an infinite-time run started
 at that capital.
 
 Infinite-time runs require a ruin-inducing pair; finite-horizon runs accept
-any pair, since the horizon ends every path.
+any pair, since the horizon ends every path. A replication still live after
+_MAX_STEPS steps raises StepCapExceeded rather than truncating the estimate.
 
 Determinism contract: replication i draws from a Philox generator keyed by
 (master seed, i) -- a counter-based split, so a replication's draws do not
@@ -52,6 +53,8 @@ _BLOCK_ELEMS = 1 << 14
 # replications per walk: bounds the walk's per-replication state (about 80
 # bytes each) however large K is
 _WALK_REPS = 1 << 16
+# steps per replication before StepCapExceeded
+_MAX_STEPS = 10**8
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,6 @@ class SimConfig:
     u: float
     k: int
     seed: int
-    max_steps: int = 10**8
     horizon: float | None = None
     threshold: float | None = None
 
@@ -72,8 +74,6 @@ class SimConfig:
             raise ValueError("replication count K must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2^64): Philox keys are uint64")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
         if self.horizon is not None and not 0 <= self.horizon < math.inf:
             raise ValueError("horizon must be finite and nonnegative")
         if self.threshold is not None and not 0 <= self.threshold <= self.u:
@@ -171,7 +171,6 @@ class _RunContext:
     premium: float
     u_eff: float
     horizon: float | None
-    max_steps: int
     qx: object  # tilted claim law
     qw: object  # tilted wait law
     path_log_weight: object
@@ -191,7 +190,6 @@ def _prepare(model: RiskModel, pair: TiltingPair, cfg: SimConfig) -> _RunContext
         premium=model.premium,
         u_eff=u_eff,
         horizon=cfg.horizon,
-        max_steps=cfg.max_steps,
         qx=pair.tilted_claim_law(),
         qw=pair.tilted_wait_law(),
         path_log_weight=pair.path_log_weight,
@@ -201,10 +199,10 @@ def _prepare(model: RiskModel, pair: TiltingPair, cfg: SimConfig) -> _RunContext
 
 
 def _chunks(ctx: _RunContext):
-    """Chunk sizes of every walk: doubling up to _CHUNK_MAX, cut at max_steps."""
+    """Chunk sizes of every walk: doubling up to _CHUNK_MAX, cut at _MAX_STEPS."""
     n, chunk = 0, ctx.first_chunk
-    while n < ctx.max_steps:
-        m = min(chunk, ctx.max_steps - n)
+    while n < _MAX_STEPS:
+        m = min(chunk, _MAX_STEPS - n)
         yield m
         n += m
         chunk = min(2 * chunk, _CHUNK_MAX)
@@ -285,7 +283,7 @@ def _walk(ctx: _RunContext, seed: int, first: int, k: int) -> _Walked:
         words = np.concatenate(next_words)
         n += m
     if live.size:
-        raise StepCapExceeded(first + int(live[0]), ctx.max_steps)
+        raise StepCapExceeded(first + int(live[0]), _MAX_STEPS)
     return out
 
 

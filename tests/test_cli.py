@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ruinlab
-from ruinlab import cli, lundberg, tables
+from ruinlab import cli, engine, lundberg, tables
 from ruinlab.cli import main
 from ruinlab.errors import ConfigError
 from ruinlab.laws import Weibull
@@ -186,12 +186,52 @@ def test_infinite_tilted_moment_exits_3(tmp_path, capsys):
     assert "admissibility failure" in capsys.readouterr().err
 
 
-def test_step_cap_exit_code(configs):
-    code = main(
+def test_step_cap_exit_code(configs, tmp_path, monkeypatch):
+    # 100 steps end every replication at u <= 5 but not at u = 10 or 50: the
+    # reserves run before the cap trips leave no partial CSV
+    monkeypatch.setattr(engine, "_MAX_STEPS", 100)
+    out = tmp_path / "capped.csv"
+    assert main(
         ["estimate", "--model", configs["model"], "--tilt", configs["tilt"],
-         "--u", "50", "--K", "10", "--seed", "1", "--max-steps", "5"]
-    )
-    assert code == 4
+         "--u", "1,50", "--K", "10", "--seed", "1", "--out", str(out)]
+    ) == 4
+    assert not out.exists()
+    assert main(["table", "table1", "--K", "10", "--seed", "1", "--out", str(out)]) == 4
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [["--seed=-1"], ["--K", "0"]], ids=["seed", "K"])
+def test_bad_table_setting_leaves_no_csv(tmp_path, bad):
+    out = tmp_path / "t.csv"
+    argv = ["table", "table1", "--K", "10", "--seed", "1", "--out", str(out)]
+    assert main(argv + bad) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "table", "check"])
+def test_unwritable_out_exits_2(configs, tmp_path, capsys, command):
+    out = tmp_path / "missing" / "x.csv"
+    argv = {
+        "estimate": ["estimate", "--model", configs["model"], "--tilt", configs["tilt"],
+                     "--u", "1", "--K", "10", "--seed", "1"],
+        "table": ["table", "table1", "--K", "10", "--seed", "1"],
+        "check": ["check", "--model", configs["model"]],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"configuration error: cannot write {out}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exact_with_horizon_is_config_error(configs, tmp_path, capsys):
+    # psi(u, T) has no closed form here: a blank are column would hide that
+    out = tmp_path / "h.csv"
+    assert main(
+        ["estimate", "--model", configs["model"], "--tilt", configs["tilt"],
+         "--u", "1", "--K", "10", "--seed", "1", "--horizon", "5", "--exact",
+         "--out", str(out)]
+    ) == 2
+    assert "no closed form" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_model_config_exits_2(tmp_path, configs):
@@ -235,9 +275,9 @@ def test_malformed_config_values_exit_2(tmp_path, model, tilt):
 
 @pytest.mark.parametrize(
     "grid",
-    [["--u", "inf"], ["--u", "nan"], ["--u", "1", "--horizon", "inf"],
+    [["--u", "inf"], ["--u", "nan"], ["--u=-1"], ["--u", "1", "--horizon", "inf"],
      ["--u", "1", "--horizon", "nan"]],
-    ids=["u-inf", "u-nan", "horizon-inf", "horizon-nan"],
+    ids=["u-inf", "u-nan", "u-negative", "horizon-inf", "horizon-nan"],
 )
 def test_non_finite_reserve_or_horizon_exits_2(configs, grid):
     assert main(["estimate", "--model", configs["model"], "--tilt", configs["tilt"],

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -118,8 +117,6 @@ def test_sim_config_validation():
         SimConfig(u=1.0, k=0, seed=1)
     with pytest.raises(ValueError):
         SimConfig(u=1.0, k=10, seed=1, threshold=2.0)
-    with pytest.raises(ValueError):
-        SimConfig(u=1.0, k=10, seed=1, max_steps=0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             SimConfig(u=bad, k=10, seed=1)
@@ -163,12 +160,18 @@ def test_identity_replication_has_unit_weight(model_exp_exp):
     assert out.log_weight == 0.0
 
 
-def test_step_cap_exceeded(model_exp_exp):
+def test_step_cap_exceeded(model_exp_exp, monkeypatch):
     # identity tilt cannot reach a high barrier: the cap must trip, not hang
-    cfg = SimConfig(u=500.0, k=1, seed=5, max_steps=2000)
+    monkeypatch.setattr(engine, "_MAX_STEPS", 2000)
+    cfg = SimConfig(u=500.0, k=1, seed=5)
+    pair = IdentityTilt(model_exp_exp)
     with pytest.raises(StepCapExceeded) as err:
-        run_replication(model_exp_exp, IdentityTilt(model_exp_exp), cfg, 7)
-    assert err.value.replication == 7
+        run_replication(model_exp_exp, pair, cfg, 7)
+    assert (err.value.replication, err.value.steps) == (7, 2000)
+    # the replay oracle below walks to the same cap
+    with pytest.raises(StepCapExceeded) as err:
+        reference_walk(model_exp_exp, pair, cfg, 7)
+    assert (err.value.replication, err.value.steps) == (7, 2000)
 
 
 def reference_walk(model, pair, cfg, i):
@@ -202,7 +205,7 @@ def reference_walk(model, pair, cfg, i):
         if j < m:
             return True, n, t, log_w, zc[j] - ctx.u_eff
         z = zc[-1]
-    raise StepCapExceeded(i, cfg.max_steps)
+    raise StepCapExceeded(i, engine._MAX_STEPS)
 
 
 def _same(a, b):
@@ -260,18 +263,19 @@ def test_step_cap_names_lowest_live_replication(model_exp_exp, linear_pair, monk
     steps = [run_replication(model_exp_exp, linear_pair, cfg, i).n_claims for i in range(cfg.k)]
     lowest = next(i for i, n in enumerate(steps) if n > cap)
     assert lowest > 1
+    monkeypatch.setattr(engine, "_MAX_STEPS", cap)
     # in the first walk, and in a later one when walks are shorter than `lowest`
     for reps in (engine._WALK_REPS, lowest // 2):
         monkeypatch.setattr(engine, "_WALK_REPS", reps)
         with pytest.raises(StepCapExceeded) as err:
-            estimate_psi(model_exp_exp, linear_pair, dataclasses.replace(cfg, max_steps=cap))
+            estimate_psi(model_exp_exp, linear_pair, cfg)
         assert err.value.replication == lowest
 
 
-def test_step_cap_propagates_from_batch_run(model_exp_exp, linear_pair):
-    cfg = SimConfig(u=50.0, k=50, seed=5, max_steps=5)
+def test_step_cap_propagates_from_batch_run(model_exp_exp, linear_pair, monkeypatch):
+    monkeypatch.setattr(engine, "_MAX_STEPS", 5)
     with pytest.raises(StepCapExceeded) as err:
-        estimate_psi(model_exp_exp, linear_pair, cfg)
+        estimate_psi(model_exp_exp, linear_pair, SimConfig(u=50.0, k=50, seed=5))
     assert 0 <= err.value.replication < 50
 
 
