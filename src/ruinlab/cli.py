@@ -5,10 +5,12 @@ Exit codes: 0 success, 2 configuration error, 3 admissibility failure,
 4 step cap exceeded (``engine._MAX_STEPS``, 10^8 steps per replication).
 
 Every setting is checked and every row computed before the one CSV write, so a
-command that exits non-zero leaves no ``--out`` file.
+command that exits non-zero leaves no ``--out`` file; an ``--out`` whose
+directory does not exist fails with the settings, before any replication.
 
 Admissibility has one rule, applied by ``estimate_psi``: without a horizon the
-pair must be ruin-inducing (exit 3); with ``--horizon`` every pair runs.
+pair must be ruin-inducing with a positive tilted drift (exit 3); with
+``--horizon`` every pair runs.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 
 from .engine import SimConfig, estimate_psi
@@ -278,6 +281,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a missing --out directory fails before anything runs (_write_csv opens it)
+        directory = os.path.dirname(args.out or "-") or "."
+        if not os.path.isdir(directory):
+            raise ConfigError(f"cannot write {args.out}: no directory {directory}")
         return args.fn(args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

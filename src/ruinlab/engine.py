@@ -9,8 +9,8 @@ as a claim arrives after the horizon. A solvency threshold b shifts the
 barrier: the walk targets u - b, bit-identical to an infinite-time run started
 at that capital.
 
-Infinite-time runs require a ruin-inducing pair; finite-horizon runs accept
-any pair, since the horizon ends every path. A replication still live after
+Infinite-time runs require a ruin-inducing pair with a positive tilted drift;
+finite-horizon runs accept any pair. A replication still live after
 _MAX_STEPS steps raises StepCapExceeded rather than truncating the estimate.
 
 Determinism contract: replication i draws from a Philox generator keyed by
@@ -22,9 +22,9 @@ horizon. The reduction is an index-ordered array sum.
 
 Replications advance in blocks: every live replication takes the same chunk,
 a block keys (or resumes) each row's generator and draws its raw variates,
-and the transforms, the walk, the stop tests and the log-weights then run
-once along the rows. Each row's log-weight and time are summed over exactly
-its own steps, so the block layout never changes a result.
+and the transforms, the walk, the stop tests and one segmented pass summing
+gamma + delta and the waits over each row's own steps run along the rows, so
+the block layout never changes a result.
 """
 
 from __future__ import annotations
@@ -173,8 +173,7 @@ class _RunContext:
     horizon: float | None
     qx: object  # tilted claim law
     qw: object  # tilted wait law
-    path_log_weight: object
-    is_identity: bool
+    pair: TiltingPair
     first_chunk: int
 
 
@@ -192,8 +191,7 @@ def _prepare(model: RiskModel, pair: TiltingPair, cfg: SimConfig) -> _RunContext
         horizon=cfg.horizon,
         qx=pair.tilted_claim_law(),
         qw=pair.tilted_wait_law(),
-        path_log_weight=pair.path_log_weight,
-        is_identity=pair.variant == "identity",
+        pair=pair,
         first_chunk=first_chunk,
     )
 
@@ -265,18 +263,9 @@ def _walk(ctx: _RunContext, seed: int, first: int, k: int) -> _Walked:
         next_words = []
         for lo in range(0, live.size, rows):
             b = slice(lo, lo + rows)
+            words_b = None if words is None else words[b]
             go[b], block_words = _walk_block(
-                ctx,
-                cursor,
-                out,
-                first,
-                n,
-                m,
-                live[b],
-                z[b],
-                t[b],
-                log_w[b],
-                None if words is None else words[b],
+                ctx, cursor, out, first, n, m, live[b], z[b], t[b], log_w[b], words_b
             )
             next_words.append(block_words)
         live, z, t, log_w = live[go], z[go], t[go], log_w[go]
@@ -291,10 +280,11 @@ def _walk_block(ctx: _RunContext, cursor, out: _Walked, first, n, m, pos, z, t, 
     """Advance replications first + pos, ``n`` steps in, by one chunk of ``m``.
 
     Per replication this only keys or resumes the generator and draws raw
-    variates; the transforms, the walk, the stop tests and the log-weights run
-    once along the rows. Stopped replications are written to ``out``; ``z``,
-    ``t`` and ``log_w`` are advanced in place. Returns which rows go on and
-    their generator words.
+    variates; the transforms, the walk and the stop tests run once along the
+    rows, and one segmented ``path_log_weight`` call and one ``reduceat`` of
+    the waits sum each row's log-weight and time over the steps it used.
+    Stopped replications are written to ``out``; ``z``, ``t`` and ``log_w``
+    are advanced in place. Returns which rows go on and their generator words.
     """
     w, x, saved = _draw_block(cursor, ctx.qw, ctx.qx, (first + pos).tolist(), words, m)
     zc = z[:, None] + np.cumsum(x - ctx.premium * w, axis=1)
@@ -307,29 +297,15 @@ def _walk_block(ctx: _RunContext, cursor, out: _Walked, first, n, m, pos, z, t, 
         late = j_late <= j_stop
         j_stop = np.minimum(j_stop, j_late)
 
-    # rows sorted by steps used: each group of equal length sums its weights
-    # and waits over exactly its own steps
+    # the steps each row used, rows end to end; every row uses one at least,
+    # as reduceat needs: at a repeated start it gives an element, not 0
     used = np.minimum(j_stop + 1, m)
-    order = np.argsort(used, kind="stable")
-    dlw = np.zeros(len(pos))
-    dt = np.empty(len(pos))
-    edges = [0, *(np.flatnonzero(np.diff(used[order])) + 1).tolist(), len(pos)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        rows = order[lo:hi]
-        # basic slices are views: no copy for a whole block or one row
-        if hi - lo == len(pos):
-            g = slice(None)
-        elif hi - lo == 1:
-            g = slice(int(rows[0]), int(rows[0]) + 1)
-        else:
-            g = rows
-        steps = int(used[rows[0]])
-        wg = w[g, :steps]
-        if not ctx.is_identity:
-            dlw[rows] = ctx.path_log_weight(x[g, :steps], wg)
-        dt[rows] = wg.sum(axis=1)
-    log_w -= dlw
-    t += dt
+    steps = np.arange(m) < used[:, None]
+    xs, ws = x[steps], w[steps]
+    starts = np.cumsum(used) - used
+    if ctx.pair.variant != "identity":
+        log_w -= ctx.pair.path_log_weight(xs, ws, starts)
+    t += np.add.reduceat(ws, starts)
 
     stop = j_stop < m
     p, late_s, ruined = pos[stop], late[stop], ~late[stop]
@@ -372,10 +348,11 @@ def estimate_psi(
 ) -> EstimateReport:
     """Estimate psi(u), or its finite-horizon / solvency-threshold variant, per ``cfg``.
 
-    With ``cfg.horizon`` unset the pair must be ruin-inducing, else
-    NotRuinInducing (or NonFiniteMoment) is raised before any draw. A threshold
-    b targets u - b; with b = 0 the run is bit-identical to one without a
-    threshold. ``workers`` is accepted for compatibility and ignored.
+    With ``cfg.horizon`` unset the pair must be ruin-inducing with a positive
+    tilted drift, else NotRuinInducing (or NonFiniteMoment) is raised before
+    any draw. A threshold b targets u - b; with b = 0 the run is bit-identical
+    to one without a threshold. ``workers`` is accepted for compatibility and
+    ignored.
     """
     start = time.perf_counter()
     if cfg.horizon is None:

@@ -26,16 +26,15 @@ class SecondMomentInfinite(RuinlabError):
 
 
 class NotRuinInducing(RuinlabError):
-    """The pair violates c*E[W e^delta] <= E[X e^gamma].
-
-    Under such a pair the tilted walk may never reach the barrier, and
-    psi(u) = E_Q[weight; ruin] does not hold.
-    """
+    """The pair violates c*E[W e^delta] <= E[X e^gamma] or meets it with zero
+    tilted drift: the tilted walk may never reach the barrier, or reaches it
+    after a time of infinite mean."""
 
     def __init__(self, lhs: float, rhs: float):
         super().__init__(
-            "tilt is not ruin-inducing: "
-            f"c*E[W e^delta] = {lhs:.10g} > E[X e^gamma] = {rhs:.10g}"
+            "tilt is not ruin-inducing with a positive drift: c*E[W e^delta] = "
+            f"{lhs:.10g} {'>' if lhs > rhs else '<='} E[X e^gamma] = {rhs:.10g}, "
+            f"tilted drift {rhs - lhs:.3g}"
         )
         self.lhs = lhs
         self.rhs = rhs

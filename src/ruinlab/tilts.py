@@ -23,6 +23,10 @@ sampleable tilted laws wherever those exist:
 * from-target       gamma = ln(g/f_X), delta = ln(h/f_W) for prescribed
                     target densities g, h
 
+A family defines only gamma, delta and its tilted laws; the path log-weight,
+sum(gamma(X_j)) + sum(delta(W_j)) over each path's own steps, is evaluated
+pointwise for every family by ``TiltingPair.path_log_weight``.
+
 All laws in the catalog share support (0, inf), so targets never need a
 support check here.
 """
@@ -78,7 +82,8 @@ __all__ = [
 ]
 
 # boundary pairs (xi = xi_hat, r = r_max) sit on the equality edge of the
-# admissible class; a hair of float slack keeps them classified as inside
+# admissible class; a hair of float slack keeps them classified as inside, and
+# the same slack keeps their zero tilted drift out of infinite-time runs
 _BOUNDARY_RTOL = 1e-9
 
 
@@ -132,15 +137,14 @@ class TiltingPair:
         """E[W exp(delta(W))], the tilted wait law's mean; may be inf."""
         return self.tilted_wait_law().mean()
 
-    def path_log_weight(self, x: np.ndarray, w: np.ndarray):
-        """sum(gamma(x)) + sum(delta(w)) along the last axis.
+    def path_log_weight(self, x: np.ndarray, w: np.ndarray, starts: np.ndarray):
+        """sum(gamma) + sum(delta) over each path segment of the 1-D ``x``, ``w``.
 
-        A 1-D pair of arrays is one path segment; a (rows, L) block gives one
-        value per row, bit-identical to calling this on each row alone.
-        Subclasses override with the algebraically reduced form; it must agree
-        with summing gamma/delta pointwise to float rounding.
+        Segment i begins at ``starts[i]`` and must be non-empty: ``reduceat``
+        gives the element at a repeated start, not 0. A segment's value depends
+        only on its own elements, bit-identical to weighing it alone.
         """
-        return np.sum(self.gamma(x), axis=-1) + np.sum(self.delta(w), axis=-1)
+        return np.add.reduceat(self.gamma(x) + self.delta(w), starts)
 
     @property
     def moment_method(self) -> str:
@@ -218,14 +222,6 @@ class EsscherTilt(TiltingPair):
     def tilted_wait_mean(self):
         return exp_weighted_mean(self.model.wait_law, -self.y) * math.exp(-self._ln_lw)
 
-    def path_log_weight(self, x, w):
-        n = x.shape[-1]
-        return (
-            self.r * np.sum(x, axis=-1)
-            - self.y * np.sum(w, axis=-1)
-            - n * (self._ln_mx + self._ln_lw)
-        )
-
     @property
     def moment_method(self):
         closed = (Exponential, Gamma)
@@ -299,12 +295,6 @@ class LinearTilt(TiltingPair):
     def tilted_wait_mean(self):
         return 1.0 / (self._beta * (1.0 - self.xi * self._m1))
 
-    def path_log_weight(self, x, w):
-        # the per-step normalizers of gamma and delta cancel exactly
-        return np.sum(np.log1p(-self.xi * x), axis=-1) + (
-            self.xi * self._beta * self._m1 * np.sum(w, axis=-1)
-        )
-
     def resolved_params(self):
         return {"xi": self.xi}
 
@@ -331,11 +321,10 @@ class HazardTwist(TiltingPair):
 
     def __init__(self, model: RiskModel, r: float, theta: float):
         super().__init__(model)
-        if r <= 0 or theta <= 0:
-            raise ValueError("twist parameters must be positive")
         self.r = float(r)
         self.theta = float(theta)
-        # validates closed-form hazards; a component at 1 is left untouched
+        # validates the factors and closed-form hazards; a factor of 1 leaves
+        # its component untouched
         self._qx = hazard_twisted(model.claim_law, self.r)
         self._qw = hazard_twisted(model.wait_law, self.theta)
 
@@ -356,19 +345,6 @@ class HazardTwist(TiltingPair):
 
     def tilted_wait_law(self):
         return self._qw
-
-    def path_log_weight(self, x, w):
-        n = x.shape[-1]
-        total = 0.0
-        if self.r != 1.0:
-            total += n * math.log(self.r) - (self.r - 1.0) * np.sum(
-                self.model.claim_law.cumulative_hazard(x), axis=-1
-            )
-        if self.theta != 1.0:
-            total += n * math.log(self.theta) - (self.theta - 1.0) * np.sum(
-                self.model.wait_law.cumulative_hazard(w), axis=-1
-            )
-        return total
 
     def resolved_params(self):
         return {"r": self.r, "theta": self.theta}
@@ -419,13 +395,14 @@ def check_admissible(pair: TiltingPair) -> AdmissibilityReport:
 
 
 def require_ruin_inducing(pair: TiltingPair) -> None:
-    """Raise unless the pair is ruin-inducing.
+    """Raise unless the pair is ruin-inducing with a positive tilted drift.
 
-    Raises NotRuinInducing with both sides of the inequality when the pair
-    fails it, and NonFiniteMoment when a tilted first moment is infinite.
+    NotRuinInducing, with both sides of the inequality, when the drift
+    E[X e^gamma] - c*E[W e^delta] is not above _BOUNDARY_RTOL * E[X e^gamma];
+    NonFiniteMoment when a tilted first moment is infinite.
     """
     report = check_admissible(pair)
-    if not report.in_c_p:
+    if report.rhs - report.lhs <= _BOUNDARY_RTOL * report.rhs:
         raise NotRuinInducing(report.lhs, report.rhs)
 
 

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from ruinlab import engine
+from ruinlab import SimConfig, engine, tilt_from_config
+from ruinlab.tables import table_spec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -58,3 +59,28 @@ def test_analytic_workload_check_runs(workloads):
     assert not wl.sim
     op = next(op for op in wl.ops if op.label == "Wei(2,1)/Exp")  # quadrature transforms
     assert workloads.check_analytic(op, op.run()) is None
+
+
+def test_tracer_sees_one_log_weight_span_per_block(monkeypatch):
+    # tilts.path_log_weight.* in the traced run: one segmented call per walk
+    # block, counting every claim weighed once
+    spans = _load("spans")
+    col = table_spec("table1").columns[0]
+    pair = tilt_from_config(col.tilt_config, col.model)
+    cfg = SimConfig(u=5.0, k=2000, seed=3)
+    ctx = engine._prepare(col.model, pair, cfg)
+    n_claims = int(engine._walk(ctx, cfg.seed, 0, cfg.k).n_claims.sum())
+
+    blocks = []
+    walk_block = engine._walk_block
+    monkeypatch.setattr(engine, "_walk_block", lambda *a: blocks.append(1) or walk_block(*a))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        engine.estimate_psi(col.model, pair, cfg)
+    finally:
+        tracer.restore()
+    sid = tracer.names.index("tilts.path_log_weight")
+    counts = [c for n, c in zip(tracer.name, tracer.count) if n == sid]
+    assert len(counts) == len(blocks)
+    assert sum(counts) == n_claims

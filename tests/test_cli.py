@@ -170,6 +170,26 @@ def test_non_ruin_inducing_pair_runs_only_with_horizon(configs, tmp_path, capsys
     assert exc.value.code == 2
 
 
+def test_zero_drift_pair_exits_3(tmp_path, capsys, monkeypatch):
+    # table4's Pa(2,3) model at theta = 1, r = r_max: in the class, zero drift
+    monkeypatch.setattr(engine, "_MAX_STEPS", 10**5)
+    model = tmp_path / "pa_wei.json"
+    model.write_text(json.dumps({
+        "claim": {"family": "pareto", "params": {"shape": 2.0, "scale": 3.0}},
+        "wait": {"family": "weibull", "params": {"shape": 0.375, "scale": 0.5}},
+        "safety_loading": 0.5,
+    }))
+    tilt = tmp_path / "boundary.json"
+    tilt.write_text(json.dumps({"family": "hazard", "params": {"theta": 1.0, "r_factor": 1.0}}))
+    assert main(["check", "--model", str(model), "--tilt", str(tilt)]) == 0
+    assert "in_c_p: True" in capsys.readouterr().out
+    out = tmp_path / "b.csv"
+    assert main(["estimate", "--model", str(model), "--tilt", str(tilt),
+                 "--u", "100", "--K", "100", "--seed", "1", "--out", str(out)]) == 3
+    assert "tilted drift" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infinite_tilted_moment_exits_3(tmp_path, capsys):
     model = tmp_path / "pareto.json"
     model.write_text(json.dumps({
@@ -209,7 +229,11 @@ def test_bad_table_setting_leaves_no_csv(tmp_path, bad):
 
 
 @pytest.mark.parametrize("command", ["estimate", "table", "check"])
-def test_unwritable_out_exits_2(configs, tmp_path, capsys, command):
+def test_unwritable_out_exits_2(configs, tmp_path, capsys, monkeypatch, command):
+    # a missing directory is found with the settings: no replication runs
+    calls = []
+    real = cli.estimate_psi
+    monkeypatch.setattr(cli, "estimate_psi", lambda *a, **kw: calls.append(1) or real(*a, **kw))
     out = tmp_path / "missing" / "x.csv"
     argv = {
         "estimate": ["estimate", "--model", configs["model"], "--tilt", configs["tilt"],
@@ -220,6 +244,7 @@ def test_unwritable_out_exits_2(configs, tmp_path, capsys, command):
     assert main(argv + ["--out", str(out)]) == 2
     assert f"configuration error: cannot write {out}" in capsys.readouterr().err
     assert not out.exists()
+    assert calls == []
 
 
 def test_exact_with_horizon_is_config_error(configs, tmp_path, capsys):

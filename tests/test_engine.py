@@ -22,6 +22,7 @@ from ruinlab import (
     check_admissible,
     estimate_psi,
     exact_psi_cl_exp,
+    hazard_r_max,
     hazard_twisted,
     lundberg_root,
     run_replication,
@@ -30,6 +31,7 @@ from ruinlab import (
 from ruinlab import engine
 from ruinlab.engine import _PhiloxCursor
 from ruinlab.errors import NotRuinInducing, StepCapExceeded
+from ruinlab.tables import table_spec
 
 
 @pytest.fixture
@@ -196,9 +198,10 @@ def reference_walk(model, pair, cfg, i):
             if overs.size and overs[0] <= j:
                 j, late = overs[0], True
         used = min(j + 1, m)
+        # the block walk's segmented sums, on this replication's one segment
         if pair.variant != "identity":
-            log_w -= pair.path_log_weight(x[:used], w[:used])
-        t += w[:used].sum()
+            log_w -= pair.path_log_weight(x[:used], w[:used], [0])[0]
+        t += np.add.reduceat(w[:used], [0])[0]
         n += used
         if late:
             return False, n - 1, math.nan, log_w, math.nan
@@ -289,6 +292,25 @@ def test_estimate_rejects_pairs_that_are_not_ruin_inducing(model_exp_exp):
         assert (err.value.lhs, err.value.rhs) == pytest.approx(sides, rel=1e-12)
         # a horizon ends every path, so any pair may run
         rep = estimate_psi(model_exp_exp, pair, SimConfig(u=1.0, k=200, seed=1, horizon=5.0))
+        assert rep.estimate > 0.0
+
+
+def test_zero_drift_pairs_fail_fast(model_exp_exp, monkeypatch):
+    # boundary pairs are ruin-inducing, but their tilted walk has zero drift and
+    # an infinite mean ruin time; a started run would meet this cap, not an end
+    monkeypatch.setattr(engine, "_MAX_STEPS", 10**5)
+    pa_wei = table_spec("table4").columns[1].model  # Pa(2,3) claims
+    hazard = HazardTwist(pa_wei, hazard_r_max(pa_wei, 1.0), 1.0)
+    linear = LinearTilt(model_exp_exp, xi_hat(model_exp_exp))
+    # float rounding leaves one drift a hair above zero, the other below
+    for pair, sign in ((hazard, 1.0), (linear, -1.0)):
+        report = check_admissible(pair)
+        assert report.in_c_p  # still in the class
+        drift = (report.rhs - report.lhs) / report.rhs
+        assert 0.0 < sign * drift < 1e-15
+        with pytest.raises(NotRuinInducing, match="tilted drift"):
+            estimate_psi(pair.model, pair, SimConfig(u=100.0, k=100, seed=1))
+        rep = estimate_psi(pair.model, pair, SimConfig(u=1.0, k=200, seed=1, horizon=5.0))
         assert rep.estimate > 0.0
 
 

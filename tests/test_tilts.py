@@ -37,6 +37,7 @@ from ruinlab.errors import (
     NonFiniteMoment,
     UnsupportedCombination,
 )
+from ruinlab.tables import table_spec
 
 GRID = np.linspace(0.05, 12.0, 80)
 
@@ -100,14 +101,17 @@ def test_path_log_weight_matches_pointwise(model_exp_exp, model_pareto_weibull, 
         TargetTilt(model_exp_exp, Gamma(2.0, 2.0), Exponential(1.3)),
     ]
     for pair in pairs:
-        direct = float(np.sum(pair.gamma(x)) + np.sum(pair.delta(w)))
-        assert pair.path_log_weight(x, w) == pytest.approx(direct, abs=1e-12)
+        direct = [float(np.sum(pair.gamma(x[a:b])) + np.sum(pair.delta(w[a:b])))
+                  for a, b in ((0, 10), (10, 11), (11, 64))]
+        got = pair.path_log_weight(x, w, [0, 10, 11])
+        assert got.shape == (3,)
+        assert got == pytest.approx(direct, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["identity", "esscher", "linear", "hazard", "from_target"])
 def test_block_path_log_weight_equals_row_calls(model_exp_exp, model_pareto_weibull, kind):
-    # the engine weighs a (rows, L) block in one call, or a (1, L) view of a
-    # wider block; each row must be bit-identical to the 1-D call on a copy
+    # the engine weighs a block's rows laid end to end in one segmented call;
+    # each segment must be bit-identical to that segment weighed alone
     pair = {
         "identity": IdentityTilt(model_exp_exp),
         "esscher": EsscherTilt(model_exp_exp, 0.25),
@@ -116,19 +120,64 @@ def test_block_path_log_weight_equals_row_calls(model_exp_exp, model_pareto_weib
         "from_target": TargetTilt(model_exp_exp, Gamma(2.0, 2.0), Exponential(1.3)),
     }[kind]
     rng = np.random.default_rng(17)
-    for length in (1, 7, 8, 9, 127, 128, 129, 300, 1000):
-        x = rng.uniform(0.1, 5.0, (5, length + 3))
-        w = rng.uniform(0.1, 5.0, (5, length + 3))
-        rows = [
-            pair.path_log_weight(x[r, :length].copy(), w[r, :length].copy()) for r in range(5)
-        ]
-        for xb, wb in (
-            (x[:, :length].copy(), w[:, :length].copy()),  # contiguous block
-            (x[:, :length], w[:, :length]),  # strided view
+    lengths = [1, 7, 8, 9, 127, 128, 129, 300, 1000]
+    for order in (lengths, lengths[::-1]):  # each segment at two offsets
+        starts = np.cumsum(order) - order
+        x = rng.uniform(0.1, 5.0, 2 * sum(order))
+        w = rng.uniform(0.1, 5.0, 2 * sum(order))
+        for xs, ws in (
+            (x[::2].copy(), w[::2].copy()),  # contiguous
+            (x[::2], w[::2]),  # strided view
         ):
-            assert np.array_equal(pair.path_log_weight(xb, wb), rows), (kind, length)
-        one = pair.path_log_weight(x[2:3, :length], w[2:3, :length])
-        assert one.shape == (1,) and one[0] == rows[2]
+            whole = pair.path_log_weight(xs, ws, starts)
+            alone = [
+                pair.path_log_weight(xs[a : a + n], ws[a : a + n], [0])
+                for a, n in zip(starts, order)
+            ]
+            assert all(one.shape == (1,) for one in alone)
+            assert np.array_equal(whole, np.concatenate(alone)), (kind, order[0])
+
+
+def _reduced_form(pair, x, w):
+    """Terms of each family's reduced form of sum(gamma(x)) + sum(delta(w))."""
+    n = len(x)
+    m = pair.model
+    if pair.variant == "esscher":
+        ln_mx = math.log(m.claim_law.mgf(pair.r))
+        ln_lw = math.log(pair.adjustment.wait_laplace)
+        return [pair.r * x.sum(), -pair.y * w.sum(), -n * (ln_mx + ln_lw)]
+    if pair.variant == "linear":
+        beta = m.wait_law.rate
+        return [np.log1p(-pair.xi * x).sum(), pair.xi * beta * m.claim_mean * w.sum()]
+    assert pair.variant == "hazard"
+    terms = []  # a component twisted by 1 is untouched and may have no hazard
+    for p, law, v in ((pair.r, m.claim_law, x), (pair.theta, m.wait_law, w)):
+        if p != 1.0:
+            terms += [n * math.log(p), -(p - 1.0) * law.cumulative_hazard(v).sum()]
+    return terms
+
+
+def test_log_weight_matches_reduced_forms():
+    # the pointwise sum against each family's algebraically reduced form, on
+    # paths drawn from every table model (and Esscher at rho where M_X exists)
+    pairs = []
+    for name in ("table1", "table2", "table3", "table4", "table5"):
+        for col in table_spec(name).columns:
+            pairs.append(tilt_from_config(col.tilt_config, col.model))
+            if name in ("table1", "table5") or col.label == "Ga(2,1)":
+                pairs.append(EsscherTilt(col.model, lundberg_root(col.model)))
+    assert {p.variant for p in pairs} == {"esscher", "linear", "hazard"}
+    rng = np.random.default_rng(29)
+    lengths = np.array([1, 9, 128, 1000])
+    starts = np.cumsum(lengths) - lengths
+    for pair in pairs:
+        x = pair.model.claim_law.sample_n(rng, int(lengths.sum()))
+        w = pair.model.wait_law.sample_n(rng, int(lengths.sum()))
+        got = pair.path_log_weight(x, w, starts)
+        for g, a, n in zip(got, starts, lengths):
+            terms = _reduced_form(pair, x[a : a + n], w[a : a + n])
+            # relative to the terms' scale: a path's terms may cancel to near 0
+            assert abs(g - sum(terms)) <= 1e-12 * sum(map(abs, terms)), (pair.label(), n)
 
 
 # -- tilted laws ---------------------------------------------------------------
