@@ -6,7 +6,8 @@ Exit codes: 0 success, 2 configuration error, 3 admissibility failure,
 
 Every setting is checked and every row computed before the one CSV write, so a
 command that exits non-zero leaves no ``--out`` file; an ``--out`` whose
-directory does not exist fails with the settings, before any replication.
+directory does not exist or is not writable fails with the settings, before
+any replication.
 
 Admissibility has one rule, applied by ``estimate_psi``: without a horizon the
 pair must be ruin-inducing with a positive tilted drift (exit 3); with
@@ -281,10 +282,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # a missing --out directory fails before anything runs (_write_csv opens it)
+        # an --out directory that is missing or unwritable fails before anything
+        # runs (_write_csv opens the file)
         directory = os.path.dirname(args.out or "-") or "."
         if not os.path.isdir(directory):
             raise ConfigError(f"cannot write {args.out}: no directory {directory}")
+        if not os.access(directory, os.W_OK):
+            raise ConfigError(f"cannot write {args.out}: directory {directory} is not writable")
         return args.fn(args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

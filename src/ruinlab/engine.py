@@ -13,22 +13,30 @@ Infinite-time runs require a ruin-inducing pair with a positive tilted drift;
 finite-horizon runs accept any pair. A replication still live after
 _MAX_STEPS steps raises StepCapExceeded rather than truncating the estimate.
 
-Determinism contract: replication i draws from a Philox generator keyed by
-(master seed, i) -- a counter-based split, so a replication's draws do not
-depend on which replications ran before it. Within a replication, each chunk
-of the walk draws the interarrival block first, then the claim block; chunk
-sizes are a fixed function of (model, tilt, effective capital), never of the
-horizon. The reduction is an index-ordered array sum.
+Determinism contract (lane streams, after Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11): replication i is lane i mod _BATCH of
+batch b = i // _BATCH, and batch b draws from one Philox generator keyed by
+(master seed, b), a counter-based split, so a batch's draws do not depend on
+which batches ran before it. A full batch's outcomes are a function of (seed,
+b) and the run's model, tilt and capital alone; the last, partial batch also
+depends on its lane count, K - b * _BATCH. _BATCH and _BLOCK_ELEMS are stream
+constants: changing either changes every stream. The reduction is an
+index-ordered array sum.
 
-Replications advance in blocks: every live replication takes the same chunk,
-a block keys (or resumes) each row's generator and draws its raw variates,
-and the transforms, the walk, the stop tests and one segmented pass summing
-gamma + delta and the waits over each row's own steps run along the rows, so
-the block layout never changes a result.
+A batch advances in chunks of steps: every live lane takes the same chunk,
+split into row blocks of about _BLOCK_ELEMS variates, and each row block draws
+its waits with one ``sample_n`` call and then its claims with another, both
+laid out row by row. The walk, the stop tests and one segmented pass summing
+gamma + delta and the waits over each row's own steps then run along the rows.
+A lane's draws therefore depend on which lanes of its batch are still live.
+Chunk sizes are a fixed function of (model, tilt, effective capital), never of
+the horizon, but a horizon stops lanes early and so shifts the draws of the
+lanes after them: runs at different horizons do not share paths.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -48,11 +56,12 @@ __all__ = [
 ]
 
 _CHUNK_MAX = 65536
-# variates per block of the walk (rows x chunk); blocks go breadth-first
+# variates per row block of the walk (rows x chunk); a stream constant, since
+# the row blocks set the order in which a batch's lanes draw
 _BLOCK_ELEMS = 1 << 14
-# replications per walk: bounds the walk's per-replication state (about 80
-# bytes each) however large K is
-_WALK_REPS = 1 << 16
+# replications per Philox stream; a stream constant that neither K nor the
+# caller changes, so replication i always draws from stream (seed, i // _BATCH)
+_BATCH = 1024
 # steps per replication before StepCapExceeded
 _MAX_STEPS = 10**8
 
@@ -116,54 +125,6 @@ class EstimateReport:
     are: float | None = None
 
 
-class _PhiloxCursor:
-    """One reusable Philox generator, re-keyed per replication.
-
-    Resetting the bit-generator state to key (seed, i) with a zero counter and
-    an empty buffer is bit-identical to constructing ``Philox(key=[seed, i])``
-    fresh (asserted in the test suite) and roughly six times cheaper.
-    ``resume`` restores a replication's generator from the 11 words that
-    ``words`` saved, so its draws continue where they stopped.
-    """
-
-    def __init__(self, seed: int):
-        self._bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-        self._gen = np.random.Generator(self._bg)
-        self._state = self._bg.state
-
-    def rng_for(self, index: int) -> np.random.Generator:
-        st = self._state
-        st["state"]["key"][1] = index
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
-        return self._gen
-
-    def resume(self, index: int, words: np.ndarray) -> np.random.Generator:
-        st = self._state
-        st["state"]["key"][1] = index
-        st["state"]["counter"][:] = words[:4]
-        st["buffer"][:] = words[4:8]
-        st["buffer_pos"] = int(words[8])
-        st["has_uint32"] = int(words[9])
-        st["uinteger"] = int(words[10])
-        self._bg.state = st
-        return self._gen
-
-    def words(self) -> list[int]:
-        """The generator's position: counter, buffer, buffer_pos, has_uint32, uinteger."""
-        st = self._bg.state
-        return [
-            *st["state"]["counter"].tolist(),
-            *st["buffer"].tolist(),
-            st["buffer_pos"],
-            st["has_uint32"],
-            st["uinteger"],
-        ]
-
-
 @dataclass(frozen=True)
 class _RunContext:
     """Immutable per-run bundle shared by all replications."""
@@ -208,7 +169,7 @@ def _chunks(ctx: _RunContext):
 
 @dataclass(frozen=True)
 class _Walked:
-    """Per-replication outcomes of a walk; position j is replication first + j."""
+    """Per-lane outcomes of a batch's walk; position j is lane j."""
 
     ruined: np.ndarray
     n_claims: np.ndarray
@@ -217,31 +178,11 @@ class _Walked:
     overshoot: np.ndarray
 
 
-def _draw_block(cursor: _PhiloxCursor, qw, qx, ids, words, m: int):
-    """Waits (law ``qw``) and claims (``qx``) of the next ``m`` steps of
-    replications ``ids``, one row each.
+def _walk(ctx: _RunContext, seed: int, batch: int, k: int) -> _Walked:
+    """Walk lanes 0, ..., k - 1 of batch ``batch`` until each stops.
 
-    Row r keys replication ids[r] afresh (``words`` is None) or resumes it
-    from ``words[r]``, then draws the wait block and the claim block, as
-    ``sample_n`` would. Returns the transformed (rows, m) blocks and each
-    row's generator words after its draws.
-    """
-    raw_w = np.empty((len(ids), qw._raw_width * m))
-    raw_x = np.empty((len(ids), qx._raw_width * m))
-    saved = []
-    for r, i in enumerate(ids):
-        rng = cursor.rng_for(i) if words is None else cursor.resume(i, words[r])
-        qw._draw(rng, raw_w[r])
-        qx._draw(rng, raw_x[r])
-        saved.append(cursor.words())
-    return qw._from_raw(raw_w), qx._from_raw(raw_x), saved
-
-
-def _walk(ctx: _RunContext, seed: int, first: int, k: int) -> _Walked:
-    """Walk replications first, ..., first + k - 1 until each stops.
-
-    Every live replication takes the same chunk, so a chunk is walked for all
-    of them before the next, in blocks of about _BLOCK_ELEMS variates.
+    Every live lane takes the same chunk, so a chunk is walked for all of them,
+    in row blocks of about _BLOCK_ELEMS variates, before the next.
     """
     out = _Walked(
         ruined=np.zeros(k, dtype=bool),
@@ -250,43 +191,37 @@ def _walk(ctx: _RunContext, seed: int, first: int, k: int) -> _Walked:
         log_weight=np.zeros(k),
         overshoot=np.full(k, math.nan),
     )
-    cursor = _PhiloxCursor(seed)
-    # the live replications: offsets from ``first``, walk position z, elapsed
-    # time t, log-weight and saved generator words (None: fresh keys)
-    live, z, t, log_w, words = np.arange(k), np.zeros(k), np.zeros(k), np.zeros(k), None
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, batch], dtype=np.uint64)))
+    # the live lanes, their walk position z, elapsed time t and log-weight
+    live, z, t, log_w = np.arange(k), np.zeros(k), np.zeros(k), np.zeros(k)
     n = 0
     for m in _chunks(ctx):
         if not live.size:
             break
         rows = max(1, _BLOCK_ELEMS // m)
         go = np.empty(live.size, dtype=bool)
-        next_words = []
         for lo in range(0, live.size, rows):
             b = slice(lo, lo + rows)
-            words_b = None if words is None else words[b]
-            go[b], block_words = _walk_block(
-                ctx, cursor, out, first, n, m, live[b], z[b], t[b], log_w[b], words_b
-            )
-            next_words.append(block_words)
+            go[b] = _walk_block(ctx, gen, out, n, m, live[b], z[b], t[b], log_w[b])
         live, z, t, log_w = live[go], z[go], t[go], log_w[go]
-        words = np.concatenate(next_words)
         n += m
     if live.size:
-        raise StepCapExceeded(first + int(live[0]), _MAX_STEPS)
+        raise StepCapExceeded(batch * _BATCH + int(live[0]), _MAX_STEPS)
     return out
 
 
-def _walk_block(ctx: _RunContext, cursor, out: _Walked, first, n, m, pos, z, t, log_w, words):
-    """Advance replications first + pos, ``n`` steps in, by one chunk of ``m``.
+def _walk_block(ctx: _RunContext, gen, out: _Walked, n, m, pos, z, t, log_w):
+    """Advance lanes ``pos``, ``n`` steps in, by one chunk of ``m``.
 
-    Per replication this only keys or resumes the generator and draws raw
-    variates; the transforms, the walk and the stop tests run once along the
-    rows, and one segmented ``path_log_weight`` call and one ``reduceat`` of
-    the waits sum each row's log-weight and time over the steps it used.
-    Stopped replications are written to ``out``; ``z``, ``t`` and ``log_w``
-    are advanced in place. Returns which rows go on and their generator words.
+    One ``sample_n`` call draws the block's waits and one its claims, row by
+    row; the walk and the stop tests run once along the rows, and one
+    segmented ``path_log_weight`` call and one ``reduceat`` of the waits sum
+    each row's log-weight and time over the steps it used. Stopped lanes are
+    written to ``out``; ``z``, ``t`` and ``log_w`` are advanced in place.
+    Returns which rows go on.
     """
-    w, x, saved = _draw_block(cursor, ctx.qw, ctx.qx, (first + pos).tolist(), words, m)
+    w = ctx.qw.sample_n(gen, len(pos) * m).reshape(-1, m)
+    x = ctx.qx.sample_n(gen, len(pos) * m).reshape(-1, m)
     zc = z[:, None] + np.cumsum(x - ctx.premium * w, axis=1)
     hit = zc >= ctx.u_eff
     j_stop = np.where(hit.any(axis=1), hit.argmax(axis=1), m)
@@ -316,27 +251,34 @@ def _walk_block(ctx: _RunContext, cursor, out: _Walked, first, n, m, pos, z, t, 
     rows_r = np.flatnonzero(stop)[ruined]
     out.overshoot[p[ruined]] = zc[rows_r, j_stop[rows_r]] - ctx.u_eff
     z[:] = zc[:, -1]
-    go = ~stop
-    kept = [saved[r] for r in np.flatnonzero(go).tolist()]
-    return go, np.array(kept, dtype=np.uint64).reshape(-1, 11)
+    return ~stop
 
 
 def run_replication(
     model: RiskModel, pair: TiltingPair, cfg: SimConfig, index: int
 ) -> ReplicationOutcome:
-    """Replication ``index`` of the run defined by ``cfg``, walked on its own.
+    """Replication ``index`` of the run defined by ``cfg``.
 
-    The walk is the one ``estimate_psi`` takes, so the outcome is bit-identical
-    to that replication's part of the estimate; no admissibility gate applies.
+    For ``index < cfg.k`` the outcome is bit-identical to that replication's
+    part of ``estimate_psi``; past K it is that lane of a full batch. No
+    admissibility gate applies. The last batch walked is kept, so replaying
+    indices in order walks each batch once.
     """
-    walked = _walk(_prepare(model, pair, cfg), cfg.seed, index, 1)
+    batch, lane = divmod(index, _BATCH)
+    k = min(_BATCH, cfg.k - batch * _BATCH) if index < cfg.k else _BATCH
+    walked = _walk_batch(model, pair, cfg, batch, k)
     return ReplicationOutcome(
-        bool(walked.ruined[0]),
-        int(walked.n_claims[0]),
-        float(walked.ruin_time[0]),
-        float(walked.log_weight[0]),
-        float(walked.overshoot[0]),
+        bool(walked.ruined[lane]),
+        int(walked.n_claims[lane]),
+        float(walked.ruin_time[lane]),
+        float(walked.log_weight[lane]),
+        float(walked.overshoot[lane]),
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _walk_batch(model, pair, cfg, batch, k) -> _Walked:
+    return _walk(_prepare(model, pair, cfg), cfg.seed, batch, k)
 
 
 def estimate_psi(
@@ -359,8 +301,8 @@ def estimate_psi(
         require_ruin_inducing(pair)
     ctx = _prepare(model, pair, cfg)
     weights = np.zeros(cfg.k)
-    for first in range(0, cfg.k, _WALK_REPS):
-        walked = _walk(ctx, cfg.seed, first, min(_WALK_REPS, cfg.k - first))
+    for first in range(0, cfg.k, _BATCH):
+        walked = _walk(ctx, cfg.seed, first // _BATCH, min(_BATCH, cfg.k - first))
         lw = walked.log_weight[walked.ruined]
         ruined_at = first + np.flatnonzero(walked.ruined)
         weights[ruined_at] = np.fromiter(map(math.exp, lw), float, lw.size)

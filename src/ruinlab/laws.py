@@ -11,10 +11,7 @@ inverse CDF on ``Generator.random`` / ``Generator.standard_normal`` variates;
 gamma-type laws via ``Generator.standard_gamma``, numpy's Marsaglia-Tsang
 rejection sampler; inverse families as reciprocals of the base draw). Streams
 are therefore reproducible for a fixed numpy version given the same generator
-state and call sequence. A sampler is split in two: ``_draw`` makes the
-generator calls and ``_from_raw`` transforms the raw variates elementwise, so
-the engine can draw many replications' streams row by row and transform the
-whole block at once, bit-identical to ``sample_n`` on each row.
+state and call sequence.
 
 Float path: each family writes its log-density once, as ``_logpdf(x, xp)``
 with ``xp`` the ``math`` or the ``numpy`` module. ``logpdf`` and ``pdf`` hand
@@ -156,28 +153,8 @@ class PositiveLaw:
 
     # -- sampling ----------------------------------------------------------------
 
-    # raw variates per draw
-    _raw_width = 1
-
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` independent draws."""
-        raw = np.empty(self._raw_width * n)
-        self._draw(rng, raw)
-        return self._from_raw(raw)
-
-    def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """The generator calls of ``sample_n``: fill ``out`` with raw variates.
-
-        Inverse-CDF families draw uniforms on [0, 1); the others override.
-        """
-        rng.random(out=out)
-
-    def _from_raw(self, raw: np.ndarray) -> np.ndarray:
-        """Draws from raw variates of any shape, each row (last axis) on its own.
-
-        Plain families transform elementwise; a mixture reads each row's
-        selectors and component raws.
-        """
         raise NotImplementedError
 
     # -- misc ---------------------------------------------------------------------
@@ -186,9 +163,9 @@ class PositiveLaw:
         raise NotImplementedError
 
 
-def _std_exp(u: np.ndarray) -> np.ndarray:
+def _std_exp(rng: np.random.Generator, n: int) -> np.ndarray:
     # inverse CDF on U in [0,1); -log1p(-U) never hits log(0)
-    return -np.log1p(-u)
+    return -np.log1p(-rng.random(n))
 
 
 @dataclass(frozen=True)
@@ -232,8 +209,8 @@ class Exponential(PositiveLaw):
     def mgf_radius(self) -> float:
         return self.rate
 
-    def _from_raw(self, raw):
-        return _std_exp(raw) / self.rate
+    def sample_n(self, rng, n):
+        return _std_exp(rng, n) / self.rate
 
     def label(self) -> str:
         return f"Exp({self.rate:g})"
@@ -278,11 +255,8 @@ class Gamma(PositiveLaw):
     def mgf_radius(self) -> float:
         return self.rate
 
-    def _draw(self, rng, out):
-        rng.standard_gamma(self.shape, out=out)
-
-    def _from_raw(self, raw):
-        return raw / self.rate
+    def sample_n(self, rng, n):
+        return rng.standard_gamma(self.shape, n) / self.rate
 
     def label(self) -> str:
         return f"Ga({self.shape:g},{self.rate:g})"
@@ -327,8 +301,8 @@ class Weibull(PositiveLaw):
             return 1.0 / self.scale
         return 0.0
 
-    def _from_raw(self, raw):
-        return self.scale * _std_exp(raw) ** (1.0 / self.shape)
+    def sample_n(self, rng, n):
+        return self.scale * _std_exp(rng, n) ** (1.0 / self.shape)
 
     def label(self) -> str:
         return f"Wei({self.shape:g},{self.scale:g})"
@@ -363,11 +337,8 @@ class InvGamma(PositiveLaw):
     def mgf_radius(self) -> float:
         return 0.0
 
-    def _draw(self, rng, out):
-        rng.standard_gamma(self.shape, out=out)
-
-    def _from_raw(self, raw):
-        return self.scale / raw
+    def sample_n(self, rng, n):
+        return self.scale / rng.standard_gamma(self.shape, n)
 
     def label(self) -> str:
         return f"InvGa({self.shape:g},{self.scale:g})"
@@ -403,9 +374,9 @@ class InvWeibull(PositiveLaw):
     def mgf_radius(self) -> float:
         return 0.0
 
-    def _from_raw(self, raw):
+    def sample_n(self, rng, n):
         # reciprocal of Weibull(shape, 1/scale): scale * E^(-1/shape), E std exponential
-        return self.scale * _std_exp(raw) ** (-1.0 / self.shape)
+        return self.scale * _std_exp(rng, n) ** (-1.0 / self.shape)
 
     def label(self) -> str:
         return f"InvWei({self.shape:g},{self.scale:g})"
@@ -470,11 +441,8 @@ class GenGamma(PositiveLaw):
             return 1.0 / self.scale
         return 0.0
 
-    def _draw(self, rng, out):
-        rng.standard_gamma(self.shape, out=out)
-
-    def _from_raw(self, raw):
-        return self.scale * raw ** (1.0 / self.alpha)
+    def sample_n(self, rng, n):
+        return self.scale * rng.standard_gamma(self.shape, n) ** (1.0 / self.alpha)
 
     def label(self) -> str:
         return f"GGa({self.alpha:g},{self.scale:g},{self.shape:g})"
@@ -509,11 +477,8 @@ class LogNormal(PositiveLaw):
     def mgf_radius(self) -> float:
         return 0.0
 
-    def _draw(self, rng, out):
-        rng.standard_normal(out=out)
-
-    def _from_raw(self, raw):
-        return np.exp(self.mu + self.sigma * raw)
+    def sample_n(self, rng, n):
+        return np.exp(self.mu + self.sigma * rng.standard_normal(n))
 
     def label(self) -> str:
         return f"LN({self.mu:g},{self.sigma:g})"
@@ -558,8 +523,8 @@ class Pareto(PositiveLaw):
     def mgf_radius(self) -> float:
         return 0.0
 
-    def _from_raw(self, raw):
-        return self.scale * np.expm1(_std_exp(raw) / self.shape)
+    def sample_n(self, rng, n):
+        return self.scale * np.expm1(_std_exp(rng, n) / self.shape)
 
     def label(self) -> str:
         return f"Pa({self.shape:g},{self.scale:g})"
@@ -569,17 +534,13 @@ class Mixture(PositiveLaw):
     """Two-component mixture of positive laws (the linear tilt's claim law).
 
     Sampling draws one selector uniform per variate, then fills the first
-    component's slots from its sampler, then the second's. Its raw variates
-    are twice as many as its draws: selectors first, component raws after.
+    component's slots from its sampler, then the second's.
     """
-
-    _raw_width = 2
 
     def __init__(self, components: tuple[PositiveLaw, ...], weights: tuple[float, ...]):
         _require(len(components) == len(weights) == 2, "need two components and two weights")
         _require(all(w > 0 for w in weights), "weights must be positive")
         _require(abs(sum(weights) - 1.0) < 1e-12, "weights must sum to 1")
-        _require(all(c._raw_width == 1 for c in components), "components cannot be mixtures")
         self.components = tuple(components)
         self.weights = tuple(float(w) for w in weights)
 
@@ -604,24 +565,12 @@ class Mixture(PositiveLaw):
     def mgf_radius(self) -> float:
         return min(c.mgf_radius() for c in self.components)
 
-    def _draw(self, rng, out):
-        # n selector uniforms, then the n - k raws of the first component and
-        # the k raws of the second, k = number of uniforms >= weights[0]
-        n = out.size // 2
-        rng.random(out=out[:n])
-        k = int(np.count_nonzero(out[:n] >= self.weights[0]))
-        self.components[0]._draw(rng, out[n : 2 * n - k])
-        self.components[1]._draw(rng, out[2 * n - k :])
-
-    def _from_raw(self, raw):
-        n = raw.shape[-1] // 2
-        second = raw[..., :n] >= self.weights[0]
-        comp = raw[..., n:]
-        in_first = np.arange(n) < n - np.count_nonzero(second, axis=-1)[..., None]
-        # row-major masks: row r's component raws fill row r's slots in order
-        out = np.empty(second.shape)
-        out[~second] = self.components[0]._from_raw(comp[in_first])
-        out[second] = self.components[1]._from_raw(comp[~in_first])
+    def sample_n(self, rng, n):
+        second = rng.random(n) >= self.weights[0]
+        k = int(np.count_nonzero(second))
+        out = np.empty(n)
+        out[~second] = self.components[0].sample_n(rng, n - k)
+        out[second] = self.components[1].sample_n(rng, k)
         return out
 
     def label(self) -> str:

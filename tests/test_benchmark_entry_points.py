@@ -62,18 +62,23 @@ def test_analytic_workload_check_runs(workloads):
 
 
 def test_tracer_sees_one_log_weight_span_per_block(monkeypatch):
-    # tilts.path_log_weight.* in the traced run: one segmented call per walk
-    # block, counting every claim weighed once
+    # tilts.path_log_weight.* and laws.sample_n.* in the traced run: per walk
+    # block, one segmented log-weight call counting every claim weighed once,
+    # and one sample_n call for the waits and one for the claims
     spans = _load("spans")
     col = table_spec("table1").columns[0]
     pair = tilt_from_config(col.tilt_config, col.model)
-    cfg = SimConfig(u=5.0, k=2000, seed=3)
-    ctx = engine._prepare(col.model, pair, cfg)
-    n_claims = int(engine._walk(ctx, cfg.seed, 0, cfg.k).n_claims.sum())
+    cfg = SimConfig(u=5.0, k=2000, seed=3)  # two batches, the second partial
+    n_claims = sum(engine.run_replication(col.model, pair, cfg, i).n_claims for i in range(cfg.k))
 
-    blocks = []
+    blocks = []  # rows x chunk of each block
     walk_block = engine._walk_block
-    monkeypatch.setattr(engine, "_walk_block", lambda *a: blocks.append(1) or walk_block(*a))
+
+    def counted(ctx, gen, out, n, m, pos, *rest):
+        blocks.append(len(pos) * m)
+        return walk_block(ctx, gen, out, n, m, pos, *rest)
+
+    monkeypatch.setattr(engine, "_walk_block", counted)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -84,3 +89,9 @@ def test_tracer_sees_one_log_weight_span_per_block(monkeypatch):
     counts = [c for n, c in zip(tracer.name, tracer.count) if n == sid]
     assert len(counts) == len(blocks)
     assert sum(counts) == n_claims
+    # sample_n spans outside another sample_n (a mixture draws its components)
+    sample = {i for i, name in enumerate(tracer.names) if name.startswith("laws.sample_n.")}
+    draws = [c for n, p, c in zip(tracer.name, tracer.parent, tracer.count)
+             if n in sample and (p < 0 or tracer.name[p] not in sample)]
+    assert len(draws) == 2 * len(blocks)
+    assert sum(draws) == 2 * sum(blocks)

@@ -247,6 +247,26 @@ def test_unwritable_out_exits_2(configs, tmp_path, capsys, monkeypatch, command)
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["estimate", "table"])
+def test_unwritable_out_directory_exits_2(configs, tmp_path, capsys, monkeypatch, command):
+    # an existing directory without write access is found with the settings;
+    # access is denied through os.access, since chmod does not stop root
+    calls = []
+    real = cli.estimate_psi
+    monkeypatch.setattr(cli, "estimate_psi", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    out = tmp_path / "x.csv"
+    argv = {
+        "estimate": ["estimate", "--model", configs["model"], "--tilt", configs["tilt"],
+                     "--u", "1", "--K", "10", "--seed", "1"],
+        "table": ["table", "table1", "--K", "10", "--seed", "1"],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"configuration error: cannot write {out}" in capsys.readouterr().err
+    assert not out.exists()
+    assert calls == []
+
+
 def test_exact_with_horizon_is_config_error(configs, tmp_path, capsys):
     # psi(u, T) has no closed form here: a blank are column would hide that
     out = tmp_path / "h.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +30,6 @@ from ruinlab import (
     xi_hat,
 )
 from ruinlab import engine
-from ruinlab.engine import _PhiloxCursor
 from ruinlab.errors import NotRuinInducing, StepCapExceeded
 from ruinlab.tables import table_spec
 
@@ -43,28 +43,8 @@ def within_se(estimate, target, std_error, mult=4.0):
     return abs(estimate - target) <= mult * std_error
 
 
-def test_philox_cursor_matches_fresh_construction():
-    cursor = _PhiloxCursor(987654321)
-    for i in (0, 1, 77, 2**40 + 5):
-        got = cursor.rng_for(i).random(32)
-        ref = np.random.Generator(
-            np.random.Philox(key=np.array([987654321, i], dtype=np.uint64))
-        ).random(32)
-        assert np.array_equal(got, ref)
-
-
-def _philox(seed, i):
-    return np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-
-
-def test_philox_cursor_resumes_saved_words():
-    cursor = _PhiloxCursor(5)
-    cursor.rng_for(3).standard_gamma(0.7, 13)  # leaves a part-used buffer
-    words = np.array(cursor.words(), dtype=np.uint64)
-    ref = _philox(5, 3)
-    ref.standard_gamma(0.7, 13)
-    cursor.rng_for(4).random(9)
-    assert np.array_equal(cursor.resume(3, words).random(7), ref.random(7))
+def _philox(seed, b):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
 
 
 def _linear_claims(claim):
@@ -93,23 +73,23 @@ BLOCK_LAWS = [
 
 @pytest.mark.parametrize("law", BLOCK_LAWS, ids=[law.label() for law in BLOCK_LAWS])
 def test_block_rows_equal_sample_n(law):
-    # rows of a block, fresh and resumed, are the draws sample_n makes on the
-    # replication's own Philox(seed, i) stream: wait block, then claim block
-    cursor = _PhiloxCursor(99)
-    ids = list(range(5, 205))
+    # a row block walks one flat sample_n of waits, then one of claims, from
+    # the batch's Philox(seed, b) stream, laid out row by row
+    model = RiskModel.from_safety_loading(Exponential(1.0), Exponential(1.0), 0.5)
+    cfg = SimConfig(u=1.0, k=1, seed=99)
+    ctx = engine._prepare(model, IdentityTilt(model), cfg)
+    ctx = dataclasses.replace(ctx, qw=law, qx=law, u_eff=math.inf)  # no row stops
+    rows = 200
     for m in (1, 2, 64):
-        w, x, saved = engine._draw_block(cursor, law, law, ids, None, m)
-        w2, x2, _ = engine._draw_block(
-            cursor, law, law, ids, np.array(saved, dtype=np.uint64), m
-        )
-        for r, i in enumerate(ids):
-            rng = _philox(99, i)
-            for row in (w[r], x[r], w2[r], x2[r]):
-                assert np.array_equal(row, law.sample_n(rng, m)), (m, i)
-    if hasattr(law, "weights"):
-        # rows drawing from one component only are covered too
-        ks = {int(np.sum(_philox(99, i).random(2) >= law.weights[0])) for i in ids}
-        assert {0, 2} <= ks
+        out = engine._Walked(*(np.zeros(rows) for _ in range(5)))
+        z, t, log_w = np.zeros(rows), np.zeros(rows), np.zeros(rows)
+        go = engine._walk_block(ctx, _philox(99, 5), out, 0, m, np.arange(rows), z, t, log_w)
+        rng = _philox(99, 5)
+        w = law.sample_n(rng, rows * m).reshape(rows, m)
+        x = law.sample_n(rng, rows * m).reshape(rows, m)
+        assert go.all()
+        assert np.array_equal(t, np.add.reduceat(w.ravel(), np.arange(0, rows * m, m)))
+        assert np.array_equal(z, np.cumsum(x - model.premium * w, axis=1)[:, -1])
 
 
 def test_sim_config_validation():
@@ -137,14 +117,16 @@ def test_seed_outside_uint64_rejected(model_exp_exp, linear_pair):
 
 def test_replication_replay_oracle(model_exp_exp, linear_pair):
     cfg = SimConfig(u=5.0, k=1, seed=3)
-    out = run_replication(model_exp_exp, linear_pair, cfg, 11)
+    out = run_replication(model_exp_exp, linear_pair, cfg, 11)  # past K: a full batch's lane
     assert out.ruined
-    # replay the first chunk of Philox(3, 11): the wait block, then the claim block
     m = engine._prepare(model_exp_exp, linear_pair, cfg).first_chunk
     assert out.n_claims <= m
-    rng = _philox(3, 11)
-    waits = linear_pair.tilted_wait_law().sample_n(rng, m)[: out.n_claims]
-    claims = linear_pair.tilted_claim_law().sample_n(rng, m)[: out.n_claims]
+    # replay the first row block of Philox(3, 0): waits, then claims, row by row
+    rows = min(engine._BLOCK_ELEMS // m, engine._BATCH)
+    rng = _philox(3, 0)
+    waits = linear_pair.tilted_wait_law().sample_n(rng, rows * m).reshape(rows, m)
+    claims = linear_pair.tilted_claim_law().sample_n(rng, rows * m).reshape(rows, m)
+    waits, claims = waits[11, : out.n_claims], claims[11, : out.n_claims]
     replay = -(float(np.sum(linear_pair.gamma(claims)))
                + float(np.sum(linear_pair.delta(waits))))
     assert out.log_weight == pytest.approx(replay, abs=1e-12)
@@ -163,52 +145,78 @@ def test_identity_replication_has_unit_weight(model_exp_exp):
 
 
 def test_step_cap_exceeded(model_exp_exp, monkeypatch):
-    # identity tilt cannot reach a high barrier: the cap must trip, not hang
+    # identity tilt cannot reach a high barrier: the cap must trip, not hang,
+    # and it names the lowest live replication of the batch, here its first
     monkeypatch.setattr(engine, "_MAX_STEPS", 2000)
     cfg = SimConfig(u=500.0, k=1, seed=5)
     pair = IdentityTilt(model_exp_exp)
     with pytest.raises(StepCapExceeded) as err:
-        run_replication(model_exp_exp, pair, cfg, 7)
-    assert (err.value.replication, err.value.steps) == (7, 2000)
+        run_replication(model_exp_exp, pair, cfg, engine._BATCH + 7)
+    assert (err.value.replication, err.value.steps) == (engine._BATCH, 2000)
     # the replay oracle below walks to the same cap
     with pytest.raises(StepCapExceeded) as err:
-        reference_walk(model_exp_exp, pair, cfg, 7)
-    assert (err.value.replication, err.value.steps) == (7, 2000)
+        reference_walk(model_exp_exp, pair, cfg, 1, engine._BATCH)
+    assert (err.value.replication, err.value.steps) == (engine._BATCH, 2000)
 
 
-def reference_walk(model, pair, cfg, i):
-    """Replication i walked alone on 1-D arrays, chunk by chunk.
+def reference_walk(model, pair, cfg, batch, k):
+    """Lanes 0, ..., k - 1 of batch ``batch``, each row walked on 1-D arrays.
 
-    (ruined, n_claims, ruin_time, log_weight, overshoot); the block walk must
-    reproduce it bit for bit.
+    Replays the batch's draw order on Philox(seed, batch): chunk by chunk, the
+    live lanes in row blocks, each block's waits and then its claims, row by
+    row. Returns one (ruined, n_claims, ruin_time, log_weight, overshoot) per
+    lane; the block walk must reproduce them bit for bit.
     """
     ctx = engine._prepare(model, pair, cfg)
-    rng = _philox(cfg.seed, i)
-    z = t = log_w = 0.0
+    rng = _philox(cfg.seed, batch)
+    outs = [None] * k
+    live = [(lane, 0.0, 0.0, 0.0) for lane in range(k)]  # (lane, z, t, log_w)
     n = 0
     for m in engine._chunks(ctx):
-        w = ctx.qw.sample_n(rng, m)
-        x = ctx.qx.sample_n(rng, m)
-        zc = z + np.cumsum(x - model.premium * w)
-        hits = np.flatnonzero(zc >= ctx.u_eff)
-        j = hits[0] if hits.size else m
-        late = False
-        if cfg.horizon is not None:
-            overs = np.flatnonzero(t + np.cumsum(w) > cfg.horizon)
-            if overs.size and overs[0] <= j:
-                j, late = overs[0], True
-        used = min(j + 1, m)
-        # the block walk's segmented sums, on this replication's one segment
-        if pair.variant != "identity":
-            log_w -= pair.path_log_weight(x[:used], w[:used], [0])[0]
-        t += np.add.reduceat(w[:used], [0])[0]
-        n += used
-        if late:
-            return False, n - 1, math.nan, log_w, math.nan
-        if j < m:
-            return True, n, t, log_w, zc[j] - ctx.u_eff
-        z = zc[-1]
-    raise StepCapExceeded(i, engine._MAX_STEPS)
+        if not live:
+            break
+        rows = max(1, engine._BLOCK_ELEMS // m)
+        still = []
+        for lo in range(0, len(live), rows):
+            block = live[lo : lo + rows]
+            ws = ctx.qw.sample_n(rng, len(block) * m).reshape(-1, m)
+            xs = ctx.qx.sample_n(rng, len(block) * m).reshape(-1, m)
+            for (lane, z, t, log_w), w, x in zip(block, ws, xs):
+                zc = z + np.cumsum(x - model.premium * w)
+                hits = np.flatnonzero(zc >= ctx.u_eff)
+                j = hits[0] if hits.size else m
+                late = False
+                if cfg.horizon is not None:
+                    overs = np.flatnonzero(t + np.cumsum(w) > cfg.horizon)
+                    if overs.size and overs[0] <= j:
+                        j, late = overs[0], True
+                used = min(j + 1, m)
+                # the block walk's segmented sums, on this row's one segment
+                if pair.variant != "identity":
+                    log_w -= pair.path_log_weight(x[:used], w[:used], [0])[0]
+                t += np.add.reduceat(w[:used], [0])[0]
+                if late:
+                    outs[lane] = (False, n + used - 1, math.nan, log_w, math.nan)
+                elif j < m:
+                    outs[lane] = (True, n + used, t, log_w, zc[j] - ctx.u_eff)
+                else:
+                    still.append((lane, zc[-1], t, log_w))
+        live = still
+        n += m
+    if live:
+        raise StepCapExceeded(batch * engine._BATCH + live[0][0], engine._MAX_STEPS)
+    return outs
+
+
+def _batches(model, pair, cfg):
+    """reference_walk over every batch of the run, replications in order."""
+    return [
+        out
+        for first in range(0, cfg.k, engine._BATCH)
+        for out in reference_walk(
+            model, pair, cfg, first // engine._BATCH, min(engine._BATCH, cfg.k - first)
+        )
+    ]
 
 
 def _same(a, b):
@@ -219,6 +227,7 @@ def _same(a, b):
 # than one block and not a multiple of the block rows in every case
 WALK_CASES = {
     "infinite": ("linear", SimConfig(u=5.0, k=600, seed=3), True),
+    "two_batches": ("linear", SimConfig(u=5.0, k=1500, seed=3), True),
     "threshold": ("linear", SimConfig(u=10.0, k=600, seed=3, threshold=5.0), True),
     "horizon_crude": ("identity", SimConfig(u=1.0, k=600, seed=3, horizon=300.0), True),
     "horizon_tilted": ("linear", SimConfig(u=2.0, k=700, seed=3, horizon=20.0), False),
@@ -234,9 +243,9 @@ def test_block_walk_matches_replications_walked_alone(model_exp_exp, linear_pair
     assert cfg.k > rows and cfg.k % rows  # several blocks, the last one partial
     outs = [run_replication(model_exp_exp, pair, cfg, i) for i in range(cfg.k)]
     assert (max(o.n_claims for o in outs) > 3 * first) == deep
-    for i, o in enumerate(outs):
+    for i, (o, ref) in enumerate(zip(outs, _batches(model_exp_exp, pair, cfg))):
         got = (o.ruined, o.n_claims, o.ruin_time, o.log_weight, o.overshoot)
-        assert _same(got, reference_walk(model_exp_exp, pair, cfg, i)), (case, i)
+        assert _same(got, ref), (case, i)
 
     # estimate_psi is the index-ordered reduction of the replications' weights
     weights = np.zeros(cfg.k)
@@ -251,13 +260,41 @@ def test_block_walk_matches_replications_walked_alone(model_exp_exp, linear_pair
     assert rep.max_norm_weight == weights.max() / total
 
 
-def test_walk_ranges_leave_the_estimate_unchanged(model_exp_exp, linear_pair, monkeypatch):
-    cfg = SimConfig(u=5.0, k=1000, seed=3)
-    whole = estimate_psi(model_exp_exp, linear_pair, cfg)
-    monkeypatch.setattr(engine, "_WALK_REPS", 300)  # three full walks and a partial one
-    parts = estimate_psi(model_exp_exp, linear_pair, cfg)
-    fields = ("estimate", "std_error", "ess", "max_norm_weight")
-    assert [getattr(parts, f) for f in fields] == [getattr(whole, f) for f in fields]
+def test_batch_stream_is_fresh_philox_of_seed_and_batch(model_exp_exp, linear_pair):
+    cfg = SimConfig(u=5.0, k=50, seed=987654321)
+    ctx = engine._prepare(model_exp_exp, linear_pair, cfg)
+    for batch in (0, 1, 77, 2**40 + 5):
+        walked = engine._walk(ctx, cfg.seed, batch, cfg.k)
+        got = zip(walked.ruined, walked.n_claims, walked.ruin_time, walked.log_weight,
+                  walked.overshoot)
+        ref = reference_walk(model_exp_exp, linear_pair, cfg, batch, cfg.k)
+        assert all(_same(g, r) for g, r in zip(got, ref)), batch
+
+
+def test_first_batch_does_not_depend_on_k(model_exp_exp, linear_pair):
+    # a full batch's outcomes are a function of (seed, batch) alone
+    short, long = SimConfig(u=5.0, k=1024, seed=3), SimConfig(u=5.0, k=2148, seed=3)
+    assert engine._BATCH == 1024
+    a = [run_replication(model_exp_exp, linear_pair, short, i) for i in range(1024)]
+    b = [run_replication(model_exp_exp, linear_pair, long, i) for i in range(1024)]
+    assert a == b
+    weights = np.array([math.exp(o.log_weight) if o.ruined else 0.0 for o in a])
+    assert estimate_psi(model_exp_exp, linear_pair, short).estimate == weights.sum() / 1024
+
+
+def test_replay_walks_each_batch_once(model_exp_exp, linear_pair, monkeypatch):
+    cfg = SimConfig(u=5.0, k=1500, seed=3)
+    walks = []
+    walk = engine._walk
+    monkeypatch.setattr(engine, "_walk", lambda *a: walks.append(a[2:]) or walk(*a))
+    engine._walk_batch.cache_clear()
+    for i in range(cfg.k):
+        run_replication(model_exp_exp, linear_pair, cfg, i)
+    assert walks == [(0, 1024), (1, 476)]
+    # past K an index is the lane of a full batch
+    past = run_replication(model_exp_exp, linear_pair, cfg, 1600)
+    assert walks[-1] == (1, 1024)
+    assert past == run_replication(model_exp_exp, linear_pair, SimConfig(5.0, 2048, 3), 1600)
 
 
 def test_step_cap_names_lowest_live_replication(model_exp_exp, linear_pair, monkeypatch):
@@ -267,12 +304,9 @@ def test_step_cap_names_lowest_live_replication(model_exp_exp, linear_pair, monk
     lowest = next(i for i, n in enumerate(steps) if n > cap)
     assert lowest > 1
     monkeypatch.setattr(engine, "_MAX_STEPS", cap)
-    # in the first walk, and in a later one when walks are shorter than `lowest`
-    for reps in (engine._WALK_REPS, lowest // 2):
-        monkeypatch.setattr(engine, "_WALK_REPS", reps)
-        with pytest.raises(StepCapExceeded) as err:
-            estimate_psi(model_exp_exp, linear_pair, cfg)
-        assert err.value.replication == lowest
+    with pytest.raises(StepCapExceeded) as err:
+        estimate_psi(model_exp_exp, linear_pair, cfg)
+    assert err.value.replication == lowest
 
 
 def test_step_cap_propagates_from_batch_run(model_exp_exp, linear_pair, monkeypatch):
@@ -418,6 +452,9 @@ def test_identity_finite_time_is_crude_frequency(model_exp_exp):
 
 
 def test_finite_horizon_monotone_under_common_seed(model_exp_exp):
+    # the horizons do not share paths (a horizon shifts which lanes draw
+    # what): the order holds because neighbouring estimates lie more than
+    # 3 SE apart, not by coupling
     ident = IdentityTilt(model_exp_exp)
     estimates = []
     for y in (5.0, 20.0, 60.0):
