@@ -6,12 +6,20 @@ moment does not exist), cumulative hazard where a closed form exists,
 Laplace transform / moment generating function, and deterministic sampling.
 
 Sampling contract: each family uses a fixed, documented algorithm driven by a
-``numpy.random.Generator`` (exponential, Weibull, Pareto and log-normal via
-inverse CDF on ``Generator.random`` / ``Generator.standard_normal`` variates;
-gamma-type laws via ``Generator.standard_gamma``, numpy's Marsaglia-Tsang
-rejection sampler; inverse families as reciprocals of the base draw). Streams
-are therefore reproducible for a fixed numpy version given the same generator
+``numpy.random.Generator``. Exponential, Weibull, inverse Weibull and Pareto
+draw Z = T(E), where E = -log1p(-U) is a standard exponential made from
+``Generator.random`` and T is the family's ``_from_std_exp(e, xp)``;
+log-normal is exp(mu + sigma N) on ``Generator.standard_normal``; gamma-type
+laws use ``Generator.standard_gamma``, numpy's Marsaglia-Tsang rejection
+sampler, and inverse gamma is the reciprocal of its draw. Streams are
+therefore reproducible for a fixed numpy version given the same generator
 state and call sequence.
+
+Quadrature: ``expectation`` integrates a family with a ``_from_std_exp`` over
+its standard exponential E, through the same T as the sampler, and every
+other law over x against its density. In e-space the heavy Weibull's
+singularity at 0 and the Pareto's polynomial tail become smooth, fast-decaying
+integrands (see ``expectation``).
 
 Float path: each family writes its log-density once, as ``_logpdf(x, xp)``
 with ``xp`` the ``math`` or the ``numpy`` module. ``logpdf`` and ``pdf`` hand
@@ -59,6 +67,8 @@ __all__ = [
 _QUAD_RTOL = 1e-11
 _QUAD_LIMIT = 200
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
+_LN_2 = math.log(2.0)
+_LN_1000 = math.log(1000.0)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -153,6 +163,10 @@ class PositiveLaw:
 
     # -- sampling ----------------------------------------------------------------
 
+    # T in Z = T(E), E standard exponential, for the families sampled that way:
+    # ``_from_std_exp(e, xp)`` with ``xp`` as in ``_logpdf``
+    _from_std_exp = None
+
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` independent draws."""
         raise NotImplementedError
@@ -209,8 +223,11 @@ class Exponential(PositiveLaw):
     def mgf_radius(self) -> float:
         return self.rate
 
+    def _from_std_exp(self, e, xp):
+        return e / self.rate
+
     def sample_n(self, rng, n):
-        return _std_exp(rng, n) / self.rate
+        return self._from_std_exp(_std_exp(rng, n), np)
 
     def label(self) -> str:
         return f"Exp({self.rate:g})"
@@ -301,8 +318,11 @@ class Weibull(PositiveLaw):
             return 1.0 / self.scale
         return 0.0
 
+    def _from_std_exp(self, e, xp):
+        return self.scale * e ** (1.0 / self.shape)
+
     def sample_n(self, rng, n):
-        return self.scale * _std_exp(rng, n) ** (1.0 / self.shape)
+        return self._from_std_exp(_std_exp(rng, n), np)
 
     def label(self) -> str:
         return f"Wei({self.shape:g},{self.scale:g})"
@@ -374,9 +394,12 @@ class InvWeibull(PositiveLaw):
     def mgf_radius(self) -> float:
         return 0.0
 
+    def _from_std_exp(self, e, xp):
+        # reciprocal of Weibull(shape, 1/scale): scale * E^(-1/shape)
+        return self.scale * e ** (-1.0 / self.shape)
+
     def sample_n(self, rng, n):
-        # reciprocal of Weibull(shape, 1/scale): scale * E^(-1/shape), E std exponential
-        return self.scale * _std_exp(rng, n) ** (-1.0 / self.shape)
+        return self._from_std_exp(_std_exp(rng, n), np)
 
     def label(self) -> str:
         return f"InvWei({self.shape:g},{self.scale:g})"
@@ -523,8 +546,11 @@ class Pareto(PositiveLaw):
     def mgf_radius(self) -> float:
         return 0.0
 
+    def _from_std_exp(self, e, xp):
+        return self.scale * xp.expm1(e / self.shape)
+
     def sample_n(self, rng, n):
-        return self.scale * np.expm1(_std_exp(rng, n) / self.shape)
+        return self._from_std_exp(_std_exp(rng, n), np)
 
     def label(self) -> str:
         return f"Pa({self.shape:g},{self.scale:g})"
@@ -583,22 +609,51 @@ class Mixture(PositiveLaw):
 def expectation(law: PositiveLaw, log_fn) -> float:
     """E[exp(log_fn(Z))] by adaptive quadrature over (0, inf), relative tolerance 1e-11.
 
-    The integrand is exp(log_fn(x) + logpdf(x)), which keeps exponential
-    reweighting factors finite where the density underflows. QUADPACK calls
-    it with one Python float at a time, so with a ``log_fn`` in float
-    arithmetic it runs on the laws' float path and never enters numpy. The
-    axis is split at the law's median and 0.999 quantile so the adaptive rule
-    sees the bulk and the tail separately; the unbounded piece goes through
-    QUADPACK's standard infinite-interval transformation.
-    """
+    A family sampled as Z = T(E), E standard exponential, is integrated over
+    e: the integrand is exp(log_fn(T(e)) - e), knotted at E's median ln 2 and
+    its 0.999 quantile ln 1000. There a Weibull with shape < 1 has no
+    x^(shape-1) singularity at 0 and a Pareto no polynomial tail, so QUADPACK
+    converges in 140-260 evaluations where x-space took 750-1150 and still
+    left up to 1e-12 of error. Where T(e) overflows, or underflows to 0, the
+    integrand is 0; x-space quadrature never reached past the largest float
+    either.
 
-    def integrand(x):
+    Every other law is integrated over x: the integrand is
+    exp(log_fn(x) + logpdf(x)), knotted at the law's median and 0.999
+    quantile so the adaptive rule sees the bulk and the tail separately.
+
+    Both integrands keep exponential reweighting factors finite where the
+    density underflows, and an overflow in ``exp`` gives inf. QUADPACK calls
+    the integrand with one Python float at a time, so with a ``log_fn`` in
+    float arithmetic it runs on the laws' float path and never enters numpy.
+    The unbounded piece goes through QUADPACK's standard infinite-interval
+    transformation.
+    """
+    transform = law._from_std_exp
+    if transform is None:
+        knots = (0.0, float(law.ppf(0.5)), float(law.ppf(0.999)), math.inf)
+
+        def log_integrand(x):
+            return log_fn(x) + law.logpdf(x)
+
+    else:
+        knots = (0.0, _LN_2, _LN_1000, math.inf)
+
+        def log_integrand(e):
+            try:
+                z = transform(e, math)
+            except ArithmeticError:  # math raises where T(e) overflows
+                return -math.inf
+            if not 0.0 < z < math.inf:
+                return -math.inf
+            return log_fn(z) - e
+
+    def integrand(t):
         try:
-            return math.exp(log_fn(x) + law.logpdf(x))
+            return math.exp(log_integrand(t))
         except OverflowError:
             return math.inf
 
-    knots = [0.0, float(law.ppf(0.5)), float(law.ppf(0.999)), math.inf]
     total = 0.0
     for a, b in zip(knots[:-1], knots[1:]):
         val, _ = integrate.quad(

@@ -187,18 +187,48 @@ def test_logpdf_float_path_matches_array_path(law):
         assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref)), (x, value, ref)
 
 
-@pytest.mark.parametrize(
-    "s, want",
-    [
-        (0.01, 0.982043673296938632667),
-        (0.3, 0.790681306692979341976),
-        (2.0, 0.562559904199660991412),
-    ],
-)
+STD_EXP_LAWS = [
+    Exponential(1.0),
+    Exponential(0.4),
+    Weibull(0.75, 1.68),
+    Weibull(3.0, 0.9),
+    Weibull(0.375, 0.5),
+    InvWeibull(3.0, 1.48),
+    Pareto(1.5, 3.0),
+    Pareto(2.5, 3.0),
+]
+
+
+@pytest.mark.parametrize("law", STD_EXP_LAWS, ids=_ids(STD_EXP_LAWS))
+def test_std_exp_transform_float_path_matches_array_path(law):
+    # one transform serves the sampler (numpy) and the quadrature (math)
+    grid = np.geomspace(1e-6, 700.0, 271)
+    ref = law._from_std_exp(grid, np)
+    for e, want in zip(grid, ref):
+        value = law._from_std_exp(float(e), math)
+        assert type(value) is float
+        assert abs(value - want) <= 1e-15 * abs(want), (e, value, want)
+
+
+# 30-digit values of the substituted integral: x = lam * t^(1/k) turns
+# E[exp(-s X)] into the integral of exp(-s lam t^(1/k) - t) over (0, inf)
+WEIBULL_LAPLACE_REFS = [
+    (0.01, 0.982043673296938632667),
+    (0.3, 0.790681306692979341976),
+    (2.0, 0.562559904199660991412),
+]
+
+
+@pytest.mark.parametrize("s, want", WEIBULL_LAPLACE_REFS)
 def test_weibull_laplace_against_independent_reference(s, want):
-    # 30-digit values of the substituted integral: x = lam * t^(1/k) turns
-    # E[exp(-s X)] into the integral of exp(-s lam t^(1/k) - t) over (0, inf)
     assert abs(Weibull(0.375, 0.5).laplace(s) / want - 1.0) <= 1e-11
+
+
+@pytest.mark.parametrize("s, want", WEIBULL_LAPLACE_REFS)
+def test_weibull_laplace_to_1e13(s, want):
+    # the density's x^-0.625 singularity at 0 costs about 1e-12 unless the
+    # quadrature runs over the standard exponential behind the sampler
+    assert abs(Weibull(0.375, 0.5).laplace(s) / want - 1.0) <= 1e-13
 
 
 def test_mgf_radius_by_family():

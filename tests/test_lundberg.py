@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from ruinlab import (
     EsscherTilt,
@@ -23,6 +24,7 @@ from ruinlab import (
 )
 from ruinlab import laws, lundberg
 from ruinlab.errors import MgfUnavailable, SecondMomentInfinite, UnsupportedCombination
+from ruinlab.lundberg import exp_weighted_mean
 
 RHO_EXP_GAMMA = (-15 + math.sqrt(513)) / 18  # positive root of 9r^2 + 15r - 8
 
@@ -191,8 +193,9 @@ def test_lundberg_root_weibull_claims():
     ids=["Exp/Wei(0.375,0.5)", "GenGa(1.5,1,2)/LN(0,0.5)", "Wei(2,1)/Exp"],
 )
 def test_rho_and_r_m_at_small_safety_loadings(claim, wait, eta):
-    # near r = 0, |phi| sinks below the quadrature noise of a heavy Weibull
-    # Laplace transform, so a probe there can read the wrong sign
+    # near r = 0, |phi| shrinks like eta^2 and only the quadrature's accuracy
+    # keeps its sign: the heavy Weibull waits are integrated over their
+    # standard exponential, where the Laplace transform is smooth
     model = RiskModel.from_safety_loading(claim, wait, eta)
     rho = lundberg_root(model)
     mp = memm_point(model)
@@ -202,6 +205,24 @@ def test_rho_and_r_m_at_small_safety_loadings(claim, wait, eta):
     assert abs(theta_of_r(model, rho).theta) <= 1e-10
 
 
+@pytest.mark.parametrize("eta", [1e-5, 3e-6])
+def test_small_loading_root_approaches_diffusion_limit(eta):
+    # as eta -> 0, rho -> 2(c E[W] - E[X]) / Var(X - cW); the O(eta) correction
+    # is about 2e-5 relative here, and a root lost in quadrature noise reads
+    # percents low (|phi| on (0, rho) is of order eta^2 / 25)
+    claim, wait = Exponential(1.0), Weibull(0.375, 0.5)
+    model = RiskModel.from_safety_loading(claim, wait, eta)
+    rho = lundberg_root(model)
+    mp = memm_point(model)
+    assert rho is not None and mp is not None
+    assert 0.0 < mp.r < rho
+    c = model.premium
+    var_x = claim.raw_moment(2.0) - claim.mean() ** 2
+    var_w = wait.raw_moment(2.0) - wait.mean() ** 2
+    limit = 2.0 * (c * wait.mean() - claim.mean()) / (eta * (var_x + c * c * var_w))
+    assert abs(rho / eta / limit - 1.0) <= 2e-4
+
+
 @pytest.mark.parametrize("eta", [1e-4, 1e-2, 0.5, 5.0, 50.0])
 def test_exp_exp_roots_match_closed_forms(eta):
     model = RiskModel.from_safety_loading(Exponential(1.0), Exponential(1.0), eta)
@@ -209,6 +230,20 @@ def test_exp_exp_roots_match_closed_forms(eta):
     assert memm_point(model).r == pytest.approx(
         1.0 - (1.0 + eta) ** -0.5, rel=0, abs=5e-12
     )
+
+
+@pytest.mark.parametrize("y", [0.01, 1.0, 40.0])
+def test_weibull_tilted_wait_mean_matches_x_space(y):
+    # E[W exp(-yW)] for the table4 waits against x-space quadrature of the
+    # density, split at the law's median and 0.999 quantile
+    law = Weibull(0.375, 0.5)
+    knots = [0.0, float(law.ppf(0.5)), float(law.ppf(0.999)), math.inf]
+    ref = sum(
+        quad(lambda x: x * math.exp(-y * x) * law.pdf(x), a, b, epsabs=1e-14,
+             epsrel=1e-11, limit=200)[0]
+        for a, b in zip(knots[:-1], knots[1:])
+    )
+    assert abs(exp_weighted_mean(law, -y) / ref - 1.0) <= 1e-10
 
 
 def test_memm_point_quadrature_budget(monkeypatch, model_exp_weibull):

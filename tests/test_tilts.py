@@ -340,6 +340,27 @@ def test_hazard_boundary_cross_checked_by_quadrature(model_pareto_weibull):
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
+def test_weibull_wait_normalization_residuals_to_1e14(model_exp_weibull):
+    # Wei(0.375, 0.5) waits: Esscher at rho on Exp claims and the table4 pairs;
+    # integrating over the density's x^-0.625 singularity leaves about 1e-12
+    pairs = [EsscherTilt(model_exp_weibull, lundberg_root(model_exp_weibull))]
+    for col in table_spec("table4").columns:
+        pairs.append(tilt_from_config(col.tilt_config, col.model))
+    for pair in pairs:
+        _, wait_res = normalization_residuals(pair)
+        assert wait_res <= 1e-14, (pair.label(), wait_res)
+
+
+def test_pareto_claim_residual_past_transform_overflow():
+    # the twisted Pareto's integrand reaches e where T(e) = b expm1(e/a)
+    # overflows; there it is 0, not inf
+    col = table_spec("table4").columns[0]
+    assert col.label == "Pa(1.5,3)"
+    pair = tilt_from_config(col.tilt_config, col.model)
+    claim_res, _ = normalization_residuals(pair)
+    assert math.isfinite(claim_res) and claim_res <= 1e-14
+
+
 def test_nonfinite_tilted_moment_raises(model_pareto_weibull):
     # r <= 1/a leaves the twisted Pareto without a mean
     pair = HazardTwist(model_pareto_weibull, 0.5, 1.2)
