@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import (
     gammainc,
     gammaincc,
@@ -629,6 +628,8 @@ def expectation(law: PositiveLaw, log_fn) -> float:
     The unbounded piece goes through QUADPACK's standard infinite-interval
     transformation.
     """
+    from scipy import integrate  # on first use: no simulation needs quadrature
+
     transform = law._from_std_exp
     if transform is None:
         knots = (0.0, float(law.ppf(0.5)), float(law.ppf(0.999)), math.inf)

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import brentq
 
 from .errors import MgfUnavailable, NoBracket, SecondMomentInfinite, UnsupportedCombination
 from .laws import Exponential, Gamma, PositiveLaw, expectation
@@ -125,13 +123,108 @@ def theta_prime(model: RiskModel, r: float) -> float:
     return num / wait_mean - model.premium
 
 
+_BRENT_XTOL = 1e-15
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
 def _refine_root(fn, lo: float, hi: float) -> float:
-    # Brent's method (scipy's brentq). Each caller's bracket comes from the
-    # monotonicity or convexity of its function, so fn(lo) and fn(hi) differ
-    # in sign and fn crosses zero once in between. brentq evaluates fn at both
-    # ends again and returns a point it evaluated, so callers wrap fn in
+    # Brent's method, ported line for line from scipy's brentq (licence notice
+    # below) with its settings: xtol 1e-15, rtol 4*eps, 100 iterations. Like
+    # brentq it raises ValueError for ends of one sign or a NaN value and
+    # RuntimeError when it does not converge. Each caller's bracket comes from
+    # the monotonicity or convexity of its function, so fn(lo) and fn(hi)
+    # differ in sign and fn crosses zero once in between. Brent evaluates fn at
+    # both ends again and returns a point it evaluated, so callers wrap fn in
     # functools.cache to share those values with their probes and residuals
-    return brentq(fn, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
+    def f(x: float) -> float:
+        fx = float(fn(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        # keep the root between xcur and xblk, with |f(xcur)| <= |f(xblk)|
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant step
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic step
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gives inf or nan here, which bisects
+                stry = math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+
+
+# _refine_root is a transcription of scipy/optimize/Zeros/brentq.c (written by
+# Charles Harris), distributed with SciPy under this licence:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 
 
 def _climb_to_root(fn, lo: float, radius: float) -> float | None:

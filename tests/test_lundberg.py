@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from ruinlab import (
     EsscherTilt,
@@ -261,3 +262,73 @@ def test_memm_point_quadrature_budget(monkeypatch, model_exp_weibull):
     assert len(calls) <= 300
     for r in (0.02, 0.1, 0.3, 0.6, 0.78):
         assert theta_of_r(model_exp_weibull, r).residual <= 1e-12
+
+
+def _scipy_brentq(fn, lo, hi):
+    return brentq(fn, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
+
+
+# the six models of perfbench's analytic workload, all at safety loading 1/2
+ANALYTIC_MODELS = {
+    name: RiskModel.from_safety_loading(claim, wait, 0.5)
+    for name, claim, wait in [
+        ("Exp/Exp", Exponential(1.0), Exponential(1.0)),
+        ("Ga(2,1)/Exp", Gamma(2.0, 1.0), Exponential(1.0)),
+        ("Exp/Ga(2,1)", Exponential(1.0), Gamma(2.0, 1.0)),
+        ("Wei(2,1)/Exp", Weibull(2.0, 1.0), Exponential(1.0)),
+        ("Exp/Wei(0.375,0.5)", Exponential(1.0), Weibull(0.375, 0.5)),
+        ("GenGa(1.5,1,2)/LN(0,0.5)", GenGamma(1.5, 1.0, 2.0), LogNormal(0.0, 0.5)),
+    ]
+}
+
+
+def _analytic_outputs(model):
+    rho = lundberg_root(model)
+    thetas = [theta_of_r(model, f * rho) for f in (0.25, 0.5, 0.75)]
+    return rho, memm_point(model), thetas
+
+
+@pytest.mark.parametrize("name", list(ANALYTIC_MODELS))
+def test_brent_port_matches_scipy_brentq_on_analytic_models(monkeypatch, name):
+    model = ANALYTIC_MODELS[name]
+    ours = _analytic_outputs(model)
+    monkeypatch.setattr(lundberg, "_refine_root", _scipy_brentq)
+    reference = _analytic_outputs(model)
+    assert ours[0] is not None
+    assert ours == reference  # exact: the port takes brentq's steps
+
+
+@pytest.mark.parametrize(
+    "fn, lo, hi",
+    [
+        (lambda x: x**3 - 2.0, 0.0, 2.0),
+        (lambda x: math.exp(x) - 3.0, 0.0, 5.0),
+        (lambda x: x - 1.0, 0.0, 1.0),  # exactly 0 at the upper end
+        (lambda x: x, 0.0, 1.0),  # exactly 0 at the lower end
+        (lambda x: math.tanh(40.0 * (x - 0.3)) + 1e-9, -1.0, 2.0),
+        (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0),  # f(lo) * f(hi) underflows
+    ],
+    ids=["cubic", "exp", "zero_at_hi", "zero_at_lo", "steep_tanh", "tiny_values"],
+)
+def test_brent_port_matches_scipy_brentq_on_closed_forms(fn, lo, hi):
+    assert lundberg._refine_root(fn, lo, hi) == _scipy_brentq(fn, lo, hi)
+
+
+def test_brent_port_returns_a_zero_end():
+    assert lundberg._refine_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+    assert lundberg._refine_root(lambda x: x, 0.0, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("solve", [lundberg._refine_root, _scipy_brentq], ids=["port", "scipy"])
+@pytest.mark.parametrize(
+    "fn, lo, hi, error",
+    [
+        (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),  # ends of one sign
+        (lambda x: math.nan if 0.25 < x < 0.75 else x - 0.5, 0.0, 1.0, ValueError),
+        (lambda x: -1.0 if x < 0.0 else 1.0, -1e300, 1e300, RuntimeError),
+    ],
+    ids=["same_sign", "nan", "no_convergence"],
+)
+def test_brent_port_raises_as_scipy_brentq(solve, fn, lo, hi, error):
+    with pytest.raises(error):
+        solve(fn, lo, hi)
