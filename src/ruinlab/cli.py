@@ -1,8 +1,9 @@
 """Command-line front end: estimate over reserve grids, run benchmark tables,
 and print analytic diagnostics for a model/tilt configuration.
 
-Exit codes: 0 success, 2 configuration error, 3 admissibility failure,
-4 step cap exceeded (``engine._MAX_STEPS``, 10^8 steps per replication).
+Exit codes: 0 success, 2 configuration error (a tilted law with no sampler
+included), 3 admissibility failure, 4 step cap exceeded (``engine._MAX_STEPS``,
+10^8 steps per replication).
 
 Every setting is checked and every row computed before the one CSV write, so a
 command that exits non-zero leaves no ``--out`` file; an ``--out`` whose
@@ -290,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         if not os.access(directory, os.W_OK):
             raise ConfigError(f"cannot write {args.out}: directory {directory} is not writable")
         return args.fn(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, UnsupportedCombination) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NotRuinInducing, NonFiniteMoment) as exc:

@@ -1,19 +1,20 @@
 """Catalog of positive continuous laws used for claim sizes and interarrival times.
 
-Every law exposes the pieces the tilting machinery and the simulation engine
-need: density / distribution function, raw moments (``math.inf`` when the
-moment does not exist), cumulative hazard where a closed form exists,
-Laplace transform / moment generating function, and deterministic sampling.
+Every law exposes what the tilting machinery and the engine need: the
+log-density, the distribution function ``cdf`` (the sampler tests' reference),
+the quantile ``ppf``, one transform ``mgf(t) = E[exp(t Z)]`` for real t with
+``laplace(s) = mgf(-s)``, raw moments (``math.inf`` where one does not exist),
+the cumulative hazard where it has a closed form, and a deterministic sampler.
 
 Sampling contract: each family uses a fixed, documented algorithm driven by a
 ``numpy.random.Generator``. Exponential, Weibull, inverse Weibull and Pareto
 draw Z = T(E), where E = -log1p(-U) is a standard exponential made from
-``Generator.random`` and T is the family's ``_from_std_exp(e, xp)``;
-log-normal is exp(mu + sigma N) on ``Generator.standard_normal``; gamma-type
-laws use ``Generator.standard_gamma``, numpy's Marsaglia-Tsang rejection
-sampler, and inverse gamma is the reciprocal of its draw. Streams are
-therefore reproducible for a fixed numpy version given the same generator
-state and call sequence.
+``Generator.random`` and T is the family's ``_from_std_exp(e, xp)``; their
+quantile is the same T. Log-normal is exp(mu + sigma N) on
+``Generator.standard_normal``; gamma-type laws use ``Generator.standard_gamma``,
+numpy's Marsaglia-Tsang rejection sampler, and inverse gamma is the reciprocal
+of its draw. Streams are therefore reproducible for a fixed numpy version given
+the same generator state and call sequence.
 
 Quadrature: ``expectation`` integrates a family with a ``_from_std_exp`` over
 its standard exponential E, through the same T as the sampler, and every
@@ -22,12 +23,12 @@ singularity at 0 and the Pareto's polynomial tail become smooth, fast-decaying
 integrands (see ``expectation``).
 
 Float path: each family writes its log-density once, as ``_logpdf(x, xp)``
-with ``xp`` the ``math`` or the ``numpy`` module. ``logpdf`` and ``pdf`` hand
-a Python float to ``math`` and anything else, as an array, to numpy (see
-``_by_kind``), so a quadrature integrand, called with one float at a time,
-runs as plain float arithmetic while the engine's array calls keep their
-numpy arithmetic bit for bit. Constants of a density, such as ``gammaln`` of
-a shape, are computed once when the law is built.
+with ``xp`` the ``math`` or the ``numpy`` module. ``logpdf`` hands a Python
+float to ``math`` and anything else, as an array, to numpy (see ``_by_kind``),
+so a quadrature integrand, called with one float at a time, runs as plain
+float arithmetic while the engine's array calls keep their numpy arithmetic
+bit for bit. Constants of a density, such as ``gammaln`` of a shape, are
+computed once when the law is built.
 """
 
 from __future__ import annotations
@@ -101,12 +102,6 @@ class PositiveLaw:
 
     # -- density / distribution ------------------------------------------------
 
-    def pdf(self, x):
-        return _by_kind(self._pdf, x)
-
-    def _pdf(self, x, xp):
-        return xp.exp(self.logpdf(x))
-
     def logpdf(self, x):
         return _by_kind(self._logpdf, x)
 
@@ -117,11 +112,9 @@ class PositiveLaw:
     def cdf(self, x):
         raise NotImplementedError
 
-    def sf(self, x):
-        return 1.0 - self.cdf(x)
-
     def ppf(self, q):
-        raise NotImplementedError
+        """F^{-1}(q) = T(-log(1 - q)) for a family sampled as Z = T(E), T increasing."""
+        return self._from_std_exp(-np.log1p(-np.asarray(q, dtype=float)), np)
 
     # -- moments ---------------------------------------------------------------
 
@@ -140,21 +133,18 @@ class PositiveLaw:
 
     # -- transforms --------------------------------------------------------------
 
-    def laplace(self, s: float) -> float:
-        """E[exp(-s Z)] for s >= 0; finite for every nonnegative s."""
-        if s < 0:
-            return self.mgf(-s)
-        if s == 0.0:
+    def mgf(self, t: float) -> float:
+        """E[exp(t Z)] for real t, the Laplace transform at -t when t < 0 (finite
+        for every law); ``math.inf`` for t at or beyond ``mgf_radius``."""
+        if t == 0.0:
             return 1.0
-        return expectation(self, lambda x: -s * x)
-
-    def mgf(self, r: float) -> float:
-        """E[exp(r Z)]; ``math.inf`` for r at or beyond the convergence radius."""
-        if r <= 0.0:
-            return 1.0 if r == 0.0 else self.laplace(-r)
-        if r >= self.mgf_radius():
+        if t >= self.mgf_radius():
             return math.inf
-        return expectation(self, lambda x: r * x)
+        return expectation(self, lambda x: t * x)
+
+    def laplace(self, s: float) -> float:
+        """E[exp(-s Z)], the mgf reflected."""
+        return self.mgf(-s)
 
     def mgf_radius(self) -> float:
         """Abscissa of convergence r_Z = sup{r >= 0 : E[exp(rZ)] < inf}."""
@@ -197,27 +187,16 @@ class Exponential(PositiveLaw):
     def cdf(self, x):
         return -np.expm1(-self.rate * np.asarray(x, dtype=float))
 
-    def sf(self, x):
-        return np.exp(-self.rate * np.asarray(x, dtype=float))
-
-    def ppf(self, q):
-        return -np.log1p(-np.asarray(q, dtype=float)) / self.rate
-
     def raw_moment(self, k: float) -> float:
         return math.exp(gammaln(k + 1.0) - k * math.log(self.rate))
 
     def cumulative_hazard(self, x):
         return self.rate * np.asarray(x, dtype=float)
 
-    def laplace(self, s: float) -> float:
-        if s < 0:
-            return self.mgf(-s)
-        return self.rate / (self.rate + s)
-
-    def mgf(self, r: float) -> float:
-        if r >= self.rate:
+    def mgf(self, t: float) -> float:
+        if t >= self.rate:
             return math.inf
-        return self.rate / (self.rate - r)
+        return self.rate / (self.rate - t)
 
     def mgf_radius(self) -> float:
         return self.rate
@@ -258,15 +237,10 @@ class Gamma(PositiveLaw):
             gammaln(self.shape + k) - gammaln(self.shape) - k * math.log(self.rate)
         )
 
-    def laplace(self, s: float) -> float:
-        if s < 0:
-            return self.mgf(-s)
-        return (self.rate / (self.rate + s)) ** self.shape
-
-    def mgf(self, r: float) -> float:
-        if r >= self.rate:
+    def mgf(self, t: float) -> float:
+        if t >= self.rate:
             return math.inf
-        return (self.rate / (self.rate - r)) ** self.shape
+        return (self.rate / (self.rate - t)) ** self.shape
 
     def mgf_radius(self) -> float:
         return self.rate
@@ -296,13 +270,6 @@ class Weibull(PositiveLaw):
     def cdf(self, x):
         t = np.asarray(x, dtype=float) / self.scale
         return -np.expm1(-(t**self.shape))
-
-    def sf(self, x):
-        t = np.asarray(x, dtype=float) / self.scale
-        return np.exp(-(t**self.shape))
-
-    def ppf(self, q):
-        return self.scale * (-np.log1p(-np.asarray(q, dtype=float))) ** (1.0 / self.shape)
 
     def raw_moment(self, k: float) -> float:
         return self.scale**k * math.exp(gammaln(1.0 + k / self.shape))
@@ -383,7 +350,8 @@ class InvWeibull(PositiveLaw):
         return np.exp(-(t**self.shape))
 
     def ppf(self, q):
-        return self.scale * (-np.log(np.asarray(q, dtype=float))) ** (-1.0 / self.shape)
+        # T is decreasing here, so F^{-1}(q) = T(-log q)
+        return self._from_std_exp(-np.log(np.asarray(q, dtype=float)), np)
 
     def raw_moment(self, k: float) -> float:
         if k >= self.shape:
@@ -525,13 +493,6 @@ class Pareto(PositiveLaw):
         t = np.asarray(x, dtype=float) / self.scale
         return -np.expm1(-self.shape * np.log1p(t))
 
-    def sf(self, x):
-        t = np.asarray(x, dtype=float) / self.scale
-        return np.exp(-self.shape * np.log1p(t))
-
-    def ppf(self, q):
-        return self.scale * np.expm1(-np.log1p(-np.asarray(q, dtype=float)) / self.shape)
-
     def raw_moment(self, k: float) -> float:
         if k >= self.shape:
             return math.inf
@@ -569,26 +530,8 @@ class Mixture(PositiveLaw):
         self.components = tuple(components)
         self.weights = tuple(float(w) for w in weights)
 
-    def pdf(self, x):
-        return sum(w * c.pdf(x) for w, c in zip(self.weights, self.components))
-
-    def _logpdf(self, x, xp):
-        return xp.log(self.pdf(x))
-
     def cdf(self, x):
         return sum(w * c.cdf(x) for w, c in zip(self.weights, self.components))
-
-    def raw_moment(self, k: float) -> float:
-        return sum(w * c.raw_moment(k) for w, c in zip(self.weights, self.components))
-
-    def laplace(self, s: float) -> float:
-        return sum(w * c.laplace(s) for w, c in zip(self.weights, self.components))
-
-    def mgf(self, r: float) -> float:
-        return sum(w * c.mgf(r) for w, c in zip(self.weights, self.components))
-
-    def mgf_radius(self) -> float:
-        return min(c.mgf_radius() for c in self.components)
 
     def sample_n(self, rng, n):
         second = rng.random(n) >= self.weights[0]

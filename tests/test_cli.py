@@ -355,6 +355,59 @@ def test_non_finite_model_parameters_exit_2(tmp_path, model):
     assert main(["check", "--model", str(path)]) == 2
 
 
+def _law(family, **params):
+    return {"family": family, "params": params}
+
+
+# models and one tilt per family whose pairs reach every exit path: tilted laws
+# with no sampler (Esscher on Weibull claims or waits, the linear tilt's
+# size-biased Pareto), missing mgfs, non-exponential waits for the linear tilt,
+# gamma waits for the hazard twist and pairs that are not ruin-inducing
+MATRIX_MODELS = {
+    "exp_exp": (_law("exp", rate=1.0), _law("exp", rate=1.0)),
+    "exp_wei": (_law("exp", rate=1.0), _law("weibull", shape=0.375, scale=0.5)),
+    "pa_exp": (_law("pareto", shape=2.5, scale=3.0), _law("exp", rate=1.0)),
+    "wei_exp": (_law("weibull", shape=2.0, scale=1.0), _law("exp", rate=1.0)),
+    "ga_exp": (_law("gamma", shape=2.0, rate=1.0), _law("exp", rate=1.0)),
+    "pa_wei": (_law("pareto", shape=2.0, scale=3.0), _law("weibull", shape=0.375, scale=0.5)),
+    "exp_ga": (_law("exp", rate=1.0), _law("gamma", shape=2.0, rate=1.0)),
+}
+MATRIX_TILTS = {
+    "identity": TILT_IDENTITY,
+    "esscher": {"family": "esscher", "params": {"r": 0.1}},
+    "linear": TILT_LINEAR,
+    "hazard": {"family": "hazard", "params": {"theta": 1.2, "r_factor": 0.95}},
+    "from_target": TILT_TARGET,
+}
+
+
+@pytest.mark.parametrize("tilt", list(MATRIX_TILTS))
+@pytest.mark.parametrize("model", list(MATRIX_MODELS))
+def test_cli_failure_matrix(tmp_path, capsys, model, tilt):
+    # every estimate and check ends in an exit code, never an exception, and
+    # an estimate that exits non-zero leaves no --out file
+    claim, wait = MATRIX_MODELS[model]
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"claim": claim, "wait": wait, "safety_loading": 0.5}))
+    tilt_path = tmp_path / "tilt.json"
+    tilt_path.write_text(json.dumps(MATRIX_TILTS[tilt]))
+    config = ["--model", str(model_path), "--tilt", str(tilt_path)]
+    for horizon in ([], ["--horizon", "5"]):
+        out = tmp_path / "out.csv"
+        code = main(["estimate", *config, "--u", "1", "--K", "20", "--seed", "1",
+                     *horizon, "--out", str(out)])
+        assert code in (0, 2, 3)
+        assert out.exists() == (code == 0)
+        if out.exists():
+            out.unlink()
+    capsys.readouterr()
+    code = main(["check", *config])
+    assert code in (0, 2, 3)
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith(("configuration error:", "admissibility failure:"))
+
+
 def test_unknown_table_exits_2():
     # the child imports the same ruinlab as this process, installed or not
     path = [str(Path(ruinlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]

@@ -240,7 +240,7 @@ def test_weibull_tilted_wait_mean_matches_x_space(y):
     law = Weibull(0.375, 0.5)
     knots = [0.0, float(law.ppf(0.5)), float(law.ppf(0.999)), math.inf]
     ref = sum(
-        quad(lambda x: x * math.exp(-y * x) * law.pdf(x), a, b, epsabs=1e-14,
+        quad(lambda x: x * math.exp(-y * x) * math.exp(law.logpdf(x)), a, b, epsabs=1e-14,
              epsrel=1e-11, limit=200)[0]
         for a, b in zip(knots[:-1], knots[1:])
     )

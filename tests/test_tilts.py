@@ -27,6 +27,7 @@ from ruinlab import (
     hazard_twisted,
     lundberg_root,
     normalization_residuals,
+    require_ruin_inducing,
     size_biased,
     tilt_from_config,
     xi_hat,
@@ -35,6 +36,7 @@ from ruinlab.errors import (
     ConfigError,
     DomainError,
     NonFiniteMoment,
+    NotRuinInducing,
     UnsupportedCombination,
 )
 from ruinlab.tables import table_spec
@@ -195,7 +197,9 @@ def test_size_biased_families():
     # density of the size-biased law is x f(x) / E[X]
     for law in (Gamma(2.0, 1.0), LogNormal(0.0, 1.0), Weibull(0.75, 1.68)):
         sb = size_biased(law)
-        assert np.allclose(sb.pdf(GRID), GRID * law.pdf(GRID) / law.mean(), rtol=1e-10)
+        assert np.allclose(
+            np.exp(sb.logpdf(GRID)), GRID * np.exp(law.logpdf(GRID)) / law.mean(), rtol=1e-10
+        )
 
 
 def test_linear_mixture_weights_match_gamma_function_form():
@@ -242,7 +246,9 @@ def test_hazard_twisted_families():
         hazard_twisted(Gamma(2.0, 1.0), 1.2)
     # twisting raises the survival function to the given power
     law = Pareto(1.5, 3.0)
-    assert np.allclose(hazard_twisted(law, 1.2).sf(GRID), law.sf(GRID) ** 1.2, rtol=1e-12)
+    assert np.allclose(
+        1 - hazard_twisted(law, 1.2).cdf(GRID), (1 - law.cdf(GRID)) ** 1.2, rtol=1e-12
+    )
 
 
 def test_hazard_gamma_waits_untwisted(model_exp_gamma):
@@ -263,6 +269,8 @@ def test_esscher_tilted_laws(model_exp_exp, model_exp_gamma):
     pair5 = EsscherTilt(model_exp_gamma, rho5)
     qw = pair5.tilted_wait_law()
     assert isinstance(qw, Gamma) and qw.rate == pytest.approx(1.0 + pair5.y, rel=1e-12)
+    mg = RiskModel.from_safety_loading(Gamma(2.0, 1.0), Exponential(1.0), 0.5)
+    assert EsscherTilt(mg, 0.2).tilted_claim_law() == Gamma(2.0, 0.8)
     # Weibull claims have an mgf but no closed-form tilted family
     mw = RiskModel.from_safety_loading(Weibull(2.0, 1.0), Exponential(1.0), 0.5)
     with pytest.raises(UnsupportedCombination):
@@ -317,6 +325,20 @@ def test_hazard_boundary_equality(model_pareto_weibull):
     ).in_c_p
 
 
+def test_hazard_boundary_weibull_claims():
+    # Wei(2,1) claims, Exp(1) waits: c E[W_theta] = E[X] / (0.8 theta), and a
+    # twist r scales the claim mean by r^(-1/2), so r_max = 0.8^2 at theta = 1.2
+    model = RiskModel.from_safety_loading(Weibull(2.0, 1.0), Exponential(1.0), 0.5)
+    r_max = hazard_r_max(model, 1.2)
+    assert r_max == pytest.approx(0.64, rel=1e-15)
+    report = check_admissible(HazardTwist(model, r_max, 1.2))
+    assert report.lhs == pytest.approx(report.rhs, rel=1e-15)
+    # on the boundary the tilted drift is zero; inside it the pair runs
+    with pytest.raises(NotRuinInducing):
+        require_ruin_inducing(HazardTwist(model, r_max, 1.2))
+    require_ruin_inducing(HazardTwist(model, 0.95 * r_max, 1.2))
+
+
 def test_hazard_region_bounds_consistency(model_pareto_weibull):
     # closed form for Pareto claims with Weibull waits
     a, b = 1.5, 3.0
@@ -366,6 +388,10 @@ def test_nonfinite_tilted_moment_raises(model_pareto_weibull):
     pair = HazardTwist(model_pareto_weibull, 0.5, 1.2)
     with pytest.raises(NonFiniteMoment):
         check_admissible(pair)
+    # theta = 0.5 leaves Pa(1.5, 3) waits without a mean: no twist boundary
+    model = RiskModel.from_safety_loading(Exponential(1.0), Pareto(1.5, 3.0), 0.5)
+    with pytest.raises(NonFiniteMoment):
+        hazard_r_max(model, 0.5)
 
 
 def test_monotone_pairs_inside_the_boundary_are_admissible(model_exp_exp):
