@@ -2,8 +2,10 @@
 and print analytic diagnostics for a model/tilt configuration.
 
 Exit codes: 0 success, 2 configuration error (a tilted law with no sampler
-included), 3 admissibility failure, 4 step cap exceeded (``engine._MAX_STEPS``,
-10^8 steps per replication).
+included, and any other library error an estimate or table cannot run past),
+3 admissibility failure, 4 step cap exceeded (``engine._MAX_STEPS``, 10^8 steps
+per replication). ``check`` prints a quantity the library cannot compute as
+``unavailable (<reason>)`` and still exits 0.
 
 Every setting is checked and every row computed before the one CSV write, so a
 command that exits non-zero leaves no ``--out`` file; an ``--out`` whose
@@ -26,16 +28,7 @@ import os
 import sys
 
 from .engine import SimConfig, estimate_psi
-from .errors import (
-    ConfigError,
-    MgfUnavailable,
-    NonFiniteMoment,
-    NotRuinInducing,
-    RuinlabError,
-    SecondMomentInfinite,
-    StepCapExceeded,
-    UnsupportedCombination,
-)
+from .errors import ConfigError, NonFiniteMoment, NotRuinInducing, RuinlabError, StepCapExceeded
 from .laws import Exponential
 from .lundberg import (
     exact_psi_cl_exp,
@@ -121,18 +114,19 @@ def _parse_u_grid(text: str) -> list[float]:
     return grid
 
 
-def _exact_fn(model: RiskModel, rho: float | None):
+def _exact_fn(model: RiskModel, rho: float | None = None):
     """Closed-form psi(u) for the model, or None when no formula applies.
 
-    ``rho`` is the model's Lundberg root (None when it has none), solved once
-    by the caller; only exponential claims with other waits need it.
+    Only exponential claims with other waits need the Lundberg root: ``rho``
+    when the caller holds it, else solved here, raising the solver's
+    RuinlabError when it has none.
     """
     if not isinstance(model.claim_law, Exponential):
         return None
     if isinstance(model.wait_law, Exponential):
         return functools.partial(exact_psi_cl_exp, model)
     if rho is None:
-        return None
+        rho = lundberg_root(model)
     return functools.partial(exact_psi_sa_exp_at_root, model, rho)
 
 
@@ -153,13 +147,7 @@ def cmd_estimate(args) -> int:
         SimConfig(u=u, k=args.K, seed=args.seed, horizon=args.horizon, threshold=args.threshold)
         for u in _parse_u_grid(args.u)
     ]
-    exact_fn = None
-    if args.exact and args.horizon is None:
-        try:
-            rho = lundberg_root(model)
-        except RuinlabError:
-            rho = None
-        exact_fn = _exact_fn(model, rho)
+    exact_fn = _exact_fn(model) if args.exact and args.horizon is None else None
     if args.exact and exact_fn is None:
         raise ConfigError("--exact requested but no closed form applies to this model or horizon")
     rows = [
@@ -189,6 +177,18 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _quantity(lines, key, fn, show=_fmt, failed="unavailable ({})"):
+    """Append ``(key, show(fn()))`` to ``lines`` and return fn(); when fn raises
+    a RuinlabError, append ``(key, failed.format(exc))`` and return None."""
+    try:
+        value = fn()
+    except RuinlabError as exc:
+        lines.append((key, failed.format(exc)))
+        return None
+    lines.append((key, show(value)))
+    return value
+
+
 def cmd_check(args) -> int:
     model = model_from_config(_load_json(args.model))
     lines: list[tuple[str, str]] = []
@@ -199,42 +199,25 @@ def cmd_check(args) -> int:
     lines.append(("safety_loading", _fmt(model.safety_loading)))
     lines.append(("npc", "holds"))  # construction rejects violations
 
-    rho = None
-    try:
-        rho = lundberg_root(model)
-        lines.append(("rho", _fmt(rho) if rho is not None else "not found"))
-    except MgfUnavailable:
-        lines.append(("rho", "unavailable (no mgf)"))
-    try:
-        mp = memm_point(model)
-        if mp is None:
-            lines.append(("r_memm", "not found"))
-        else:
-            lines.append(("r_memm", _fmt(mp.r)))
-            if mp.premium is not None:
-                lines.append(("memm_premium", _fmt(mp.premium)))
-    except MgfUnavailable:
-        lines.append(("r_memm", "unavailable (no mgf)"))
-    try:
-        lines.append(("xi_hat", _fmt(xi_hat(model))))
-    except (UnsupportedCombination, SecondMomentInfinite) as exc:
-        lines.append(("xi_hat", f"unavailable ({exc})"))
-    exact_fn = _exact_fn(model, rho)
-    lines.append(("exact_psi_0", _fmt(exact_fn(0.0)) if exact_fn else "unavailable"))
+    rho = _quantity(lines, "rho", lambda: lundberg_root(model))
+    mp = _quantity(lines, "r_memm", lambda: memm_point(model), lambda point: _fmt(point.r))
+    if mp is not None and mp.premium is not None:
+        lines.append(("memm_premium", _fmt(mp.premium)))
+    _quantity(lines, "xi_hat", lambda: xi_hat(model))
+    _quantity(lines, "exact_psi_0", lambda: _exact_fn(model, rho),
+              lambda fn: _fmt(fn(0.0)) if fn else "unavailable")
 
     if args.tilt:
         pair = tilt_from_config(_load_json(args.tilt), model)
         lines.append(("tilt", pair.label()))
         if pair.variant == "hazard":
-            lines.append(("r_max", _fmt(hazard_r_max(model, pair.theta))))
-        try:
-            report = check_admissible(pair)
-            lines.append(("in_c_p", str(report.in_c_p)))
+            _quantity(lines, "r_max", lambda: hazard_r_max(model, pair.theta))
+        report = _quantity(lines, "in_c_p", lambda: check_admissible(pair),
+                           lambda rep: str(rep.in_c_p), "False (non-finite tilted moment: {})")
+        if report is not None:
             lines.append(("lhs_c_E_W_tilted", _fmt(report.lhs)))
             lines.append(("rhs_E_X_tilted", _fmt(report.rhs)))
             lines.append(("moment_method", report.method))
-        except NonFiniteMoment as exc:
-            lines.append(("in_c_p", f"False (non-finite tilted moment: {exc})"))
 
     for key, value in lines:
         print(f"{key}: {value}")
@@ -291,15 +274,15 @@ def main(argv: list[str] | None = None) -> int:
         if not os.access(directory, os.W_OK):
             raise ConfigError(f"cannot write {args.out}: directory {directory} is not writable")
         return args.fn(args)
-    except (ConfigError, ValueError, UnsupportedCombination) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (NotRuinInducing, NonFiniteMoment) as exc:
         print(f"admissibility failure: {exc}", file=sys.stderr)
         return EXIT_ADMISSIBILITY
     except StepCapExceeded as exc:
         print(f"step cap exceeded: {exc}", file=sys.stderr)
         return EXIT_STEP_CAP
+    except (ValueError, RuinlabError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -9,10 +9,6 @@ class DomainError(RuinlabError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class UnsupportedHazard(RuinlabError):
-    """The law has no closed-form cumulative hazard / inverse."""
-
-
 class UnsupportedCombination(RuinlabError):
     """No analytic or sampling route exists for this law/tilt combination."""
 
@@ -45,7 +41,7 @@ class MgfUnavailable(RuinlabError):
 
 
 class NoBracket(RuinlabError):
-    """A root finder could not bracket a sign change (defensive; should not occur)."""
+    """A root solve found no sign change or no usable root: the analytic layer's "no answer"."""
 
 
 class StepCapExceeded(RuinlabError):

@@ -47,7 +47,7 @@ from scipy.special import (
     ndtri,
 )
 
-from .errors import ConfigError, UnsupportedHazard
+from .errors import ConfigError, UnsupportedCombination
 
 __all__ = [
     "PositiveLaw",
@@ -129,7 +129,7 @@ class PositiveLaw:
 
     def cumulative_hazard(self, x):
         """H(x) = -ln(1 - F(x)); only families with a closed form support this."""
-        raise UnsupportedHazard(f"{self.label()} has no closed-form cumulative hazard")
+        raise UnsupportedCombination(f"{self.label()} has no closed-form cumulative hazard")
 
     # -- transforms --------------------------------------------------------------
 

@@ -14,6 +14,10 @@ through the tilted moment ratio
 rather than by numerically differentiating theta, to avoid compounding solver
 error. Zeros of theta' locate the entropy-minimal tilt argument r_m below
 which the Esscher pair stops being ruin-inducing.
+
+Each solver returns a number or raises a RuinlabError: MgfUnavailable for a
+claim law with no mgf, and NoBracket when no root is bracketed or the root
+found cannot be used. None of them returns None.
 """
 
 from __future__ import annotations
@@ -92,7 +96,8 @@ def theta_of_r(model: RiskModel, r: float) -> AdjustmentSolution:
     The left-hand side is strictly decreasing in y = theta + c*r, so the root
     is bracketed by climbing y = 1, 2, 4, ... and then located by Brent's
     method. Each L_W(y) is computed once per solve: the climb, Brent's bracket
-    ends, the residual and ``wait_laplace`` share it.
+    ends, the residual and ``wait_laplace`` share it. Raises NoBracket when
+    L_W underflows to 0 at the root, which then does not solve the equation.
     """
     radius = _require_light_tail(model)
     if not 0.0 <= r < radius:
@@ -106,8 +111,8 @@ def theta_of_r(model: RiskModel, r: float) -> AdjustmentSolution:
 
     # g(0) = mx - 1 >= 0 and g -> -1 as y -> inf: -g climbs through zero once
     y = _climb_to_root(lambda y: -g(y), 0.0, math.inf)
-    if y is None:
-        raise NoBracket("could not bracket the adjustment equation root")
+    if laplace(y) == 0.0:
+        raise NoBracket(f"L_W underflows to 0 at the adjustment root for r = {r:g}")
     return AdjustmentSolution(r, y - model.premium * r, y, abs(g(y)), laplace(y))
 
 
@@ -227,12 +232,15 @@ def _refine_root(fn, lo: float, hi: float) -> float:
 # OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 
 
-def _climb_to_root(fn, lo: float, radius: float) -> float | None:
+def _climb_to_root(fn, lo: float, radius: float) -> float:
     """Root of fn above lo, where fn(lo) <= 0 and fn changes sign at most once.
 
-    Probes r = radius*(1 - 2^-j) for a finite radius and 2^j otherwise; None
-    when fn is still not positive at the last probe.
+    Probes r = radius*(1 - 2^-j) for a finite radius and 2^j otherwise.
+    Raises NoBracket when fn(lo) > 0 or fn is still not positive at the last
+    probe.
     """
+    if fn(lo) > 0.0:
+        raise NoBracket(f"no sign change above {lo:g}: the function is already positive there")
     if math.isfinite(radius):
         probes = (radius * (1.0 - 0.5**j) for j in range(1, 50))
     else:
@@ -243,11 +251,11 @@ def _climb_to_root(fn, lo: float, radius: float) -> float | None:
         if fn(r) > 0.0:
             return _refine_root(fn, lo, r)
         lo = r
-    return None
+    raise NoBracket(f"no sign change on the probes up to {lo:g}")
 
 
-def lundberg_root(model: RiskModel) -> float | None:
-    """Positive zero rho of theta, or None when theta stays negative on (0, r_X)."""
+def lundberg_root(model: RiskModel) -> float:
+    """Positive zero rho of theta; NoBracket when none is bracketed on (0, r_X)."""
     radius = _require_light_tail(model)
     c = model.premium
     claim, wait = model.claim_law, model.wait_law
@@ -276,21 +284,15 @@ def lundberg_root(model: RiskModel) -> float | None:
     return _climb_to_root(phi, lo, radius)
 
 
-def memm_point(model: RiskModel) -> MemmPoint | None:
-    """Zero r_m of theta' in (0, r_X), or None when theta' never changes sign."""
+def memm_point(model: RiskModel) -> MemmPoint:
+    """Zero r_m of theta' in (0, r_X); NoBracket when none is found or it does not converge."""
     radius = _require_light_tail(model)
-    h0 = theta_prime(model, 0.0)
-    if not h0 < 0.0:
-        raise AssertionError("theta'(0) must be negative under the net profit condition")
-
     # theta is convex, so theta' is increasing from its closed-form theta'(0) < 0
     h = functools.cache(lambda r: theta_prime(model, r))
     root = _climb_to_root(h, 0.0, radius)
-    if root is None:
-        return None
-
+    # theta' + c is a ratio of tilted means: its rounding error near the zero scales with c
     residual = abs(h(root))
-    if residual > 1e-10:
+    if residual > 1e-10 * max(1.0, model.premium):
         raise NoBracket(f"theta' zero did not converge (residual {residual:.2e})")
     premium = None
     if isinstance(model.wait_law, Exponential):
@@ -331,10 +333,7 @@ def exact_psi_sa_exp(model: RiskModel, u: float) -> float:
     """
     if not isinstance(model.claim_law, Exponential):
         raise UnsupportedCombination("closed form needs exponential claims")
-    rho = lundberg_root(model)
-    if rho is None:
-        raise NoBracket("no Lundberg root; the closed form does not apply")
-    return exact_psi_sa_exp_at_root(model, rho, u)
+    return exact_psi_sa_exp_at_root(model, lundberg_root(model), u)
 
 
 def exact_psi_sa_exp_at_root(model: RiskModel, rho: float, u: float) -> float:

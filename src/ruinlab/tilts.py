@@ -41,10 +41,9 @@ import numpy as np
 from .errors import (
     ConfigError,
     DomainError,
-    MgfUnavailable,
     NonFiniteMoment,
     NotRuinInducing,
-    SecondMomentInfinite,
+    RuinlabError,
     UnsupportedCombination,
 )
 from .laws import (
@@ -173,6 +172,17 @@ class IdentityTilt(TiltingPair):
         return self.model.wait_law
 
 
+def _exp_tilted(law: PositiveLaw, t: float) -> PositiveLaw:
+    """The law with density e^{tz} f(z) / M(t), for exponential and gamma laws."""
+    if t == 0.0:
+        return law
+    if isinstance(law, Exponential):
+        return Exponential(law.rate - t)
+    if isinstance(law, Gamma):
+        return Gamma(law.shape, law.rate - t)
+    raise UnsupportedCombination(f"no closed-form exponential tilt of {law.label()}")
+
+
 class EsscherTilt(TiltingPair):
     """Exponential tilt of the claims coupled to the waits through theta(r)."""
 
@@ -193,28 +203,10 @@ class EsscherTilt(TiltingPair):
         return -self.y * _pos(w) - self._ln_lw
 
     def tilted_claim_law(self):
-        law = self.model.claim_law
-        if self.r == 0.0:
-            return law
-        if isinstance(law, Exponential):
-            return Exponential(law.rate - self.r)
-        if isinstance(law, Gamma):
-            return Gamma(law.shape, law.rate - self.r)
-        raise UnsupportedCombination(
-            f"no closed-form Esscher-tilted law for claims {law.label()}"
-        )
+        return _exp_tilted(self.model.claim_law, self.r)
 
     def tilted_wait_law(self):
-        law = self.model.wait_law
-        if self.y == 0.0:
-            return law
-        if isinstance(law, Exponential):
-            return Exponential(law.rate + self.y)
-        if isinstance(law, Gamma):
-            return Gamma(law.shape, law.rate + self.y)
-        raise UnsupportedCombination(
-            f"no closed-form Laplace-tilted law for waits {law.label()}"
-        )
+        return _exp_tilted(self.model.wait_law, -self.y)
 
     def tilted_claim_mean(self):
         return exp_weighted_mean(self.model.claim_law, self.r) * math.exp(-self._ln_mx)
@@ -476,13 +468,8 @@ def tilt_from_config(obj: dict, model: RiskModel) -> TiltingPair:
             )
     except KeyError as exc:
         raise ConfigError(f"tilt config missing parameter {exc}") from exc
-    except (
-        TypeError,
-        ValueError,
-        UnsupportedCombination,
-        MgfUnavailable,
-        NonFiniteMoment,
-        SecondMomentInfinite,
-    ) as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, RuinlabError) as exc:
         raise ConfigError(f"invalid {family} tilt: {exc}") from exc
     raise ConfigError(f"unknown tilt family {family!r}")

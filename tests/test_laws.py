@@ -22,7 +22,7 @@ from ruinlab import (
     expectation,
     law_from_config,
 )
-from ruinlab.errors import ConfigError, UnsupportedHazard
+from ruinlab.errors import ConfigError, UnsupportedCombination
 from ruinlab.laws import _FAMILIES
 from ruinlab.model import RiskModel
 from ruinlab.tilts import hazard_twisted, size_biased
@@ -156,7 +156,7 @@ def test_hazard_inverse_roundtrip(law):
 
 def test_hazard_unsupported():
     for law in (Gamma(2.0, 1.0), LogNormal(0.0, 1.0), InvGamma(3.0, 4.0)):
-        with pytest.raises(UnsupportedHazard):
+        with pytest.raises(UnsupportedCombination):
             law.cumulative_hazard(1.0)
 
 

@@ -24,7 +24,12 @@ from ruinlab import (
     xi_hat,
 )
 from ruinlab import laws, lundberg
-from ruinlab.errors import MgfUnavailable, SecondMomentInfinite, UnsupportedCombination
+from ruinlab.errors import (
+    MgfUnavailable,
+    NoBracket,
+    SecondMomentInfinite,
+    UnsupportedCombination,
+)
 from ruinlab.lundberg import exp_weighted_mean
 
 RHO_EXP_GAMMA = (-15 + math.sqrt(513)) / 18  # positive root of 9r^2 + 15r - 8
@@ -102,6 +107,14 @@ def test_lundberg_root_heavy_tail_unavailable():
     model_ln = RiskModel.from_safety_loading(LogNormal(0.0, 1.0), Exponential(1.0), 0.5)
     with pytest.raises(MgfUnavailable):
         memm_point(model_ln)
+
+
+def test_theta_of_r_raises_when_wait_laplace_underflows():
+    # at eta = 1e6 the root's y is so large that L_W(y) is 0.0 in floats, so
+    # M_X(r) * L_W(y) = 0 does not solve the adjustment equation
+    model = RiskModel.from_safety_loading(GenGamma(1.5, 1.0, 2.0), LogNormal(0.0, 0.5), 1e6)
+    with pytest.raises(NoBracket):
+        theta_of_r(model, 16.0)
 
 
 def test_memm_point_against_grid_search(model_exp_exp):
@@ -224,7 +237,7 @@ def test_small_loading_root_approaches_diffusion_limit(eta):
     assert abs(rho / eta / limit - 1.0) <= 2e-4
 
 
-@pytest.mark.parametrize("eta", [1e-4, 1e-2, 0.5, 5.0, 50.0])
+@pytest.mark.parametrize("eta", [1e-4, 1e-2, 0.5, 5.0, 50.0, 1e6])
 def test_exp_exp_roots_match_closed_forms(eta):
     model = RiskModel.from_safety_loading(Exponential(1.0), Exponential(1.0), eta)
     assert lundberg_root(model) == pytest.approx(eta / (1.0 + eta), rel=0, abs=5e-12)

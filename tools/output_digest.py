@@ -1,0 +1,120 @@
+"""sha256 over the outputs a behaviour-preserving change must keep bit-identical.
+
+    python tools/output_digest.py <repo root>
+
+Imports ``ruinlab`` from ``<repo root>/src`` and the benchmark's workloads from
+``<repo root>/perfbench`` (read, never edited), so the same script digests any
+checkout: run it on a copy of the parent commit and on the change, and compare
+the last lines. It hashes
+
+* the ``table1``..``table5`` CSVs at ``--K 1000 --seed 42``;
+* ``check`` on five light-tailed models, each without a tilt, with a claims-only
+  hazard twist and with an Esscher tilt (exit code, stdout and stderr);
+* every operation of every benchmark workload built at seeds 1 and 11, each
+  estimate at ``K_SIM`` replications (every report field but its run time) and
+  each analytic check's output dict.
+
+Each part's digest is printed on its own line, then the digest of them all.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+TABLE_ARGS = ["--K", "1000", "--seed", "42"]
+WORKLOAD_SEEDS = (1, 11)
+K_SIM = 200
+_EXP = {"family": "exp", "params": {"rate": 1.0}}
+CHECK_MODELS = {
+    "Exp/Exp": (_EXP, _EXP),
+    "Ga(2,1)/Exp": ({"family": "gamma", "params": {"shape": 2.0, "rate": 1.0}}, _EXP),
+    "Exp/Ga(2,1)": (_EXP, {"family": "gamma", "params": {"shape": 2.0, "rate": 1.0}}),
+    "Wei(2,1)/Exp": ({"family": "weibull", "params": {"shape": 2.0, "scale": 1.0}}, _EXP),
+    "Exp/Wei(0.375,0.5)": (_EXP, {"family": "weibull", "params": {"shape": 0.375, "scale": 0.5}}),
+}
+CHECK_TILTS = {
+    "none": None,
+    "hazard": {"family": "hazard", "params": {"theta": 1.0, "r_factor": 0.9}},
+    "esscher": {"family": "esscher", "params": {"r": 0.1}},
+}
+
+
+def _run_cli(cli, argv) -> bytes:
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode()
+
+
+def _tables(cli, tmp: Path):
+    for name in ("table1", "table2", "table3", "table4", "table5"):
+        path = tmp / f"{name}.csv"
+        code = _run_cli(cli, ["table", name, *TABLE_ARGS, "--out", str(path)])
+        yield name, code + (path.read_bytes() if path.exists() else b"")
+
+
+def _checks(cli, tmp: Path):
+    for mname, (claim, wait) in CHECK_MODELS.items():
+        model = tmp / "model.json"
+        model.write_text(json.dumps({"claim": claim, "wait": wait, "safety_loading": 0.5}))
+        for tname, tilt in CHECK_TILTS.items():
+            argv = ["check", "--model", str(model)]
+            if tilt is not None:
+                (tmp / "tilt.json").write_text(json.dumps(tilt))
+                argv += ["--tilt", str(tmp / "tilt.json")]
+            yield f"check {mname} {tname}", _run_cli(cli, argv)
+
+
+def _output(workloads, op) -> bytes:
+    try:
+        out = op.run(k=K_SIM) if isinstance(op, workloads.SimOp) else op.run()
+    except Exception as exc:  # a raising operation is an output too
+        return f"{type(exc).__name__}: {exc}".encode()
+    if isinstance(out, dict):
+        return repr(sorted(out.items())).encode()
+    fields = dataclasses.asdict(out)
+    fields.pop("runtime_seconds")
+    return repr(sorted(fields.items())).encode()
+
+
+def _workloads(workloads):
+    for seed in WORKLOAD_SEEDS:
+        for name in workloads.WORKLOADS:
+            wl = workloads.build(name, seed)
+            digest = hashlib.sha256()
+            for op in wl.ops:
+                digest.update(op.label.encode() + b"\0" + _output(workloads, op) + b"\0")
+            yield f"{name} seed {seed}", digest.digest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    root = Path(argv[0]).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    from ruinlab import cli
+
+    import workloads
+
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        parts = [*_tables(cli, Path(tmp)), *_checks(cli, Path(tmp)), *_workloads(workloads)]
+    for label, data in parts:
+        part = hashlib.sha256(data).hexdigest()
+        print(f"{part}  {label}")
+        total.update(part.encode())
+    print(f"{total.hexdigest()}  all")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
