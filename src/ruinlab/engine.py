@@ -59,6 +59,14 @@ _CHUNK_MAX = 65536
 # variates per row block of the walk (rows x chunk); a stream constant, since
 # the row blocks set the order in which a batch's lanes draw
 _BLOCK_ELEMS = 1 << 14
+# A row block's temporaries, arrays of up to _BLOCK_ELEMS floats, are freed at
+# the end of the block. glibc's malloc returns free memory at the top of its
+# heap to the system above a trim threshold that starts at 128 KiB, so every
+# block would page its arrays back in; it raises that threshold to twice the
+# size of any mmap'd block freed. Freeing one array of 8 * _BLOCK_ELEMS floats
+# (1 MiB) here keeps the blocks' memory in the heap; under another allocator it
+# is one short-lived allocation.
+np.empty(8 * _BLOCK_ELEMS)
 # replications per Philox stream; a stream constant that neither K nor the
 # caller changes, so replication i always draws from stream (seed, i // _BATCH)
 _BATCH = 1024
@@ -222,13 +230,17 @@ def _walk_block(ctx: _RunContext, gen, out: _Walked, n, m, pos, z, t, log_w):
     """
     w = ctx.qw.sample_n(gen, len(pos) * m).reshape(-1, m)
     x = ctx.qx.sample_n(gen, len(pos) * m).reshape(-1, m)
-    zc = z[:, None] + np.cumsum(x - ctx.premium * w, axis=1)
-    hit = zc >= ctx.u_eff
-    j_stop = np.where(hit.any(axis=1), hit.argmax(axis=1), m)
+    # z + cumsum(x - c w) along each row, every pass in the c w buffer
+    zc = ctx.premium * w
+    np.subtract(x, zc, out=zc)
+    np.cumsum(zc, axis=1, out=zc)
+    zc += z[:, None]
+    j_stop = _first_true(zc >= ctx.u_eff)
     late = np.zeros(len(pos), dtype=bool)
     if ctx.horizon is not None:
-        over = t[:, None] + np.cumsum(w, axis=1) > ctx.horizon
-        j_late = np.where(over.any(axis=1), over.argmax(axis=1), m)
+        tc = np.cumsum(w, axis=1)
+        tc += t[:, None]
+        j_late = _first_true(tc > ctx.horizon)
         late = j_late <= j_stop
         j_stop = np.minimum(j_stop, j_late)
 
@@ -252,6 +264,12 @@ def _walk_block(ctx: _RunContext, gen, out: _Walked, n, m, pos, z, t, log_w):
     out.overshoot[p[ruined]] = zc[rows_r, j_stop[rows_r]] - ctx.u_eff
     z[:] = zc[:, -1]
     return ~stop
+
+
+def _first_true(flags: np.ndarray) -> np.ndarray:
+    """Per row, the index of the first True, or the row length if none is."""
+    j = flags.argmax(axis=1)
+    return np.where(flags[np.arange(len(j)), j], j, flags.shape[1])
 
 
 def run_replication(

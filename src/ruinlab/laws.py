@@ -167,8 +167,12 @@ class PositiveLaw:
 
 
 def _std_exp(rng: np.random.Generator, n: int) -> np.ndarray:
-    # inverse CDF on U in [0,1); -log1p(-U) never hits log(0)
-    return -np.log1p(-rng.random(n))
+    # inverse CDF on U in [0,1); -log1p(-U) never hits log(0). Each pass runs
+    # in place in the uniforms' buffer
+    e = rng.random(n)
+    np.negative(e, out=e)
+    np.log1p(e, out=e)
+    return np.negative(e, out=e)
 
 
 @dataclass(frozen=True)
