@@ -19,9 +19,9 @@ batch b = i // _BATCH, and batch b draws from one Philox generator keyed by
 (master seed, b), a counter-based split, so a batch's draws do not depend on
 which batches ran before it. A full batch's outcomes are a function of (seed,
 b) and the run's model, tilt and capital alone; the last, partial batch also
-depends on its lane count, K - b * _BATCH. _BATCH and _BLOCK_ELEMS are stream
-constants: changing either changes every stream. The reduction is an
-index-ordered array sum.
+depends on its lane count, K - b * _BATCH. _BATCH, _BLOCK_ELEMS and the chunk
+schedule's _FIRST_DIV and _GROW_DIV are stream constants: changing any of them
+changes every stream. The reduction is an index-ordered array sum.
 
 A batch advances in chunks of steps: every live lane takes the same chunk,
 split into row blocks of about _BLOCK_ELEMS variates, and each row block draws
@@ -29,9 +29,12 @@ its waits with one ``sample_n`` call and then its claims with another, both
 laid out row by row. The walk, the stop tests and one segmented pass summing
 gamma + delta and the waits over each row's own steps then run along the rows.
 A lane's draws therefore depend on which lanes of its batch are still live.
-Chunk sizes are a fixed function of (model, tilt, effective capital), never of
-the horizon, but a horizon stops lanes early and so shifts the draws of the
-lanes after them: runs at different horizons do not share paths.
+The first chunk is a quarter of the mean step count u_eff / drift, plus 16
+(64 without a positive drift), and each later chunk grows by a quarter, so a
+lane that stops early throws few drawn variates away. Chunk sizes are a
+fixed function of (model, tilt, effective capital), never of the horizon, but
+a horizon stops lanes early and so shifts the draws of the lanes after them:
+runs at different horizons do not share paths.
 """
 
 from __future__ import annotations
@@ -55,6 +58,12 @@ __all__ = [
     "estimate_psi",
 ]
 
+# the chunk schedule: the first chunk is 1/_FIRST_DIV of the mean step count
+# u_eff / drift, plus 16, and each later one grows by 1/_GROW_DIV of itself up
+# to _CHUNK_MAX; stream constants, since the chunks set which variates a lane
+# draws
+_FIRST_DIV = 4
+_GROW_DIV = 4
 _CHUNK_MAX = 65536
 # variates per row block of the walk (rows x chunk); a stream constant, since
 # the row blocks set the order in which a batch's lanes draw
@@ -150,7 +159,7 @@ def _prepare(model: RiskModel, pair: TiltingPair, cfg: SimConfig) -> _RunContext
     u_eff = cfg.u - (cfg.threshold or 0.0)
     drift = pair.tilted_claim_mean() - model.premium * pair.tilted_wait_mean()
     if math.isfinite(drift) and drift > 0 and u_eff > 0:
-        first_chunk = int(1.5 * u_eff / drift) + 16
+        first_chunk = int(u_eff / (_FIRST_DIV * drift)) + 16
     else:
         first_chunk = 64
     first_chunk = min(max(first_chunk, 16), 16384)
@@ -166,13 +175,13 @@ def _prepare(model: RiskModel, pair: TiltingPair, cfg: SimConfig) -> _RunContext
 
 
 def _chunks(ctx: _RunContext):
-    """Chunk sizes of every walk: doubling up to _CHUNK_MAX, cut at _MAX_STEPS."""
+    """Chunk sizes of every walk: growing by a quarter to _CHUNK_MAX, cut at _MAX_STEPS."""
     n, chunk = 0, ctx.first_chunk
     while n < _MAX_STEPS:
         m = min(chunk, _MAX_STEPS - n)
         yield m
         n += m
-        chunk = min(2 * chunk, _CHUNK_MAX)
+        chunk = min(chunk + chunk // _GROW_DIV, _CHUNK_MAX)
 
 
 @dataclass(frozen=True)
@@ -323,7 +332,7 @@ def estimate_psi(
         walked = _walk(ctx, cfg.seed, first // _BATCH, min(_BATCH, cfg.k - first))
         lw = walked.log_weight[walked.ruined]
         ruined_at = first + np.flatnonzero(walked.ruined)
-        weights[ruined_at] = np.fromiter(map(math.exp, lw), float, lw.size)
+        weights[ruined_at] = np.exp(lw)
 
     total = float(weights.sum())
     estimate = total / cfg.k

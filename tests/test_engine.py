@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from ruinlab import (
     hazard_twisted,
     lundberg_root,
     run_replication,
+    tilt_from_config,
     xi_hat,
 )
 from ruinlab import engine
@@ -117,7 +119,7 @@ def test_seed_outside_uint64_rejected(model_exp_exp, linear_pair):
 
 def test_replication_replay_oracle(model_exp_exp, linear_pair):
     cfg = SimConfig(u=5.0, k=1, seed=3)
-    out = run_replication(model_exp_exp, linear_pair, cfg, 11)  # past K: a full batch's lane
+    out = run_replication(model_exp_exp, linear_pair, cfg, 9)  # past K: a full batch's lane
     assert out.ruined
     m = engine._prepare(model_exp_exp, linear_pair, cfg).first_chunk
     assert out.n_claims <= m
@@ -126,7 +128,7 @@ def test_replication_replay_oracle(model_exp_exp, linear_pair):
     rng = _philox(3, 0)
     waits = linear_pair.tilted_wait_law().sample_n(rng, rows * m).reshape(rows, m)
     claims = linear_pair.tilted_claim_law().sample_n(rng, rows * m).reshape(rows, m)
-    waits, claims = waits[11, : out.n_claims], claims[11, : out.n_claims]
+    waits, claims = waits[9, : out.n_claims], claims[9, : out.n_claims]
     replay = -(float(np.sum(linear_pair.gamma(claims)))
                + float(np.sum(linear_pair.delta(waits))))
     assert out.log_weight == pytest.approx(replay, abs=1e-12)
@@ -226,11 +228,11 @@ def _same(a, b):
 # (tilt, config, whether some replications need a third chunk); K is more
 # than one block and not a multiple of the block rows in every case
 WALK_CASES = {
-    "infinite": ("linear", SimConfig(u=5.0, k=600, seed=3), True),
+    "infinite": ("linear", SimConfig(u=5.0, k=1000, seed=3), True),
     "two_batches": ("linear", SimConfig(u=5.0, k=1500, seed=3), True),
-    "threshold": ("linear", SimConfig(u=10.0, k=600, seed=3, threshold=5.0), True),
+    "threshold": ("linear", SimConfig(u=10.0, k=1000, seed=3, threshold=5.0), True),
     "horizon_crude": ("identity", SimConfig(u=1.0, k=600, seed=3, horizon=300.0), True),
-    "horizon_tilted": ("linear", SimConfig(u=2.0, k=700, seed=3, horizon=20.0), False),
+    "horizon_tilted": ("linear", SimConfig(u=2.0, k=1000, seed=3, horizon=20.0), False),
 }
 
 
@@ -238,20 +240,21 @@ WALK_CASES = {
 def test_block_walk_matches_replications_walked_alone(model_exp_exp, linear_pair, case):
     tilt, cfg, deep = WALK_CASES[case]
     pair = linear_pair if tilt == "linear" else IdentityTilt(model_exp_exp)
-    first = engine._prepare(model_exp_exp, pair, cfg).first_chunk
+    first, second = itertools.islice(engine._chunks(engine._prepare(model_exp_exp, pair, cfg)), 2)
     rows = engine._BLOCK_ELEMS // first
     assert cfg.k > rows and cfg.k % rows  # several blocks, the last one partial
     outs = [run_replication(model_exp_exp, pair, cfg, i) for i in range(cfg.k)]
-    assert (max(o.n_claims for o in outs) > 3 * first) == deep
+    assert (max(o.n_claims for o in outs) > first + second) == deep
     for i, (o, ref) in enumerate(zip(outs, _batches(model_exp_exp, pair, cfg))):
         got = (o.ruined, o.n_claims, o.ruin_time, o.log_weight, o.overshoot)
         assert _same(got, ref), (case, i)
 
-    # estimate_psi is the index-ordered reduction of the replications' weights
+    # estimate_psi is the index-ordered reduction of the replications' weights,
+    # each exponentiated by numpy as the engine does
     weights = np.zeros(cfg.k)
     for i, o in enumerate(outs):
         if o.ruined:
-            weights[i] = math.exp(o.log_weight)
+            weights[i] = np.exp(o.log_weight)
     total = weights.sum()
     rep = estimate_psi(model_exp_exp, pair, cfg)
     assert rep.estimate == total / cfg.k
@@ -278,7 +281,7 @@ def test_first_batch_does_not_depend_on_k(model_exp_exp, linear_pair):
     a = [run_replication(model_exp_exp, linear_pair, short, i) for i in range(1024)]
     b = [run_replication(model_exp_exp, linear_pair, long, i) for i in range(1024)]
     assert a == b
-    weights = np.array([math.exp(o.log_weight) if o.ruined else 0.0 for o in a])
+    weights = np.array([np.exp(o.log_weight) if o.ruined else 0.0 for o in a])
     assert estimate_psi(model_exp_exp, linear_pair, short).estimate == weights.sum() / 1024
 
 
@@ -299,7 +302,8 @@ def test_replay_walks_each_batch_once(model_exp_exp, linear_pair, monkeypatch):
 
 def test_step_cap_names_lowest_live_replication(model_exp_exp, linear_pair, monkeypatch):
     cfg = SimConfig(u=5.0, k=600, seed=3)
-    cap = engine._prepare(model_exp_exp, linear_pair, cfg).first_chunk
+    # the end of the sixth chunk, a cap that the first lanes stop before
+    cap = sum(itertools.islice(engine._chunks(engine._prepare(model_exp_exp, linear_pair, cfg)), 6))
     steps = [run_replication(model_exp_exp, linear_pair, cfg, i).n_claims for i in range(cfg.k)]
     lowest = next(i for i, n in enumerate(steps) if n > cap)
     assert lowest > 1
@@ -307,6 +311,64 @@ def test_step_cap_names_lowest_live_replication(model_exp_exp, linear_pair, monk
     with pytest.raises(StepCapExceeded) as err:
         estimate_psi(model_exp_exp, linear_pair, cfg)
     assert err.value.replication == lowest
+
+
+def test_chunks_start_at_a_quarter_mean_and_grow_by_a_quarter(model_exp_exp, linear_pair):
+    cfg = SimConfig(u=50.0, k=1, seed=1)
+    ctx = engine._prepare(model_exp_exp, linear_pair, cfg)
+    drift = linear_pair.tilted_claim_mean() - model_exp_exp.premium * linear_pair.tilted_wait_mean()
+    assert ctx.first_chunk == int(50.0 / (4 * drift)) + 16
+    # no positive drift: 64; a tiny capital: at least 16; a huge one: at most 16384
+    crude = engine._prepare(model_exp_exp, IdentityTilt(model_exp_exp), cfg)
+    assert crude.first_chunk == 64
+    assert engine._prepare(model_exp_exp, linear_pair, SimConfig(1e-9, 1, 1)).first_chunk == 16
+    assert engine._prepare(model_exp_exp, linear_pair, SimConfig(1e9, 1, 1)).first_chunk == 16384
+    sizes = list(itertools.islice(engine._chunks(dataclasses.replace(ctx, first_chunk=16)), 7))
+    assert sizes == [16, 20, 25, 31, 38, 47, 58]
+    top = dataclasses.replace(ctx, first_chunk=16384)
+    sizes = list(itertools.islice(engine._chunks(top), 9))
+    assert sizes == [16384, 20480, 25600, 32000, 40000, 50000, 62500, 65536, 65536]
+
+
+def test_chunks_sum_to_the_step_cap(model_exp_exp, linear_pair, monkeypatch):
+    monkeypatch.setattr(engine, "_MAX_STEPS", 100)
+    ctx = dataclasses.replace(
+        engine._prepare(model_exp_exp, linear_pair, SimConfig(5.0, 1, 1)), first_chunk=16
+    )
+    assert list(engine._chunks(ctx)) == [16, 20, 25, 31, 8]
+
+
+def test_lanes_walk_most_of_the_steps_they_draw(monkeypatch):
+    # the chunk schedule's purpose: on a heavy-tailed table4 point, lanes that
+    # stop early leave little of their last chunk drawn and unwalked
+    col = table_spec("table4").columns[2]  # Pa(2.5,3) claims, hazard twist
+    assert col.label == "Pa(2.5,3)"
+    pair = tilt_from_config(col.tilt_config, col.model)
+    cfg = SimConfig(u=250.0, k=engine._BATCH, seed=7)
+    drawn = []
+    walk_block = engine._walk_block
+
+    def counted(ctx, gen, out, n, m, pos, *rest):
+        drawn.append(len(pos) * m)
+        return walk_block(ctx, gen, out, n, m, pos, *rest)
+
+    monkeypatch.setattr(engine, "_walk_block", counted)
+    walked = engine._walk(engine._prepare(col.model, pair, cfg), cfg.seed, 0, cfg.k)
+    assert walked.ruined.all()
+    assert walked.n_claims.sum() / sum(drawn) >= 0.75
+
+
+def test_weight_overflow_gives_an_infinite_estimate(model_exp_exp, linear_pair, monkeypatch):
+    # exp of a log-weight above log(max float) is inf, not an OverflowError
+    def walk(ctx, seed, batch, k):
+        lw = np.full(k, 800.0)
+        return engine._Walked(np.ones(k, dtype=bool), np.ones(k, dtype=np.int64), np.ones(k),
+                              lw, np.zeros(k))
+
+    monkeypatch.setattr(engine, "_walk", walk)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = estimate_psi(model_exp_exp, linear_pair, SimConfig(u=1.0, k=10, seed=1))
+    assert rep.estimate == math.inf
 
 
 def test_step_cap_propagates_from_batch_run(model_exp_exp, linear_pair, monkeypatch):
