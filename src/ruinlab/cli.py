@@ -10,7 +10,10 @@ per replication). ``check`` prints a quantity the library cannot compute as
 Every setting is checked and every row computed before the one CSV write, so a
 command that exits non-zero leaves no ``--out`` file; an ``--out`` whose
 directory does not exist or is not writable fails with the settings, before
-any replication.
+any replication. ``estimate --exact`` takes psi(u - b) for every reserve from
+``lundberg.exact_psi`` before the first replication too, so a model with no
+closed form exits 2; an ``are`` cell is |exact - estimate| / exact, and nan
+where the closed form underflows to 0.
 
 Admissibility has one rule, applied by ``estimate_psi``: without a horizon the
 pair must be ruin-inducing with a positive tilted drift (exit 3); with
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import os
@@ -29,15 +31,8 @@ import sys
 
 from .engine import SimConfig, estimate_psi
 from .errors import ConfigError, NonFiniteMoment, NotRuinInducing, RuinlabError, StepCapExceeded
-from .laws import Exponential
-from .lundberg import (
-    exact_psi_cl_exp,
-    exact_psi_sa_exp_at_root,
-    lundberg_root,
-    memm_point,
-    xi_hat,
-)
-from .model import RiskModel, model_from_config
+from .lundberg import exact_psi, lundberg_root, memm_point, xi_hat
+from .model import model_from_config
 from .tables import TABLES, table_spec
 from .tilts import check_admissible, hazard_r_max, tilt_from_config
 
@@ -67,10 +62,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _report_cells(rep) -> list[str]:
-    """The ``_REPORT_COLUMNS`` cells of one estimate report."""
+def _report_cells(rep, exact: float | None) -> list[str]:
+    """The ``_REPORT_COLUMNS`` cells of one estimate report; ``are`` is
+    |exact - estimate| / exact, blank without an exact value."""
+    are = None
+    if exact is not None:
+        # a closed form that underflows to 0 leaves no relative error to report
+        are = abs(exact - rep.estimate) / exact if exact else math.nan
     fields = (
-        rep.estimate, rep.std_error, rep.rse, rep.are, rep.ess, rep.max_norm_weight, rep.k, rep.seed
+        rep.estimate, rep.std_error, rep.rse, are, rep.ess, rep.max_norm_weight, rep.k, rep.seed
     )
     return [_fmt(v) for v in fields]
 
@@ -114,32 +114,6 @@ def _parse_u_grid(text: str) -> list[float]:
     return grid
 
 
-def _exact_fn(model: RiskModel, rho: float | None = None):
-    """Closed-form psi(u) for the model, or None when no formula applies.
-
-    Only exponential claims with other waits need the Lundberg root: ``rho``
-    when the caller holds it, else solved here, raising the solver's
-    RuinlabError when it has none.
-    """
-    if not isinstance(model.claim_law, Exponential):
-        return None
-    if isinstance(model.wait_law, Exponential):
-        return functools.partial(exact_psi_cl_exp, model)
-    if rho is None:
-        rho = lundberg_root(model)
-    return functools.partial(exact_psi_sa_exp_at_root, model, rho)
-
-
-def _run(model, pair, cfgs, exact_fn) -> list:
-    """(exact, report) for each config; exact is None without ``exact_fn``."""
-    rows = []
-    for cfg in cfgs:
-        # a threshold b moves the barrier to u - b: the estimate targets psi(u - b)
-        exact = exact_fn(cfg.u - (cfg.threshold or 0.0)) if exact_fn else None
-        rows.append((exact, estimate_psi(model, pair, cfg, exact=exact)))
-    return rows
-
-
 def cmd_estimate(args) -> int:
     model = model_from_config(_load_json(args.model))
     pair = tilt_from_config(_load_json(args.tilt), model)
@@ -147,13 +121,15 @@ def cmd_estimate(args) -> int:
         SimConfig(u=u, k=args.K, seed=args.seed, horizon=args.horizon, threshold=args.threshold)
         for u in _parse_u_grid(args.u)
     ]
-    exact_fn = _exact_fn(model) if args.exact and args.horizon is None else None
-    if args.exact and exact_fn is None:
-        raise ConfigError("--exact requested but no closed form applies to this model or horizon")
-    rows = [
-        [_fmt(cfg.u), *_report_cells(rep), _fmt(rep.runtime_seconds)]
-        for cfg, (_, rep) in zip(cfgs, _run(model, pair, cfgs, exact_fn))
-    ]
+    if args.exact and args.horizon is not None:
+        raise ConfigError("--exact requested but finite-horizon psi has no closed form")
+    # a threshold b moves the barrier to u - b: the estimate targets psi(u - b)
+    exacts = [exact_psi(model, cfg.u - (cfg.threshold or 0.0)) if args.exact else None
+              for cfg in cfgs]
+    rows = []
+    for cfg, exact in zip(cfgs, exacts):
+        rep = estimate_psi(model, pair, cfg)
+        rows.append([_fmt(cfg.u), *_report_cells(rep, exact), _fmt(rep.runtime_seconds)])
     _write_csv(
         args.out, [f"model: {model.label()}", f"tilt: {pair.label()}"], _ESTIMATE_COLUMNS, rows
     )
@@ -170,9 +146,11 @@ def cmd_table(args) -> int:
     ]
     rows = []
     for col, pair in zip(spec.columns, pairs):
-        exact_fn = functools.partial(col.exact, col.model) if col.exact else None
-        for cfg, (exact, rep) in zip(cfgs, _run(col.model, pair, cfgs, exact_fn)):
-            rows.append([spec.name, col.label, _fmt(cfg.u), _fmt(exact), *_report_cells(rep)])
+        for cfg in cfgs:
+            exact = col.exact(col.model, cfg.u) if col.exact else None
+            rep = estimate_psi(col.model, pair, cfg)
+            cells = _report_cells(rep, exact)
+            rows.append([spec.name, col.label, _fmt(cfg.u), _fmt(exact), *cells])
     _write_csv(args.out, header_lines, _TABLE_COLUMNS, rows)
     return EXIT_OK
 
@@ -199,13 +177,12 @@ def cmd_check(args) -> int:
     lines.append(("safety_loading", _fmt(model.safety_loading)))
     lines.append(("npc", "holds"))  # construction rejects violations
 
-    rho = _quantity(lines, "rho", lambda: lundberg_root(model))
+    _quantity(lines, "rho", lambda: lundberg_root(model))
     mp = _quantity(lines, "r_memm", lambda: memm_point(model), lambda point: _fmt(point.r))
     if mp is not None and mp.premium is not None:
         lines.append(("memm_premium", _fmt(mp.premium)))
     _quantity(lines, "xi_hat", lambda: xi_hat(model))
-    _quantity(lines, "exact_psi_0", lambda: _exact_fn(model, rho),
-              lambda fn: _fmt(fn(0.0)) if fn else "unavailable")
+    _quantity(lines, "exact_psi_0", lambda: exact_psi(model, 0.0))
 
     if args.tilt:
         pair = tilt_from_config(_load_json(args.tilt), model)

@@ -127,8 +127,7 @@ class EstimateReport:
 
     ``std_error`` is the weight-sample standard deviation (1/K normalization,
     which makes rse^2 = (K/ess - 1)/K an exact identity) divided by sqrt(K).
-    ``are`` is |exact - estimate| / exact when an exact value was supplied, and
-    nan when that value is 0. Estimates above 1 are reported as-is.
+    Estimates above 1 are reported as-is.
     """
 
     estimate: float
@@ -139,7 +138,6 @@ class EstimateReport:
     k: int
     seed: int
     runtime_seconds: float
-    are: float | None = None
 
 
 @dataclass(frozen=True)
@@ -312,7 +310,6 @@ def estimate_psi(
     model: RiskModel,
     pair: TiltingPair,
     cfg: SimConfig,
-    exact: float | None = None,
     workers: int | None = None,
 ) -> EstimateReport:
     """Estimate psi(u), or its finite-horizon / solvency-threshold variant, per ``cfg``.
@@ -341,11 +338,6 @@ def estimate_psi(
     sum_sq = float((weights**2).sum())
     ess = total * total / sum_sq if sum_sq > 0 else 0.0
     max_norm = float(weights.max()) / total if total > 0 else math.nan
-    if exact is None:
-        are = None
-    else:
-        # a closed form that underflows to 0 leaves no relative error to report
-        are = abs(exact - estimate) / exact if exact else math.nan
     return EstimateReport(
         estimate=estimate,
         std_error=std_error,
@@ -355,7 +347,6 @@ def estimate_psi(
         k=cfg.k,
         seed=cfg.seed,
         runtime_seconds=time.perf_counter() - start,
-        are=are,
     )
 
 

@@ -39,9 +39,7 @@ __all__ = [
     "lundberg_root",
     "memm_point",
     "xi_hat",
-    "exact_psi_cl_exp",
-    "exact_psi_sa_exp",
-    "exact_psi_sa_exp_at_root",
+    "exact_psi",
     "exp_weighted_mean",
 ]
 
@@ -313,30 +311,23 @@ def xi_hat(model: RiskModel) -> float:
     return (beta * model.claim_mean - model.premium) / (beta * m2)
 
 
-def exact_psi_cl_exp(model: RiskModel, u: float) -> float:
-    """Closed-form ruin probability for exponential claims and exponential waits."""
-    if not (
-        isinstance(model.claim_law, Exponential) and isinstance(model.wait_law, Exponential)
-    ):
-        raise UnsupportedCombination("closed form needs exponential claims and waits")
-    theta = model.claim_law.rate
-    beta = model.wait_law.rate
-    c = model.premium
-    return beta / (theta * c) * math.exp(-(theta - beta / c) * u)
+def exact_psi(model: RiskModel, u: float) -> float:
+    """Closed-form ruin probability psi(u) = (1 - rho/zeta) exp(-rho u) for
+    exponential claims of rate zeta, with rho the Lundberg root.
 
-
-def exact_psi_sa_exp(model: RiskModel, u: float) -> float:
-    """Closed-form ruin probability for exponential claims and general waits.
-
-    psi(u) = (1 - rho/zeta) * exp(-rho*u) with zeta the claim rate and rho the
-    Lundberg root.
+    Exponential waits of rate beta give rho = zeta - beta/c, written as
+    beta/(zeta c) exp(-(zeta - beta/c) u); other waits take rho from
+    ``lundberg_root`` and its NoBracket when none is found. Any other claim
+    law raises UnsupportedCombination.
     """
-    if not isinstance(model.claim_law, Exponential):
-        raise UnsupportedCombination("closed form needs exponential claims")
-    return exact_psi_sa_exp_at_root(model, lundberg_root(model), u)
-
-
-def exact_psi_sa_exp_at_root(model: RiskModel, rho: float, u: float) -> float:
-    """``exact_psi_sa_exp`` for a caller that already holds the Lundberg root rho."""
-    zeta = model.claim_law.rate
+    claim, wait = model.claim_law, model.wait_law
+    if not isinstance(claim, Exponential):
+        raise UnsupportedCombination(
+            f"no closed form applies: psi(u) needs exponential claims, not {claim.label()}"
+        )
+    zeta = claim.rate
+    if isinstance(wait, Exponential):
+        beta, c = wait.rate, model.premium
+        return beta / (zeta * c) * math.exp(-(zeta - beta / c) * u)
+    rho = lundberg_root(model)
     return (1.0 - rho / zeta) * math.exp(-rho * u)

@@ -21,7 +21,7 @@ from typing import Callable
 
 from .errors import ConfigError
 from .laws import Exponential, Gamma, InvGamma, InvWeibull, LogNormal, Pareto, Weibull
-from .lundberg import exact_psi_cl_exp, exact_psi_sa_exp_at_root, lundberg_root
+from .lundberg import exact_psi
 from .model import RiskModel
 
 __all__ = ["TableColumn", "TableSpec", "TABLES", "table_spec"]
@@ -57,7 +57,7 @@ def _table1() -> TableSpec:
         "Exp(1)",
         _cl_model(Exponential(1.0)),
         {"family": "linear", "params": {"xi_factor": 1.95}},
-        exact_psi_cl_exp,
+        exact_psi,
     )
     return TableSpec("table1", (col,), (0, 1, 2, 3, 4, 5, 10, 20, 30))
 
@@ -103,13 +103,11 @@ def _table4() -> TableSpec:
 
 
 def _table5() -> TableSpec:
-    model = RiskModel.from_safety_loading(Exponential(1.0), Gamma(2.0, 1.0), _ETA)
-    rho = lundberg_root(model)  # solved once; every reserve's exact value shares it
     col = TableColumn(
         "Exp(1)/Ga(2,1)",
-        model,
+        RiskModel.from_safety_loading(Exponential(1.0), Gamma(2.0, 1.0), _ETA),
         {"family": "hazard", "params": {"theta": 1.0, "r_factor": 0.9}},
-        lambda m, u: exact_psi_sa_exp_at_root(m, rho, u),
+        exact_psi,
     )
     return TableSpec("table5", (col,), (0, 1, 2, 3, 4, 5, 10, 20, 30))
 

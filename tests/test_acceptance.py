@@ -28,8 +28,7 @@ from ruinlab import (
     Weibull,
     check_admissible,
     estimate_psi,
-    exact_psi_cl_exp,
-    exact_psi_sa_exp,
+    exact_psi,
     hazard_r_max,
     lundberg_root,
     normalization_residuals,
@@ -61,7 +60,7 @@ def _report(criterion: str, ok: bool, detail: str = ""):
 def test_criterion_1_exponential_benchmark():
     model = RiskModel.from_safety_loading(Exponential(1.0), Exponential(1.0), 0.5)
     t0 = time.perf_counter()
-    exact = [exact_psi_cl_exp(model, u) for u in TABLE1_U]
+    exact = [exact_psi(model, u) for u in TABLE1_U]
     analytic_seconds = time.perf_counter() - t0
     formatted = tuple(f"{v:.3e}" for v in exact)
     exact_ok = formatted == TABLE1_EXACT and analytic_seconds < 1e-3
@@ -92,15 +91,15 @@ def test_criterion_2_sparre_andersen_benchmark():
     model = RiskModel.from_safety_loading(Exponential(1.0), Gamma(2.0, 1.0), 0.5)
     rho = lundberg_root(model)
     root_ok = abs(9 * rho**2 + 15 * rho - 8) <= 1e-10
-    psi0 = exact_psi_sa_exp(model, 0.0)
-    psi30 = exact_psi_sa_exp(model, 30.0)
+    psi0 = exact_psi(model, 0.0)
+    psi30 = exact_psi(model, 30.0)
     exact_ok = abs(psi0 / 0.5750 - 1) < 5e-4 and abs(psi30 / 1.670e-06 - 1) < 5e-4
 
     pair = HazardTwist(model, 0.9 * hazard_r_max(model, 1.0), 1.0)
     t0 = time.perf_counter()
     failures = []
     for u in TABLE1_U:
-        psi = exact_psi_sa_exp(model, float(u))
+        psi = exact_psi(model, float(u))
         rep = estimate_psi(model, pair, SimConfig(u=float(u), k=100_000, seed=SEED + 2))
         if abs(rep.estimate - psi) > 4 * rep.std_error:
             failures.append((u, rep.estimate, psi, rep.std_error))

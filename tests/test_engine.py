@@ -23,7 +23,7 @@ from ruinlab import (
     Weibull,
     check_admissible,
     estimate_psi,
-    exact_psi_cl_exp,
+    exact_psi,
     hazard_r_max,
     hazard_twisted,
     lundberg_root,
@@ -430,7 +430,7 @@ def test_estimate_within_four_se_of_closed_form(model_exp_exp, linear_pair):
     for u in (0.0, 1.0, 2.0, 5.0):
         cfg = SimConfig(u=u, k=100_000, seed=31)
         rep = estimate_psi(model_exp_exp, linear_pair, cfg)
-        exact = exact_psi_cl_exp(model_exp_exp, u)
+        exact = exact_psi(model_exp_exp, u)
         assert within_se(rep.estimate, exact, rep.std_error), (u, rep.estimate, exact)
 
 
@@ -446,7 +446,7 @@ def test_all_three_tilt_families_unbiased(model_exp_exp):
         for u in (0.0, 1.0, 2.0, 5.0):
             cfg = SimConfig(u=u, k=100_000, seed=13)
             rep = estimate_psi(model_exp_exp, pair, cfg)
-            exact = exact_psi_cl_exp(model_exp_exp, u)
+            exact = exact_psi(model_exp_exp, u)
             assert within_se(rep.estimate, exact, rep.std_error), (
                 pair.label(), u, rep.estimate, exact, rep.std_error,
             )
@@ -527,7 +527,7 @@ def test_finite_horizon_monotone_under_common_seed(model_exp_exp):
 
 def test_finite_horizon_approaches_infinite_time(model_exp_exp, linear_pair):
     # 50 mean interarrival scales: the truncation error is far below noise at u=1
-    exact = exact_psi_cl_exp(model_exp_exp, 1.0)
+    exact = exact_psi(model_exp_exp, 1.0)
     cfg = SimConfig(u=1.0, k=100_000, seed=15, horizon=50.0)
     crude = estimate_psi(model_exp_exp, IdentityTilt(model_exp_exp), cfg)
     assert within_se(crude.estimate, exact, crude.std_error)
@@ -566,5 +566,5 @@ def test_threshold_full_capital_targets_psi_zero(model_exp_exp, linear_pair):
 def test_threshold_half_capital_targets_shifted_psi(model_exp_exp, linear_pair):
     cfg = SimConfig(u=20.0, k=100_000, seed=5, threshold=10.0)
     rep = estimate_psi(model_exp_exp, linear_pair, cfg)
-    exact = exact_psi_cl_exp(model_exp_exp, 10.0)  # 2.378e-02
+    exact = exact_psi(model_exp_exp, 10.0)  # 2.378e-02
     assert within_se(rep.estimate, exact, rep.std_error)

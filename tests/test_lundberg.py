@@ -15,8 +15,7 @@ from ruinlab import (
     RiskModel,
     Weibull,
     check_admissible,
-    exact_psi_cl_exp,
-    exact_psi_sa_exp,
+    exact_psi,
     lundberg_root,
     memm_point,
     theta_of_r,
@@ -158,20 +157,20 @@ def test_xi_hat_examples(model_exp_exp):
         xi_hat(model_w)
 
 
-def test_exact_psi_cl_exp_values(model_exp_exp):
-    assert exact_psi_cl_exp(model_exp_exp, 0.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert exact_psi_cl_exp(model_exp_exp, 10.0) == pytest.approx(2.378e-2, rel=1e-3)
-    assert exact_psi_cl_exp(model_exp_exp, 30.0) == pytest.approx(3.027e-5, rel=1e-3)
+def test_exact_psi_exponential_waits_values(model_exp_exp):
+    assert exact_psi(model_exp_exp, 0.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert exact_psi(model_exp_exp, 10.0) == pytest.approx(2.378e-2, rel=1e-3)
+    assert exact_psi(model_exp_exp, 30.0) == pytest.approx(3.027e-5, rel=1e-3)
     with pytest.raises(UnsupportedCombination):
-        exact_psi_cl_exp(
+        exact_psi(
             RiskModel.from_safety_loading(Gamma(2.0, 1.0), Exponential(1.0), 0.5), 1.0
         )
 
 
-def test_exact_psi_sa_exp_values(model_exp_gamma):
-    assert exact_psi_sa_exp(model_exp_gamma, 0.0) == pytest.approx(0.5750, abs=5e-5)
-    assert exact_psi_sa_exp(model_exp_gamma, 20.0) == pytest.approx(1.171e-4, rel=1e-3)
-    assert exact_psi_sa_exp(model_exp_gamma, 30.0) == pytest.approx(1.670e-6, rel=1e-3)
+def test_exact_psi_general_waits_values(model_exp_gamma):
+    assert exact_psi(model_exp_gamma, 0.0) == pytest.approx(0.5750, abs=5e-5)
+    assert exact_psi(model_exp_gamma, 20.0) == pytest.approx(1.171e-4, rel=1e-3)
+    assert exact_psi(model_exp_gamma, 30.0) == pytest.approx(1.670e-6, rel=1e-3)
 
 
 def test_exact_formulas_agree_for_exponential_waits():
@@ -182,8 +181,10 @@ def test_exact_formulas_agree_for_exponential_waits():
         eta = float(rng.uniform(0.05, 1.5))
         u = float(rng.uniform(0.0, 20.0))
         model = RiskModel.from_safety_loading(Exponential(theta), Exponential(beta), eta)
-        a = exact_psi_cl_exp(model, u)
-        b = exact_psi_sa_exp(model, u)
+        a = exact_psi(model, u)
+        # the general-wait formula, with rho from the root solver
+        rho = lundberg_root(model)
+        b = (1.0 - rho / theta) * math.exp(-rho * u)
         assert b == pytest.approx(a, rel=1e-9)
 
 
