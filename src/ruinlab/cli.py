@@ -54,8 +54,8 @@ def _fmt(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
+        if not math.isfinite(value):
+            return str(value)  # inf, -inf or nan
         if value == int(value) and abs(value) < 1e15:
             return f"{value:g}"
         return f"{value:.10e}"

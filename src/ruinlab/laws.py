@@ -119,7 +119,15 @@ class PositiveLaw:
     # -- moments ---------------------------------------------------------------
 
     def raw_moment(self, k: float) -> float:
-        """E[Z^k] for k > 0; ``math.inf`` when the moment does not exist."""
+        """E[Z^k] for k > 0; ``math.inf`` when the moment does not exist or
+        exceeds the largest double."""
+        try:
+            return self._raw_moment(k)
+        except OverflowError:  # from math.exp or float ** past the largest double
+            return math.inf
+
+    def _raw_moment(self, k: float) -> float:
+        """The family's moment formula; it may overflow."""
         raise NotImplementedError
 
     def mean(self) -> float:
@@ -191,7 +199,7 @@ class Exponential(PositiveLaw):
     def cdf(self, x):
         return -np.expm1(-self.rate * np.asarray(x, dtype=float))
 
-    def raw_moment(self, k: float) -> float:
+    def _raw_moment(self, k: float) -> float:
         return math.exp(gammaln(k + 1.0) - k * math.log(self.rate))
 
     def cumulative_hazard(self, x):
@@ -236,7 +244,7 @@ class Gamma(PositiveLaw):
     def ppf(self, q):
         return gammaincinv(self.shape, np.asarray(q, dtype=float)) / self.rate
 
-    def raw_moment(self, k: float) -> float:
+    def _raw_moment(self, k: float) -> float:
         return math.exp(
             gammaln(self.shape + k) - gammaln(self.shape) - k * math.log(self.rate)
         )
@@ -275,7 +283,7 @@ class Weibull(PositiveLaw):
         t = np.asarray(x, dtype=float) / self.scale
         return -np.expm1(-(t**self.shape))
 
-    def raw_moment(self, k: float) -> float:
+    def _raw_moment(self, k: float) -> float:
         return self.scale**k * math.exp(gammaln(1.0 + k / self.shape))
 
     def cumulative_hazard(self, x):
@@ -319,7 +327,7 @@ class InvGamma(PositiveLaw):
     def ppf(self, q):
         return self.scale / gammainccinv(self.shape, np.asarray(q, dtype=float))
 
-    def raw_moment(self, k: float) -> float:
+    def _raw_moment(self, k: float) -> float:
         if k >= self.shape:
             return math.inf
         return self.scale**k * math.exp(gammaln(self.shape - k) - gammaln(self.shape))
@@ -357,7 +365,7 @@ class InvWeibull(PositiveLaw):
         # T is decreasing here, so F^{-1}(q) = T(-log q)
         return self._from_std_exp(-np.log(np.asarray(q, dtype=float)), np)
 
-    def raw_moment(self, k: float) -> float:
+    def _raw_moment(self, k: float) -> float:
         if k >= self.shape:
             return math.inf
         return self.scale**k * math.exp(gammaln(1.0 - k / self.shape))
@@ -422,7 +430,7 @@ class GenGamma(PositiveLaw):
             t = gammainccinv(self.shape, q)
         return self.scale * t ** (1.0 / self.alpha)
 
-    def raw_moment(self, k: float) -> float:
+    def _raw_moment(self, k: float) -> float:
         arg = self.shape + k / self.alpha
         if arg <= 0:
             return math.inf
@@ -465,7 +473,7 @@ class LogNormal(PositiveLaw):
     def ppf(self, q):
         return np.exp(self.mu + self.sigma * ndtri(np.asarray(q, dtype=float)))
 
-    def raw_moment(self, k: float) -> float:
+    def _raw_moment(self, k: float) -> float:
         return math.exp(self.mu * k + 0.5 * self.sigma**2 * k**2)
 
     def mgf_radius(self) -> float:
@@ -497,7 +505,7 @@ class Pareto(PositiveLaw):
         t = np.asarray(x, dtype=float) / self.scale
         return -np.expm1(-self.shape * np.log1p(t))
 
-    def raw_moment(self, k: float) -> float:
+    def _raw_moment(self, k: float) -> float:
         if k >= self.shape:
             return math.inf
         return self.scale**k * math.exp(

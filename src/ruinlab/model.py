@@ -28,12 +28,12 @@ class RiskModel:
     wait_mean: float = field(init=False)
 
     def __post_init__(self):
-        if not math.isfinite(self.premium):
-            raise ValueError(f"premium must be finite, got {self.premium!r}")
         mx = self.claim_law.mean()
         mw = self.wait_law.mean()
         if not (math.isfinite(mx) and math.isfinite(mw)):
             raise ValueError("claim and interarrival laws must have finite means")
+        if not math.isfinite(self.premium):
+            raise ValueError(f"premium must be finite, got {self.premium!r}")
         if not self.premium * mw > mx:
             raise ValueError(
                 f"net profit condition fails: c*E[W] = {self.premium * mw:.6g} "

@@ -414,7 +414,12 @@ def hazard_r_max(model: RiskModel, theta: float) -> float:
     if isinstance(claw, Pareto):
         return (1.0 + claw.scale / cmw) / claw.shape
     if isinstance(claw, Weibull):
-        return (claw.mean() / cmw) ** claw.shape
+        try:
+            return (claw.mean() / cmw) ** claw.shape
+        except OverflowError:
+            raise DomainError(
+                f"r_max = ({claw.mean() / cmw:g})^{claw.shape:g} exceeds the largest double"
+            ) from None
     raise UnsupportedCombination(f"no closed-form twist boundary for {claw.label()}")
 
 

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -126,6 +127,15 @@ def test_empty_grid_is_config_error(configs):
          "--u", "", "--K", "10", "--seed", "1"]
     )
     assert code == 2
+
+
+def test_unparsable_grid_is_config_error(configs, capsys):
+    code = main(
+        ["estimate", "--model", configs["model"], "--tilt", configs["tilt"],
+         "--u", "1,x", "--K", "10", "--seed", "1"]
+    )
+    assert code == 2
+    assert "cannot parse reserve grid" in capsys.readouterr().err
 
 
 def test_unsorted_grid_is_config_error(configs):
@@ -534,3 +544,52 @@ def test_one_lundberg_root_solve_per_model(tmp_path, capsys):
     assert all(row[header.index("are")] != "" for row in rows)
     # table5's exact column
     assert main(["table", "table5", "--K", "10", "--seed", "1", "--out", str(out)]) == 0
+
+
+def _write_model(path, claim, wait, **premium):
+    path.write_text(json.dumps({"claim": claim, "wait": wait, **premium}))
+    return str(path)
+
+
+EXP1 = {"family": "exp", "params": {"rate": 1.0}}
+
+
+def test_overflowing_moments_are_reported(tmp_path, capsys):
+    # Wei(0.01, 1) has E[X^2] = Gamma(201), past the largest double
+    wei = {"family": "weibull", "params": {"shape": 0.01, "scale": 1.0}}
+    model = _write_model(tmp_path / "m.json", wei, EXP1, safety_loading=0.5)
+    assert main(["check", "--model", model]) == 0
+    assert "xi_hat: unavailable (" in capsys.readouterr().out
+    # Wei(0.005, 1) has E[X] = Gamma(201): the model itself is rejected
+    wei["params"]["shape"] = 0.005
+    model = _write_model(tmp_path / "m.json", wei, EXP1, safety_loading=0.5)
+    assert main(["check", "--model", model]) == 2
+    assert "finite means" in capsys.readouterr().err
+
+
+def test_overflowing_twist_boundary_is_reported(tmp_path, capsys):
+    # r_max = (E[X] / (c E[W_theta]))^1000 = 666.7^1000 for Wei(1000, 1) claims
+    wei = {"family": "weibull", "params": {"shape": 1000.0, "scale": 1.0}}
+    model = _write_model(tmp_path / "m.json", wei, EXP1, safety_loading=0.5)
+    tilt = tmp_path / "t.json"
+    tilt.write_text(json.dumps({"family": "hazard", "params": {"theta": 1000, "r_factor": 0.9}}))
+    assert main(["estimate", "--model", model, "--tilt", str(tilt),
+                 "--u", "1", "--K", "10", "--seed", "1"]) == 2
+    assert "exceeds the largest double" in capsys.readouterr().err
+    # with an absolute r the pair builds, and check reports the boundary it cannot give
+    tilt.write_text(json.dumps({"family": "hazard", "params": {"theta": 1000, "r": 2.0}}))
+    assert main(["check", "--model", model, "--tilt", str(tilt)]) == 0
+    assert "r_max: unavailable (" in capsys.readouterr().out
+
+
+def test_fmt_writes_non_finite_floats():
+    assert [cli._fmt(v) for v in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
+    assert cli._fmt(2.0) == "2" and cli._fmt(0.1) == "1.0000000000e-01"
+
+
+def test_check_prints_infinite_safety_loading(tmp_path, capsys):
+    # c E[W] = 1e300 * 1e10 overflows: the loading reads inf
+    slow = {"family": "exp", "params": {"rate": 1e-10}}
+    model = _write_model(tmp_path / "m.json", EXP1, slow, premium=1e300)
+    assert main(["check", "--model", model]) == 0
+    assert "safety_loading: inf" in capsys.readouterr().out

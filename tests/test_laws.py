@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from ruinlab import (
     Exponential,
@@ -24,7 +25,7 @@ from ruinlab import (
 )
 from ruinlab.errors import ConfigError, UnsupportedCombination
 from ruinlab.laws import _FAMILIES
-from ruinlab.model import RiskModel
+from ruinlab.model import RiskModel, model_from_config
 from ruinlab.tilts import hazard_twisted, size_biased
 
 ALL_LAWS = [
@@ -197,11 +198,17 @@ FLOAT_PATH_LAWS = ALL_LAWS + [
 
 @pytest.mark.parametrize("law", FLOAT_PATH_LAWS, ids=_ids(FLOAT_PATH_LAWS))
 def test_logpdf_float_path_matches_array_path(law):
-    for x in np.geomspace(1e-6, 1e3, 271):
-        value = law.logpdf(float(x))
+    # 0 and 1e300 take the IEEE fallback where math raises (log of 0, overflow)
+    grid = [0.0, *np.geomspace(1e-6, 1e3, 271), 1e300]
+    for x in grid:
+        with np.errstate(all="ignore"):
+            value = law.logpdf(float(x))
+            ref = law.logpdf(np.array([x]))[0]
         assert type(value) is float
-        ref = law.logpdf(np.array([x]))[0]
-        assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref)), (x, value, ref)
+        if math.isfinite(ref):
+            assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref)), (x, value, ref)
+        else:  # the same -inf, inf or nan
+            assert str(value) == str(ref), (x, value, ref)
 
 
 STD_EXP_LAWS = [
@@ -312,6 +319,39 @@ def test_non_finite_parameters_rejected():
             RiskModel(exp1, exp1, bad)
         with pytest.raises(ValueError):
             RiskModel.from_safety_loading(exp1, exp1, bad)
+
+
+def test_moment_past_largest_double_reads_inf():
+    # Gamma(201) and exp(2 * 30^2) do not fit in a double
+    assert Weibull(0.01, 1.0).raw_moment(2.0) == math.inf
+    assert Weibull(0.005, 1.0).mean() == math.inf
+    assert LogNormal(0.0, 30.0).raw_moment(2.0) == math.inf
+    # a finite moment is the formula's value, bit for bit
+    assert Weibull(0.01, 1.0).mean() == 1.0**1.0 * math.exp(gammaln(1.0 + 1.0 / 0.01))
+
+
+def test_risk_model_rejections():
+    exp1 = Exponential(1.0)
+    for premium in (0.5, 1.0):  # c*E[W] below and at E[X]
+        with pytest.raises(ValueError, match="net profit condition"):
+            RiskModel(exp1, exp1, premium)
+    for claim in (Pareto(1.0, 3.0), Weibull(0.005, 1.0)):  # infinite and overflowing means
+        with pytest.raises(ValueError, match="finite means"):
+            RiskModel(claim, exp1, 2.0)
+        with pytest.raises(ValueError, match="finite means"):
+            RiskModel.from_safety_loading(claim, exp1, 0.5)
+
+
+def test_model_config_errors():
+    law = {"family": "exp", "params": {"rate": 1.0}}
+    bad = [
+        [law, law],
+        {"claim": law, "wait": law},
+        {"claim": law, "wait": law, "premium": 2.0, "safety_loading": 0.5},
+    ]
+    for obj in bad:
+        with pytest.raises(ConfigError):
+            model_from_config(obj)
 
 
 _FAMILY_STRATEGIES = st.one_of(

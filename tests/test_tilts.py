@@ -477,3 +477,21 @@ def test_tilt_config_errors(model_exp_exp):
         )
     with pytest.raises(ConfigError):
         tilt_from_config({"family": "esscher", "params": {"r": 5.0}}, model_exp_exp)
+    with pytest.raises(ConfigError, match="must be a dict"):
+        tilt_from_config(["linear"], model_exp_exp)
+    with pytest.raises(ConfigError, match="missing parameter"):
+        tilt_from_config({"family": "esscher", "params": {}}, model_exp_exp)
+
+
+def test_tilt_config_absolute_xi(model_exp_exp):
+    pair = tilt_from_config({"family": "linear", "params": {"xi": -0.4875}}, model_exp_exp)
+    assert isinstance(pair, LinearTilt) and pair.xi == -0.4875
+
+
+def test_non_negative_xi_and_factor_rejected(model_exp_exp):
+    for xi in (0.0, 0.5):
+        with pytest.raises(ValueError, match="xi must be negative"):
+            LinearTilt(model_exp_exp, xi)
+    for factor in (0.0, -1.0):
+        with pytest.raises(ValueError, match="twist factor must be positive"):
+            hazard_twisted(Exponential(1.0), factor)
