@@ -10,9 +10,14 @@ the last lines. It hashes
 * the ``table1``..``table5`` CSVs at ``--K 1000 --seed 42``;
 * ``check`` on five light-tailed models, each without a tilt, with a claims-only
   hazard twist and with an Esscher tilt (exit code, stdout and stderr);
+* ``estimate`` runs with ``--exact`` on three exponential-claim models (up to
+  u = 2300, where the closed form underflows and ``are`` reads nan), one with
+  ``--threshold`` and one without ``--exact`` (exit code, stdout, stderr and
+  the CSV without its ``runtime_seconds`` column);
 * every operation of every benchmark workload built at seeds 1 and 11, each
-  estimate at ``K_SIM`` replications (every report field but its run time) and
-  each analytic check's output dict.
+  estimate at ``K_SIM`` replications (every report field but its run time and,
+  where a report still carries one, its ``are``) and each analytic check's
+  output dict.
 
 Each part's digest is printed on its own line, then the digest of them all.
 """
@@ -20,6 +25,7 @@ Each part's digest is printed on its own line, then the digest of them all.
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -39,6 +45,18 @@ CHECK_MODELS = {
     "Wei(2,1)/Exp": ({"family": "weibull", "params": {"shape": 2.0, "scale": 1.0}}, _EXP),
     "Exp/Wei(0.375,0.5)": (_EXP, {"family": "weibull", "params": {"shape": 0.375, "scale": 0.5}}),
 }
+_HAZARD = {"family": "hazard", "params": {"theta": 1.0, "r_factor": 0.9}}
+_LINEAR = {"family": "linear", "params": {"xi_factor": 1.95}}
+# (label, claim, wait, tilt, extra CLI arguments); every run at K 200, seed 42
+ESTIMATE_RUNS = [
+    ("Exp/Exp exact", _EXP, _EXP, _LINEAR, ["--u", "0,5,2300", "--exact"]),
+    ("Exp/Ga(2,1) exact", *CHECK_MODELS["Exp/Ga(2,1)"], _HAZARD, ["--u", "0,5", "--exact"]),
+    ("Exp/Wei(0.375,0.5) exact", *CHECK_MODELS["Exp/Wei(0.375,0.5)"], _HAZARD,
+     ["--u", "0,5", "--exact"]),
+    ("Exp/Exp threshold exact", _EXP, _EXP, _LINEAR,
+     ["--u", "5", "--threshold", "2", "--exact"]),
+    ("Exp/Exp", _EXP, _EXP, _LINEAR, ["--u", "0,5"]),
+]
 CHECK_TILTS = {
     "none": None,
     "hazard": {"family": "hazard", "params": {"theta": 1.0, "r_factor": 0.9}},
@@ -73,6 +91,25 @@ def _checks(cli, tmp: Path):
             yield f"check {mname} {tname}", _run_cli(cli, argv)
 
 
+def _estimates(cli, tmp: Path):
+    for label, claim, wait, tilt, extra in ESTIMATE_RUNS:
+        model, tilt_path, path = tmp / "model.json", tmp / "tilt.json", tmp / "est.csv"
+        model.write_text(json.dumps({"claim": claim, "wait": wait, "safety_loading": 0.5}))
+        tilt_path.write_text(json.dumps(tilt))
+        path.unlink(missing_ok=True)
+        argv = ["estimate", "--model", str(model), "--tilt", str(tilt_path),
+                "--K", "200", "--seed", "42", "--out", str(path), *extra]
+        data = _run_cli(cli, argv)
+        if path.exists():
+            lines = path.read_text(encoding="utf-8").splitlines()
+            header = [line for line in lines if line.startswith("#")]
+            rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+            drop = rows[0].index("runtime_seconds")
+            kept = [",".join(c for i, c in enumerate(row) if i != drop) for row in rows]
+            data += "\n".join(header + kept).encode()
+        yield f"estimate {label}", data
+
+
 def _output(workloads, op) -> bytes:
     try:
         out = op.run(k=K_SIM) if isinstance(op, workloads.SimOp) else op.run()
@@ -82,6 +119,7 @@ def _output(workloads, op) -> bytes:
         return repr(sorted(out.items())).encode()
     fields = dataclasses.asdict(out)
     fields.pop("runtime_seconds")
+    fields.pop("are", None)
     return repr(sorted(fields.items())).encode()
 
 
@@ -107,7 +145,12 @@ def main(argv: list[str]) -> int:
 
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        parts = [*_tables(cli, Path(tmp)), *_checks(cli, Path(tmp)), *_workloads(workloads)]
+        parts = [
+            *_tables(cli, Path(tmp)),
+            *_checks(cli, Path(tmp)),
+            *_estimates(cli, Path(tmp)),
+            *_workloads(workloads),
+        ]
     for label, data in parts:
         part = hashlib.sha256(data).hexdigest()
         print(f"{part}  {label}")
