@@ -27,8 +27,13 @@ with ``xp`` the ``math`` or the ``numpy`` module. ``logpdf`` hands a Python
 float to ``math`` and anything else, as an array, to numpy (see ``_by_kind``),
 so a quadrature integrand, called with one float at a time, runs as plain
 float arithmetic while the engine's array calls keep their numpy arithmetic
-bit for bit. Constants of a density, such as ``gammaln`` of a shape, are
-computed once when the law is built.
+bit for bit. Constants of a density, such as log G of a shape, are computed
+once when the law is built. Log-gamma is ``_lgam``, an in-package
+transcription of the cephes routine behind ``scipy.special.gammaln`` that
+matches it bit for bit, so building a law, its moments and every simulation
+import numpy alone. ``scipy.special`` is imported on the first ``cdf`` or
+``ppf`` that needs an incomplete gamma or normal function, and
+``scipy.integrate`` on the first quadrature.
 """
 
 from __future__ import annotations
@@ -37,15 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import (
-    gammainc,
-    gammaincc,
-    gammainccinv,
-    gammaincinv,
-    gammaln,
-    ndtr,
-    ndtri,
-)
 
 from .errors import ConfigError, UnsupportedCombination
 
@@ -200,7 +196,7 @@ class Exponential(PositiveLaw):
         return -np.expm1(-self.rate * np.asarray(x, dtype=float))
 
     def _raw_moment(self, k: float) -> float:
-        return math.exp(gammaln(k + 1.0) - k * math.log(self.rate))
+        return math.exp(_lgam(k + 1.0) - k * math.log(self.rate))
 
     def cumulative_hazard(self, x):
         return self.rate * np.asarray(x, dtype=float)
@@ -232,27 +228,32 @@ class Gamma(PositiveLaw):
 
     def __post_init__(self):
         _require_positive(shape=self.shape, rate=self.rate)
-        log_norm = self.shape * math.log(self.rate) - float(gammaln(self.shape))
+        log_norm = self.shape * math.log(self.rate) - _lgam(self.shape)
         object.__setattr__(self, "_log_norm", log_norm)
 
     def _logpdf(self, x, xp):
         return self._log_norm + (self.shape - 1.0) * xp.log(x) - self.rate * x
 
     def cdf(self, x):
+        from scipy.special import gammainc  # on first use: no simulation needs it
+
         return gammainc(self.shape, self.rate * np.asarray(x, dtype=float))
 
     def ppf(self, q):
+        from scipy.special import gammaincinv
+
         return gammaincinv(self.shape, np.asarray(q, dtype=float)) / self.rate
 
     def _raw_moment(self, k: float) -> float:
-        return math.exp(
-            gammaln(self.shape + k) - gammaln(self.shape) - k * math.log(self.rate)
-        )
+        return math.exp(_log_gamma_ratio(self.shape, k) - k * math.log(self.rate))
 
     def mgf(self, t: float) -> float:
         if t >= self.rate:
             return math.inf
-        return (self.rate / (self.rate - t)) ** self.shape
+        try:
+            return (self.rate / (self.rate - t)) ** self.shape
+        except OverflowError:  # float ** past the largest double
+            return math.inf
 
     def mgf_radius(self) -> float:
         return self.rate
@@ -284,7 +285,7 @@ class Weibull(PositiveLaw):
         return -np.expm1(-(t**self.shape))
 
     def _raw_moment(self, k: float) -> float:
-        return self.scale**k * math.exp(gammaln(1.0 + k / self.shape))
+        return self.scale**k * math.exp(_lgam(1.0 + k / self.shape))
 
     def cumulative_hazard(self, x):
         return (np.asarray(x, dtype=float) / self.scale) ** self.shape
@@ -315,22 +316,26 @@ class InvGamma(PositiveLaw):
 
     def __post_init__(self):
         _require_positive(shape=self.shape, scale=self.scale)
-        log_norm = self.shape * math.log(self.scale) - float(gammaln(self.shape))
+        log_norm = self.shape * math.log(self.scale) - _lgam(self.shape)
         object.__setattr__(self, "_log_norm", log_norm)
 
     def _logpdf(self, x, xp):
         return self._log_norm - (self.shape + 1.0) * xp.log(x) - self.scale / x
 
     def cdf(self, x):
+        from scipy.special import gammaincc
+
         return gammaincc(self.shape, self.scale / np.asarray(x, dtype=float))
 
     def ppf(self, q):
+        from scipy.special import gammainccinv
+
         return self.scale / gammainccinv(self.shape, np.asarray(q, dtype=float))
 
     def _raw_moment(self, k: float) -> float:
         if k >= self.shape:
             return math.inf
-        return self.scale**k * math.exp(gammaln(self.shape - k) - gammaln(self.shape))
+        return self.scale**k * math.exp(_log_gamma_ratio(self.shape, -k))
 
     def mgf_radius(self) -> float:
         return 0.0
@@ -368,7 +373,7 @@ class InvWeibull(PositiveLaw):
     def _raw_moment(self, k: float) -> float:
         if k >= self.shape:
             return math.inf
-        return self.scale**k * math.exp(gammaln(1.0 - k / self.shape))
+        return self.scale**k * math.exp(_lgam(1.0 - k / self.shape))
 
     def mgf_radius(self) -> float:
         return 0.0
@@ -404,7 +409,7 @@ class GenGamma(PositiveLaw):
         # kept as separate terms: the array path sums them in this order
         object.__setattr__(self, "_log_abs_alpha", math.log(abs(a)))
         object.__setattr__(self, "_log_scale_pow", a * p * math.log(b))
-        object.__setattr__(self, "_gammaln_shape", float(gammaln(p)))
+        object.__setattr__(self, "_gammaln_shape", _lgam(p))
 
     def _logpdf(self, x, xp):
         a, b, p = self.alpha, self.scale, self.shape
@@ -417,12 +422,16 @@ class GenGamma(PositiveLaw):
         )
 
     def cdf(self, x):
+        from scipy.special import gammainc, gammaincc
+
         t = (np.asarray(x, dtype=float) / self.scale) ** self.alpha
         if self.alpha > 0:
             return gammainc(self.shape, t)
         return gammaincc(self.shape, t)
 
     def ppf(self, q):
+        from scipy.special import gammainccinv, gammaincinv
+
         q = np.asarray(q, dtype=float)
         if self.alpha > 0:
             t = gammaincinv(self.shape, q)
@@ -431,10 +440,10 @@ class GenGamma(PositiveLaw):
         return self.scale * t ** (1.0 / self.alpha)
 
     def _raw_moment(self, k: float) -> float:
-        arg = self.shape + k / self.alpha
-        if arg <= 0:
+        d = k / self.alpha
+        if self.shape + d <= 0:
             return math.inf
-        return self.scale**k * math.exp(gammaln(arg) - gammaln(self.shape))
+        return self.scale**k * math.exp(_log_gamma_ratio(self.shape, d))
 
     def mgf_radius(self) -> float:
         if self.alpha > 1.0:
@@ -468,9 +477,13 @@ class LogNormal(PositiveLaw):
         return -log_x - self._log_sigma - _HALF_LOG_2PI - 0.5 * z * z
 
     def cdf(self, x):
+        from scipy.special import ndtr
+
         return ndtr((np.log(np.asarray(x, dtype=float)) - self.mu) / self.sigma)
 
     def ppf(self, q):
+        from scipy.special import ndtri
+
         return np.exp(self.mu + self.sigma * ndtri(np.asarray(q, dtype=float)))
 
     def _raw_moment(self, k: float) -> float:
@@ -508,9 +521,7 @@ class Pareto(PositiveLaw):
     def _raw_moment(self, k: float) -> float:
         if k >= self.shape:
             return math.inf
-        return self.scale**k * math.exp(
-            gammaln(k + 1.0) + gammaln(self.shape - k) - gammaln(self.shape)
-        )
+        return self.scale**k * math.exp(_log_gamma_ratio(self.shape, -k, _lgam(k + 1.0)))
 
     def cumulative_hazard(self, x):
         return self.shape * np.log1p(np.asarray(x, dtype=float) / self.scale)
@@ -648,3 +659,156 @@ def law_from_config(obj: dict) -> PositiveLaw:
         return cls(**{k: float(params[k]) for k in names})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {family} parameters: {exc}") from exc
+
+
+# -- log-gamma -------------------------------------------------------------------
+
+# cephes lgam's coefficients: A for the Stirling correction, B/C for the
+# rational approximation on [2, 3). C's leading 1 is implicit in cephes (p1evl)
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LGAM_B = (
+    -1.37825152569120859100e3,
+    -3.88016315134637840924e4,
+    -3.31612992738871184744e5,
+    -1.16237097492762307383e6,
+    -1.72173700820839662146e6,
+    -8.53555664245765465627e5,
+)
+_LGAM_C = (
+    1.0,
+    -3.51815701436523470549e2,
+    -1.70642106651881159223e4,
+    -2.20528590553854454839e5,
+    -1.13933444367982507207e6,
+    -2.53252307177582951285e6,
+    -2.01889141433532773231e6,
+)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_MAXLGM = 2.556348e305
+# from here on log G(b + d) - log G(b) is a difference of Stirling's series
+_STIRLING_MIN = 100.0
+
+
+def _horner(x: float, coef: tuple[float, ...]) -> float:
+    # cephes polevl; with a leading coefficient 1 also p1evl, since 0*x + 1 = 1
+    # and 1*x + c = x + c exactly
+    ans = 0.0
+    for c in coef:
+        ans = ans * x + c
+    return ans
+
+
+def _lgam(x: float) -> float:
+    """log G(x) for a float x > 0, bit for bit as ``scipy.special.gammaln``.
+
+    A transcription of cephes ``lgam`` (licence notice below), the routine
+    ``gammaln`` wraps, without its branch for negative arguments: below 13 the
+    argument is shifted into [2, 3) by the recurrence, and a rational
+    approximation is added to the log of the product; from 13 on it is
+    Stirling's series, truncated to fewer terms past 1000 and to none past 1e8.
+    """
+    if not math.isfinite(x):
+        return x
+    if x < 13.0:
+        z = 1.0
+        p = 0.0
+        u = x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            if u == 0.0:
+                return math.inf
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        p -= 2.0
+        x = x + p
+        p = x * _horner(x, _LGAM_B) / _horner(x, _LGAM_C)
+        return math.log(z) + p
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        q += (
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333
+        ) / x
+    else:
+        q += _horner(p, _LGAM_A) / x
+    return q
+
+
+def _stirling_tail(y: float) -> float:
+    # log G(y) - (y - 1/2) log y + y - log sqrt(2 pi), to its 1/y^3 term
+    return (1.0 / 12.0 - 1.0 / (360.0 * y * y)) / y
+
+
+def _log_gamma_ratio(b: float, d: float, offset: float = 0.0) -> float:
+    """offset + log G(b + d) - log G(b), summed in that order; b, b + d > 0.
+
+    Below ``_STIRLING_MIN`` it subtracts the two ``_lgam`` values. Past it that
+    difference cancels: at b = 1e14 both logs are near 3e15, where a double
+    keeps no digit of a difference of 30. There it takes the difference of
+    Stirling's series, written so that nothing large cancels; for b from 100
+    to 1e307 and d in {+-1, +-2, 1/2, 2/3, 4/3} it is within 1.1e-15
+    relative of the exact value.
+    """
+    x = b + d
+    if min(b, x) < _STIRLING_MIN:
+        return offset + _lgam(x) - _lgam(b)
+    return offset + (
+        (b - 0.5) * math.log1p(d / b)
+        + d * math.log(x)
+        - d
+        + _stirling_tail(x)
+        - _stirling_tail(b)
+    )
+
+
+# _lgam is a transcription of lgam in cephes/gamma.c (Cephes Math Library
+# Release 2.8, copyright 1984, 1987, 1989, 1992, 2000 by Stephen L. Moshier),
+# which SciPy distributes, with the author's permission, under this licence:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.

@@ -20,28 +20,65 @@ def test_every_exported_name_resolves(name):
 
 
 GUARD = """
+import contextlib
+import io
+import json
 import sys
+import tempfile
+from pathlib import Path
+
 import ruinlab
-from ruinlab import SimConfig, Weibull, estimate_psi
-from ruinlab.tables import table_spec
+from ruinlab import SimConfig, Weibull, cli, estimate_psi
+from ruinlab.tables import TABLES, table_spec
 from ruinlab.tilts import tilt_from_config
 
-for name in ("table1", "table2", "table3", "table4", "table5"):
-    col = table_spec(name).columns[0]
-    estimate_psi(col.model, tilt_from_config(col.tilt_config, col.model), SimConfig(u=0.0, k=50, seed=1))
-print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
+for name in TABLES:
+    for col in table_spec(name).columns:
+        tilt = tilt_from_config(col.tilt_config, col.model)
+        estimate_psi(col.model, tilt, SimConfig(u=0.0, k=50, seed=1))
+with tempfile.TemporaryDirectory() as tmp:
+    model = Path(tmp) / "model.json"
+    exp1 = {"family": "exp", "params": {"rate": 1.0}}
+    gamma = {"family": "gamma", "params": {"shape": 2.0, "rate": 1.0}}
+    model.write_text(json.dumps({"claim": exp1, "wait": gamma, "safety_loading": 0.5}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["check", "--model", str(model)]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 print(Weibull(0.375, 0.5).laplace(1.0).hex())
 """
 
+FIRST_CALLS = """
+from ruinlab import Gamma, GenGamma, InvGamma, LogNormal
 
-def test_simulation_loads_neither_scipy_optimize_nor_integrate():
-    # a fresh interpreter: this test process has both modules loaded already
+print(float(Gamma(2.0, 1.0).ppf(0.5)).hex())
+print(float(InvGamma(3.0, 4.0).cdf(2.0)).hex())
+print(float(GenGamma(-1.5, 1.0, 2.0).ppf(0.3)).hex())
+print(float(LogNormal(0.0, 1.0).cdf(2.0)).hex())
+"""
+
+
+def _fresh_process(code: str) -> list[str]:
+    # a fresh interpreter: this test process has scipy loaded already
     path = [str(Path(ruinlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     proc = subprocess.run(
-        [sys.executable, "-c", GUARD], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    loaded, laplace = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_simulation_and_closed_form_check_load_no_scipy():
+    loaded, laplace = _fresh_process(GUARD)
     assert loaded == "[]"
     # quadrature still imports its integrator on first use; value as with a module-level import
     assert float.fromhex(laplace) == 0.6499164412290026
+
+
+def test_first_cdf_and_ppf_import_scipy_special_with_the_same_values():
+    # the values with scipy.special imported when ruinlab is
+    assert _fresh_process(FIRST_CALLS) == [
+        "0x1.ada825f9762b5p+0",
+        "0x1.5a7554caf623ep-1",
+        "0x1.1a8e1752f3564p-1",
+        "0x1.830432b8db5c5p-1",
+    ]

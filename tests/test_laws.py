@@ -23,10 +23,12 @@ from ruinlab import (
     expectation,
     law_from_config,
 )
+from ruinlab import laws
 from ruinlab.errors import ConfigError, UnsupportedCombination
-from ruinlab.laws import _FAMILIES
+from ruinlab.laws import _FAMILIES, _STIRLING_MIN, _lgam
 from ruinlab.model import RiskModel, model_from_config
-from ruinlab.tilts import hazard_twisted, size_biased
+from ruinlab.tables import TABLES, table_spec
+from ruinlab.tilts import hazard_twisted, size_biased, tilt_from_config
 
 ALL_LAWS = [
     Exponential(1.0),
@@ -328,6 +330,75 @@ def test_moment_past_largest_double_reads_inf():
     assert LogNormal(0.0, 30.0).raw_moment(2.0) == math.inf
     # a finite moment is the formula's value, bit for bit
     assert Weibull(0.01, 1.0).mean() == 1.0**1.0 * math.exp(gammaln(1.0 + 1.0 / 0.01))
+
+
+def _assert_lgam_is_gammaln(points):
+    bad = [x for x in points if _lgam(float(x)) != float(gammaln(x))]
+    assert not bad, bad[:5]
+
+
+def test_lgam_is_gammaln_bit_for_bit():
+    sweep = np.exp(np.random.default_rng(2026).uniform(-20.0, 12.0, 20_000))
+    edges = [
+        math.nextafter(e, to) for e in (2.0, 3.0, 13.0, 1000.0, 1e8) for to in (0.0, math.inf)
+    ]
+    extremes = [1e-300, 1e300, 2.556348e305, 2.6e305, math.inf]
+    _assert_lgam_is_gammaln(
+        [*range(1, 172), *(k / 2 for k in range(1, 401)), *sweep, 2.0, 3.0, 13.0, 1000.0, 1e8,
+         *edges, *extremes]
+    )
+    assert _lgam(2.6e305) == math.inf
+
+
+def test_lgam_is_gammaln_on_every_table_law_argument(monkeypatch):
+    # every argument the table1..table5 laws pass, when built and at moments 1 and 2
+    seen = set()
+
+    def spy(x):
+        seen.add(x)
+        return _lgam(x)
+
+    monkeypatch.setattr(laws, "_lgam", spy)
+    for name in TABLES:
+        for col in table_spec(name).columns:
+            tilt = tilt_from_config(col.tilt_config, col.model)
+            for law in (col.model.claim_law, col.model.wait_law,
+                        tilt.tilted_claim_law(), tilt.tilted_wait_law()):
+                for part in getattr(law, "components", (law,)):
+                    part.raw_moment(1.0)
+                    part.raw_moment(2.0)
+    for k in (1, 2):  # Wei(0.375), InvWei(3), InvGa(3), size-biased Wei(0.75) moments
+        assert {1 + k / 0.375, 1 - k / 3, 3.0 - k, 1 + 1 / 0.75 + k / 0.75} <= seen
+    _assert_lgam_is_gammaln(sorted(seen))
+
+
+@pytest.mark.parametrize(
+    "a", [10.0, 99.0, 999.0, 1e14, *(10.0**j for j in range(2, 301, 7)), 1e300, 3e305]
+)
+def test_gamma_ratio_moments_at_large_shapes(a):
+    # each mean is 10; log G(a + d) - log G(a) cancels at large a unless it
+    # is taken as a difference of Stirling's series, and past 2.6e305 both
+    # log-gammas are inf
+    for law in (Gamma(a, a / 10), InvGamma(a, 10 * (a - 1)), Pareto(a, 10 * (a - 1))):
+        assert abs(law.mean() / 10.0 - 1.0) <= 1e-12, law
+    assert abs(GenGamma(-1.0, 10 * (a - 1), a).mean() / 10.0 - 1.0) <= 1e-12
+
+
+def test_gamma_ratio_moments_on_both_sides_of_the_stirling_switch():
+    for a in np.linspace(_STIRLING_MIN - 5.0, _STIRLING_MIN + 5.0, 41):
+        for law in (Gamma(a, a / 10), InvGamma(a, 10 * (a - 1)), Pareto(a, 10 * (a - 1))):
+            assert abs(law.mean() / 10.0 - 1.0) <= 1e-12, law
+    # below the switch the moment is the log-gamma difference, bit for bit
+    assert Gamma(3.0, 2.0).raw_moment(2.5) == math.exp(
+        gammaln(5.5) - gammaln(3.0) - 2.5 * math.log(2.0)
+    )
+    assert Pareto(3.5, 3.0).raw_moment(1.5) == 3.0**1.5 * math.exp(
+        gammaln(2.5) + gammaln(2.0) - gammaln(3.5)
+    )
+
+
+def test_gamma_mgf_past_largest_double_reads_inf():
+    assert Gamma(3e305, 1e300).mgf(0.5e300) == math.inf
 
 
 def test_risk_model_rejections():

@@ -9,7 +9,10 @@ the last lines. It hashes
 
 * the ``table1``..``table5`` CSVs at ``--K 1000 --seed 42``;
 * ``check`` on five light-tailed models, each without a tilt, with a claims-only
-  hazard twist and with an Esscher tilt (exit code, stdout and stderr);
+  hazard twist and with an Esscher tilt, and without a tilt on five models
+  whose claims are inverse gamma, inverse Weibull, Pareto, log-normal and
+  generalized gamma, so every family's moments are hashed (exit code, stdout
+  and stderr);
 * ``estimate`` runs with ``--exact`` on three exponential-claim models (up to
   u = 2300, where the closed form underflows and ``are`` reads nan), one with
   ``--threshold`` and one without ``--exact`` (exit code, stdout, stderr and
@@ -44,6 +47,18 @@ CHECK_MODELS = {
     "Exp/Ga(2,1)": (_EXP, {"family": "gamma", "params": {"shape": 2.0, "rate": 1.0}}),
     "Wei(2,1)/Exp": ({"family": "weibull", "params": {"shape": 2.0, "scale": 1.0}}, _EXP),
     "Exp/Wei(0.375,0.5)": (_EXP, {"family": "weibull", "params": {"shape": 0.375, "scale": 0.5}}),
+}
+# checked without a tilt only
+UNTILTED_CHECK_MODELS = {
+    "InvGa(3,4)/Exp": ({"family": "invgamma", "params": {"shape": 3.0, "scale": 4.0}}, _EXP),
+    "InvWei(3,1.48)/Exp": (
+        {"family": "invweibull", "params": {"shape": 3.0, "scale": 1.48}}, _EXP),
+    "Pa(2.5,3)/Exp": ({"family": "pareto", "params": {"shape": 2.5, "scale": 3.0}}, _EXP),
+    "LN(0,1)/Exp": ({"family": "lognormal", "params": {"mu": 0.0, "sigma": 1.0}}, _EXP),
+    "GGa(1.5,1,2)/LN(0,0.5)": (
+        {"family": "gengamma", "params": {"alpha": 1.5, "scale": 1.0, "shape": 2.0}},
+        {"family": "lognormal", "params": {"mu": 0.0, "sigma": 0.5}},
+    ),
 }
 _HAZARD = {"family": "hazard", "params": {"theta": 1.0, "r_factor": 0.9}}
 _LINEAR = {"family": "linear", "params": {"xi_factor": 1.95}}
@@ -89,6 +104,10 @@ def _checks(cli, tmp: Path):
                 (tmp / "tilt.json").write_text(json.dumps(tilt))
                 argv += ["--tilt", str(tmp / "tilt.json")]
             yield f"check {mname} {tname}", _run_cli(cli, argv)
+    for mname, (claim, wait) in UNTILTED_CHECK_MODELS.items():
+        model = tmp / "model.json"
+        model.write_text(json.dumps({"claim": claim, "wait": wait, "safety_loading": 0.5}))
+        yield f"check {mname} none", _run_cli(cli, ["check", "--model", str(model)])
 
 
 def _estimates(cli, tmp: Path):
