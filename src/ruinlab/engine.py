@@ -13,20 +13,25 @@ Infinite-time runs require a ruin-inducing pair with a positive tilted drift;
 finite-horizon runs accept any pair. A replication still live after
 _MAX_STEPS steps raises StepCapExceeded rather than truncating the estimate.
 
-Determinism contract (lane streams, after Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11): replication i is lane i mod _BATCH of
-batch b = i // _BATCH, and batch b draws from one Philox generator keyed by
-(master seed, b), a counter-based split, so a batch's draws do not depend on
-which batches ran before it. A full batch's outcomes are a function of (seed,
-b) and the run's model, tilt and capital alone; the last, partial batch also
-depends on its lane count, K - b * _BATCH. _BATCH, _BLOCK_ELEMS and the chunk
-schedule's _FIRST_DIV and _GROW_DIV are stream constants: changing any of them
-changes every stream. The reduction is an index-ordered array sum.
+Determinism contract (lane streams): replication i is lane i mod _BATCH of
+batch b = i // _BATCH, and batch b draws from one SFC64 generator seeded by
+``SeedSequence([master seed, b])``, so a batch's draws do not depend on which
+batches ran before it. SeedSequence hashes the pair to the generator's three
+64-bit state words; every stream starts with the same value in its fourth,
+a counter that each draw advances by one, so two streams with distinct
+starting states cannot overlap within 2^64 draws. A full batch's outcomes are
+a function of (seed, b) and the run's model, tilt and capital alone; the last,
+partial batch also depends on its lane count, K - b * _BATCH. _BATCH,
+_BLOCK_ELEMS and the chunk schedule's _FIRST_DIV and _GROW_DIV are stream
+constants: changing any of them changes every stream. The reduction is an
+index-ordered array sum.
 
 A batch advances in chunks of steps: every live lane takes the same chunk,
 split into row blocks of about _BLOCK_ELEMS variates, and each row block draws
 its waits with one ``sample_n`` call and then its claims with another, both
-laid out row by row. The walk, the stop tests and one segmented pass summing
+laid out row by row; where the pair weighs a component by the standard
+exponentials behind its draws (``TiltingPair.weighs_std_exp``), that call
+returns them too. The walk, the stop tests and one segmented pass summing
 gamma + delta and the waits over each row's own steps then run along the rows.
 A lane's draws therefore depend on which lanes of its batch are still live.
 The first chunk is a quarter of the mean step count u_eff / drift, plus 16
@@ -76,7 +81,7 @@ _BLOCK_ELEMS = 1 << 14
 # (1 MiB) here keeps the blocks' memory in the heap; under another allocator it
 # is one short-lived allocation.
 np.empty(8 * _BLOCK_ELEMS)
-# replications per Philox stream; a stream constant that neither K nor the
+# replications per generator stream; a stream constant that neither K nor the
 # caller changes, so replication i always draws from stream (seed, i // _BATCH)
 _BATCH = 1024
 # steps per replication before StepCapExceeded
@@ -99,7 +104,7 @@ class SimConfig:
         if self.k < 1:
             raise ValueError("replication count K must be at least 1")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must lie in [0, 2^64): Philox keys are uint64")
+            raise ValueError("seed must lie in [0, 2^64), an unsigned 64-bit integer")
         if self.horizon is not None and not 0 <= self.horizon < math.inf:
             raise ValueError("horizon must be finite and nonnegative")
         if self.threshold is not None and not 0 <= self.threshold <= self.u:
@@ -206,7 +211,7 @@ def _walk(ctx: _RunContext, seed: int, batch: int, k: int) -> _Walked:
         log_weight=np.zeros(k),
         overshoot=np.full(k, math.nan),
     )
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, batch], dtype=np.uint64)))
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, batch])))
     # the live lanes, their walk position z, elapsed time t and log-weight
     live, z, t, log_w = np.arange(k), np.zeros(k), np.zeros(k), np.zeros(k)
     n = 0
@@ -229,14 +234,16 @@ def _walk_block(ctx: _RunContext, gen, out: _Walked, n, m, pos, z, t, log_w):
     """Advance lanes ``pos``, ``n`` steps in, by one chunk of ``m``.
 
     One ``sample_n`` call draws the block's waits and one its claims, row by
-    row; the walk and the stop tests run once along the rows, and one
+    row, each with its standard exponentials where the pair weighs those; the
+    walk and the stop tests run once along the rows, and one
     segmented ``path_log_weight`` call and one ``reduceat`` of the waits sum
     each row's log-weight and time over the steps it used. Stopped lanes are
     written to ``out``; ``z``, ``t`` and ``log_w`` are advanced in place.
     Returns which rows go on.
     """
-    w = ctx.qw.sample_n(gen, len(pos) * m).reshape(-1, m)
-    x = ctx.qx.sample_n(gen, len(pos) * m).reshape(-1, m)
+    ex_on, ew_on = ctx.pair.weighs_std_exp
+    w, ew = _draw(ctx.qw, gen, len(pos), m, ew_on)
+    x, ex = _draw(ctx.qx, gen, len(pos), m, ex_on)
     # z + cumsum(x - c w) along each row, every pass in the c w buffer
     zc = ctx.premium * w
     np.subtract(x, zc, out=zc)
@@ -258,7 +265,8 @@ def _walk_block(ctx: _RunContext, gen, out: _Walked, n, m, pos, z, t, log_w):
     xs, ws = x[steps], w[steps]
     starts = np.cumsum(used) - used
     if ctx.pair.variant != "identity":
-        log_w -= ctx.pair.path_log_weight(xs, ws, starts)
+        ex, ew = (None if e is None else e[steps] for e in (ex, ew))
+        log_w -= ctx.pair.path_log_weight(xs, ws, starts, ex, ew)
     t += np.add.reduceat(ws, starts)
 
     stop = j_stop < m
@@ -271,6 +279,15 @@ def _walk_block(ctx: _RunContext, gen, out: _Walked, n, m, pos, z, t, log_w):
     out.overshoot[p[ruined]] = zc[rows_r, j_stop[rows_r]] - ctx.u_eff
     z[:] = zc[:, -1]
     return ~stop
+
+
+def _draw(law, gen, rows: int, m: int, std_exp: bool):
+    """``rows`` x ``m`` draws of ``law`` from one ``sample_n`` call, and the
+    standard exponentials behind them if ``std_exp`` (else None)."""
+    if std_exp:
+        z, e = law.sample_n(gen, rows * m, return_std_exp=True)
+        return z.reshape(-1, m), e.reshape(-1, m)
+    return law.sample_n(gen, rows * m).reshape(-1, m), None
 
 
 def _first_true(flags: np.ndarray) -> np.ndarray:

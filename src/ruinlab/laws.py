@@ -10,7 +10,9 @@ Sampling contract: each family uses a fixed, documented algorithm driven by a
 ``numpy.random.Generator``. Exponential, Weibull, inverse Weibull and Pareto
 draw Z = T(E), where E = -log1p(-U) is a standard exponential made from
 ``Generator.random`` and T is the family's ``_from_std_exp(e, xp)``; their
-quantile is the same T. Log-normal is exp(mu + sigma N) on
+quantile is the same T. Their ``sample_n(rng, n, return_std_exp=True)``
+returns E beside Z, so a hazard-twist weight needs no transcendental call per
+draw; Z is the same array either way. Log-normal is exp(mu + sigma N) on
 ``Generator.standard_normal``; gamma-type laws use ``Generator.standard_gamma``,
 numpy's Marsaglia-Tsang rejection sampler, and inverse gamma is the reciprocal
 of its draw. Streams are therefore reproducible for a fixed numpy version given
@@ -161,7 +163,11 @@ class PositiveLaw:
     _from_std_exp = None
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """``n`` independent draws."""
+        """``n`` independent draws.
+
+        A family sampled as Z = T(E) also takes ``return_std_exp``: when true
+        it returns (Z, E), E the standard exponentials the draws came from.
+        """
         raise NotImplementedError
 
     # -- misc ---------------------------------------------------------------------
@@ -177,6 +183,13 @@ def _std_exp(rng: np.random.Generator, n: int) -> np.ndarray:
     np.negative(e, out=e)
     np.log1p(e, out=e)
     return np.negative(e, out=e)
+
+
+def _sample_t_of_e(law: PositiveLaw, rng, n: int, return_std_exp: bool):
+    """Z = T(E) for ``n`` standard exponentials E; (Z, E) if ``return_std_exp``."""
+    e = _std_exp(rng, n)
+    z = law._from_std_exp(e, np)  # a new array: E stays as drawn
+    return (z, e) if return_std_exp else z
 
 
 @dataclass(frozen=True)
@@ -212,8 +225,8 @@ class Exponential(PositiveLaw):
     def _from_std_exp(self, e, xp):
         return e / self.rate
 
-    def sample_n(self, rng, n):
-        return self._from_std_exp(_std_exp(rng, n), np)
+    def sample_n(self, rng, n, return_std_exp=False):
+        return _sample_t_of_e(self, rng, n, return_std_exp)
 
     def label(self) -> str:
         return f"Exp({self.rate:g})"
@@ -228,11 +241,17 @@ class Gamma(PositiveLaw):
 
     def __post_init__(self):
         _require_positive(shape=self.shape, rate=self.rate)
-        log_norm = self.shape * math.log(self.rate) - _lgam(self.shape)
+        if self.shape < _STIRLING_MIN:
+            log_norm = self.shape * math.log(self.rate) - _lgam(self.shape)
+        else:
+            log_norm = math.log(self.rate) + _large_shape_log_norm(self.shape, -0.5)
         object.__setattr__(self, "_log_norm", log_norm)
 
     def _logpdf(self, x, xp):
-        return self._log_norm + (self.shape - 1.0) * xp.log(x) - self.rate * x
+        a = self.shape
+        if a < _STIRLING_MIN:
+            return self._log_norm + (a - 1.0) * xp.log(x) - self.rate * x
+        return _large_shape_logpdf(a, a - 1.0, (self.rate * x - a) / a, self._log_norm, xp)
 
     def cdf(self, x):
         from scipy.special import gammainc  # on first use: no simulation needs it
@@ -251,8 +270,11 @@ class Gamma(PositiveLaw):
         if t >= self.rate:
             return math.inf
         try:
-            return (self.rate / (self.rate - t)) ** self.shape
-        except OverflowError:  # float ** past the largest double
+            if self.shape < _STIRLING_MIN:
+                return (self.rate / (self.rate - t)) ** self.shape
+            # the power would multiply its base's rounding error by the shape
+            return math.exp(-self.shape * math.log1p(-t / self.rate))
+        except OverflowError:  # past the largest double
             return math.inf
 
     def mgf_radius(self) -> float:
@@ -300,8 +322,8 @@ class Weibull(PositiveLaw):
     def _from_std_exp(self, e, xp):
         return self.scale * e ** (1.0 / self.shape)
 
-    def sample_n(self, rng, n):
-        return self._from_std_exp(_std_exp(rng, n), np)
+    def sample_n(self, rng, n, return_std_exp=False):
+        return _sample_t_of_e(self, rng, n, return_std_exp)
 
     def label(self) -> str:
         return f"Wei({self.shape:g},{self.scale:g})"
@@ -316,11 +338,17 @@ class InvGamma(PositiveLaw):
 
     def __post_init__(self):
         _require_positive(shape=self.shape, scale=self.scale)
-        log_norm = self.shape * math.log(self.scale) - _lgam(self.shape)
+        if self.shape < _STIRLING_MIN:
+            log_norm = self.shape * math.log(self.scale) - _lgam(self.shape)
+        else:
+            log_norm = _large_shape_log_norm(self.shape, 1.5) - math.log(self.scale)
         object.__setattr__(self, "_log_norm", log_norm)
 
     def _logpdf(self, x, xp):
-        return self._log_norm - (self.shape + 1.0) * xp.log(x) - self.scale / x
+        a = self.shape
+        if a < _STIRLING_MIN:
+            return self._log_norm - (a + 1.0) * xp.log(x) - self.scale / x
+        return _large_shape_logpdf(a, a + 1.0, (self.scale / x - a) / a, self._log_norm, xp)
 
     def cdf(self, x):
         from scipy.special import gammaincc
@@ -382,8 +410,8 @@ class InvWeibull(PositiveLaw):
         # reciprocal of Weibull(shape, 1/scale): scale * E^(-1/shape)
         return self.scale * e ** (-1.0 / self.shape)
 
-    def sample_n(self, rng, n):
-        return self._from_std_exp(_std_exp(rng, n), np)
+    def sample_n(self, rng, n, return_std_exp=False):
+        return _sample_t_of_e(self, rng, n, return_std_exp)
 
     def label(self) -> str:
         return f"InvWei({self.shape:g},{self.scale:g})"
@@ -532,8 +560,8 @@ class Pareto(PositiveLaw):
     def _from_std_exp(self, e, xp):
         return self.scale * xp.expm1(e / self.shape)
 
-    def sample_n(self, rng, n):
-        return self._from_std_exp(_std_exp(rng, n), np)
+    def sample_n(self, rng, n, return_std_exp=False):
+        return _sample_t_of_e(self, rng, n, return_std_exp)
 
     def label(self) -> str:
         return f"Pa({self.shape:g},{self.scale:g})"
@@ -691,7 +719,9 @@ _LGAM_C = (
 )
 _LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
 _MAXLGM = 2.556348e305
-# from here on log G(b + d) - log G(b) is a difference of Stirling's series
+# from here on log G(b + d) - log G(b) is a difference of Stirling's series,
+# and gamma and inverse gamma laws of this shape or more take the forms of
+# their log-density and mgf that do not cancel
 _STIRLING_MIN = 100.0
 
 
@@ -754,6 +784,25 @@ def _lgam(x: float) -> float:
 def _stirling_tail(y: float) -> float:
     # log G(y) - (y - 1/2) log y + y - log sqrt(2 pi), to its 1/y^3 term
     return (1.0 / 12.0 - 1.0 / (360.0 * y * y)) / y
+
+
+def _large_shape_log_norm(a: float, k: float) -> float:
+    # p log a - a - log G(a) with p = a + k - 1/2, once Stirling's series for
+    # log G(a) has cancelled its large terms exactly: with log c added, the
+    # log_norm of _large_shape_logpdf
+    return k * math.log(a) - _HALF_LOG_2PI - _stirling_tail(a)
+
+
+def _large_shape_logpdf(a, p, d, log_norm, xp):
+    """p log1p(d) - a d + log_norm: log(c y^p e^-y / G(a)) at y = a (1 + d).
+
+    The log-density of a gamma-type law of shape a >= _STIRLING_MIN, written
+    about y = a: the gamma law has y = rate x, p = a - 1 and c = rate; the
+    inverse gamma y = scale / x, p = a + 1 and c = 1 / scale. No term of size
+    a log a cancels: at a = 1e14 the plain form reads 12.78 for a log-density
+    of 12.90, and past 2.6e305 its log G(a) is inf.
+    """
+    return p * xp.log1p(d) - a * d + log_norm
 
 
 def _log_gamma_ratio(b: float, d: float, offset: float = 0.0) -> float:

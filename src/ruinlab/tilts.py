@@ -25,7 +25,10 @@ sampleable tilted laws wherever those exist:
 
 A family defines only gamma, delta and its tilted laws; the path log-weight,
 sum(gamma(X_j)) + sum(delta(W_j)) over each path's own steps, is evaluated
-pointwise for every family by ``TiltingPair.path_log_weight``.
+pointwise for every family by ``TiltingPair.path_log_weight``. The hazard
+twist alone may weigh a draw by the standard exponential E it was made from
+(see ``HazardTwist.path_log_weight``); its ``weighs_std_exp`` names the
+components for which a caller passes E.
 
 All laws in the catalog share support (0, inf), so targets never need a
 support check here.
@@ -112,6 +115,9 @@ class TiltingPair:
     """Base class; concrete pairs are immutable once constructed."""
 
     variant: str
+    # (claims, waits): the components whose standard exponentials E, the draws
+    # behind Z = T(E), ``path_log_weight`` reads in place of the draws
+    weighs_std_exp = (False, False)
 
     def __init__(self, model: RiskModel):
         self.model = model
@@ -136,12 +142,16 @@ class TiltingPair:
         """E[W exp(delta(W))], the tilted wait law's mean; may be inf."""
         return self.tilted_wait_law().mean()
 
-    def path_log_weight(self, x: np.ndarray, w: np.ndarray, starts: np.ndarray):
+    def path_log_weight(self, x: np.ndarray, w: np.ndarray, starts: np.ndarray,
+                        ex=None, ew=None):
         """sum(gamma) + sum(delta) over each path segment of the 1-D ``x``, ``w``.
 
         Segment i begins at ``starts[i]`` and must be non-empty: ``reduceat``
         gives the element at a repeated start, not 0. A segment's value depends
-        only on its own elements, bit-identical to weighing it alone.
+        only on its own elements, bit-identical to weighing it alone. ``ex``
+        and ``ew`` are the standard exponentials behind ``x`` and ``w``, passed
+        for the components ``weighs_std_exp`` names; only the hazard twist
+        reads them.
         """
         return np.add.reduceat(self.gamma(x) + self.delta(w), starts)
 
@@ -306,6 +316,12 @@ def hazard_twisted(law: PositiveLaw, factor: float) -> PositiveLaw:
     raise UnsupportedCombination(f"{law.label()} has no closed-form hazard twist")
 
 
+def _twist_log_weight(factor: float, e: np.ndarray) -> np.ndarray:
+    # ln f - (f - 1) H(Z), H the untwisted law's cumulative hazard, for a draw
+    # Z = T_f(E) of the law twisted by f, where H(Z) = E / f
+    return math.log(factor) - (1.0 - 1.0 / factor) * e
+
+
 class HazardTwist(TiltingPair):
     """Proportional-hazards twist of the claims (r) and/or the waits (theta)."""
 
@@ -319,6 +335,7 @@ class HazardTwist(TiltingPair):
         # its component untouched
         self._qx = hazard_twisted(model.claim_law, self.r)
         self._qw = hazard_twisted(model.wait_law, self.theta)
+        self.weighs_std_exp = (self.r != 1.0, self.theta != 1.0)
 
     def gamma(self, x):
         if self.r == 1.0:
@@ -331,6 +348,20 @@ class HazardTwist(TiltingPair):
             return np.zeros_like(_pos(w))
         h = self.model.wait_law.cumulative_hazard(_pos(w))
         return math.log(self.theta) - (self.theta - 1.0) * h
+
+    def path_log_weight(self, x, w, starts, ex=None, ew=None):
+        """The base class's segmented sum, reading E where it is passed.
+
+        Every law with a closed-form twist (Exp, Weibull, Pareto) is sampled
+        as Z = T(E), and its twist by a factor f has cumulative hazard f H, so
+        H(T_f(E)) = E / f exactly and the log-weight of a twisted draw is
+        ln f - (1 - 1/f) E, with no transcendental call per step. A component
+        weighs its E when given one (``weighs_std_exp`` names when the caller
+        should) and its draw through ``gamma``/``delta`` otherwise.
+        """
+        g = self.gamma(x) if ex is None else _twist_log_weight(self.r, ex)
+        d = self.delta(w) if ew is None else _twist_log_weight(self.theta, ew)
+        return np.add.reduceat(g + d, starts)
 
     def tilted_claim_law(self):
         return self._qx

@@ -582,6 +582,20 @@ def test_overflowing_twist_boundary_is_reported(tmp_path, capsys):
     assert "r_max: unavailable (" in capsys.readouterr().out
 
 
+def test_check_gamma_claims_at_large_shapes(tmp_path, capsys):
+    # Ga(1e14, 1e13) claims have mean 10 and sd 1e-6: over Exp(1) waits at
+    # c = 15, rho is the root of 10 r = log1p(15 r) (0.0762688560850...)
+    ga = {"family": "gamma", "params": {"shape": 1e14, "rate": 1e13}}
+    model = _write_model(tmp_path / "m.json", ga, EXP1, safety_loading=0.5)
+    assert main(["check", "--model", model]) == 0
+    assert "rho: 7.6268856085e-02" in capsys.readouterr().out
+    # at shape 3e305 the root is out of the probes' reach, and check says so
+    ga["params"] = {"shape": 3e305, "rate": 1e300}
+    model = _write_model(tmp_path / "m.json", ga, EXP1, safety_loading=0.5)
+    assert main(["check", "--model", model]) == 0
+    assert "rho: unavailable (" in capsys.readouterr().out
+
+
 def test_fmt_writes_non_finite_floats():
     assert [cli._fmt(v) for v in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
     assert cli._fmt(2.0) == "2" and cli._fmt(0.1) == "1.0000000000e-01"

@@ -45,8 +45,9 @@ def within_se(estimate, target, std_error, mult=4.0):
     return abs(estimate - target) <= mult * std_error
 
 
-def _philox(seed, b):
-    return np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+def _stream(seed, b):
+    # SFC64(seed, b) below: batch b's generator, SFC64 seeded by SeedSequence([seed, b])
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, b])))
 
 
 def _linear_claims(claim):
@@ -76,7 +77,7 @@ BLOCK_LAWS = [
 @pytest.mark.parametrize("law", BLOCK_LAWS, ids=[law.label() for law in BLOCK_LAWS])
 def test_block_rows_equal_sample_n(law):
     # a row block walks one flat sample_n of waits, then one of claims, from
-    # the batch's Philox(seed, b) stream, laid out row by row
+    # the batch's SFC64(seed, b) stream, laid out row by row
     model = RiskModel.from_safety_loading(Exponential(1.0), Exponential(1.0), 0.5)
     cfg = SimConfig(u=1.0, k=1, seed=99)
     ctx = engine._prepare(model, IdentityTilt(model), cfg)
@@ -85,8 +86,8 @@ def test_block_rows_equal_sample_n(law):
     for m in (1, 2, 64):
         out = engine._Walked(*(np.zeros(rows) for _ in range(5)))
         z, t, log_w = np.zeros(rows), np.zeros(rows), np.zeros(rows)
-        go = engine._walk_block(ctx, _philox(99, 5), out, 0, m, np.arange(rows), z, t, log_w)
-        rng = _philox(99, 5)
+        go = engine._walk_block(ctx, _stream(99, 5), out, 0, m, np.arange(rows), z, t, log_w)
+        rng = _stream(99, 5)
         w = law.sample_n(rng, rows * m).reshape(rows, m)
         x = law.sample_n(rng, rows * m).reshape(rows, m)
         assert go.all()
@@ -109,7 +110,7 @@ def test_sim_config_validation():
 
 
 def test_seed_outside_uint64_rejected(model_exp_exp, linear_pair):
-    # Philox keys are uint64
+    # seeds are uint64
     for bad in (-1, 2**64):
         with pytest.raises(ValueError, match="seed"):
             SimConfig(u=1.0, k=10, seed=bad)
@@ -123,9 +124,9 @@ def test_replication_replay_oracle(model_exp_exp, linear_pair):
     assert out.ruined
     m = engine._prepare(model_exp_exp, linear_pair, cfg).first_chunk
     assert out.n_claims <= m
-    # replay the first row block of Philox(3, 0): waits, then claims, row by row
+    # replay the first row block of SFC64(3, 0): waits, then claims, row by row
     rows = min(engine._BLOCK_ELEMS // m, engine._BATCH)
-    rng = _philox(3, 0)
+    rng = _stream(3, 0)
     waits = linear_pair.tilted_wait_law().sample_n(rng, rows * m).reshape(rows, m)
     claims = linear_pair.tilted_claim_law().sample_n(rng, rows * m).reshape(rows, m)
     waits, claims = waits[9, : out.n_claims], claims[9, : out.n_claims]
@@ -164,13 +165,14 @@ def test_step_cap_exceeded(model_exp_exp, monkeypatch):
 def reference_walk(model, pair, cfg, batch, k):
     """Lanes 0, ..., k - 1 of batch ``batch``, each row walked on 1-D arrays.
 
-    Replays the batch's draw order on Philox(seed, batch): chunk by chunk, the
+    Replays the batch's draw order on SFC64(seed, batch): chunk by chunk, the
     live lanes in row blocks, each block's waits and then its claims, row by
     row. Returns one (ruined, n_claims, ruin_time, log_weight, overshoot) per
     lane; the block walk must reproduce them bit for bit.
     """
     ctx = engine._prepare(model, pair, cfg)
-    rng = _philox(cfg.seed, batch)
+    rng = _stream(cfg.seed, batch)
+    ex_on, ew_on = pair.weighs_std_exp
     outs = [None] * k
     live = [(lane, 0.0, 0.0, 0.0) for lane in range(k)]  # (lane, z, t, log_w)
     n = 0
@@ -181,9 +183,9 @@ def reference_walk(model, pair, cfg, batch, k):
         still = []
         for lo in range(0, len(live), rows):
             block = live[lo : lo + rows]
-            ws = ctx.qw.sample_n(rng, len(block) * m).reshape(-1, m)
-            xs = ctx.qx.sample_n(rng, len(block) * m).reshape(-1, m)
-            for (lane, z, t, log_w), w, x in zip(block, ws, xs):
+            ws, ews = _rows(ctx.qw, rng, len(block), m, ew_on)
+            xs, exs = _rows(ctx.qx, rng, len(block), m, ex_on)
+            for (lane, z, t, log_w), w, x, ew, ex in zip(block, ws, xs, ews, exs):
                 zc = z + np.cumsum(x - model.premium * w)
                 hits = np.flatnonzero(zc >= ctx.u_eff)
                 j = hits[0] if hits.size else m
@@ -195,7 +197,8 @@ def reference_walk(model, pair, cfg, batch, k):
                 used = min(j + 1, m)
                 # the block walk's segmented sums, on this row's one segment
                 if pair.variant != "identity":
-                    log_w -= pair.path_log_weight(x[:used], w[:used], [0])[0]
+                    ex, ew = (None if e is None else e[:used] for e in (ex, ew))
+                    log_w -= pair.path_log_weight(x[:used], w[:used], [0], ex, ew)[0]
                 t += np.add.reduceat(w[:used], [0])[0]
                 if late:
                     outs[lane] = (False, n + used - 1, math.nan, log_w, math.nan)
@@ -208,6 +211,15 @@ def reference_walk(model, pair, cfg, batch, k):
     if live:
         raise StepCapExceeded(batch * engine._BATCH + live[0][0], engine._MAX_STEPS)
     return outs
+
+
+def _rows(law, rng, rows, m, std_exp):
+    """``rows`` x ``m`` draws of ``law``, and per row the standard exponentials
+    behind them if ``std_exp``, else None."""
+    if std_exp:
+        z, e = law.sample_n(rng, rows * m, return_std_exp=True)
+        return z.reshape(-1, m), e.reshape(-1, m)
+    return law.sample_n(rng, rows * m).reshape(-1, m), [None] * rows
 
 
 def _batches(model, pair, cfg):
@@ -226,26 +238,42 @@ def _same(a, b):
 
 
 # (tilt, config, whether some replications need a third chunk); K is more
-# than one block and not a multiple of the block rows in every case
+# than one block and not a multiple of the block rows in every case. The
+# linear and identity cases run on Exp/Exp; "hazard" is table4's Pa(2,3)
+# column, whose twist weighs both components by their standard exponentials
 WALK_CASES = {
     "infinite": ("linear", SimConfig(u=5.0, k=1000, seed=3), True),
     "two_batches": ("linear", SimConfig(u=5.0, k=1500, seed=3), True),
     "threshold": ("linear", SimConfig(u=10.0, k=1000, seed=3, threshold=5.0), True),
     "horizon_crude": ("identity", SimConfig(u=1.0, k=600, seed=3, horizon=300.0), True),
     "horizon_tilted": ("linear", SimConfig(u=2.0, k=1000, seed=3, horizon=20.0), False),
+    "hazard": ("hazard", SimConfig(u=2.0, k=1000, seed=3), True),
 }
+
+
+def _walk_case_pair(tilt, model_exp_exp, linear_pair):
+    if tilt == "linear":
+        return linear_pair
+    if tilt == "identity":
+        return IdentityTilt(model_exp_exp)
+    col = table_spec("table4").columns[1]
+    assert col.label == "Pa(2,3)"
+    pair = tilt_from_config(col.tilt_config, col.model)
+    assert pair.weighs_std_exp == (True, True)
+    return pair
 
 
 @pytest.mark.parametrize("case", list(WALK_CASES))
 def test_block_walk_matches_replications_walked_alone(model_exp_exp, linear_pair, case):
     tilt, cfg, deep = WALK_CASES[case]
-    pair = linear_pair if tilt == "linear" else IdentityTilt(model_exp_exp)
-    first, second = itertools.islice(engine._chunks(engine._prepare(model_exp_exp, pair, cfg)), 2)
+    pair = _walk_case_pair(tilt, model_exp_exp, linear_pair)
+    model = pair.model
+    first, second = itertools.islice(engine._chunks(engine._prepare(model, pair, cfg)), 2)
     rows = engine._BLOCK_ELEMS // first
     assert cfg.k > rows and cfg.k % rows  # several blocks, the last one partial
-    outs = [run_replication(model_exp_exp, pair, cfg, i) for i in range(cfg.k)]
+    outs = [run_replication(model, pair, cfg, i) for i in range(cfg.k)]
     assert (max(o.n_claims for o in outs) > first + second) == deep
-    for i, (o, ref) in enumerate(zip(outs, _batches(model_exp_exp, pair, cfg))):
+    for i, (o, ref) in enumerate(zip(outs, _batches(model, pair, cfg))):
         got = (o.ruined, o.n_claims, o.ruin_time, o.log_weight, o.overshoot)
         assert _same(got, ref), (case, i)
 
@@ -256,14 +284,14 @@ def test_block_walk_matches_replications_walked_alone(model_exp_exp, linear_pair
         if o.ruined:
             weights[i] = np.exp(o.log_weight)
     total = weights.sum()
-    rep = estimate_psi(model_exp_exp, pair, cfg)
+    rep = estimate_psi(model, pair, cfg)
     assert rep.estimate == total / cfg.k
     assert rep.std_error == weights.std() / math.sqrt(cfg.k)
     assert rep.ess == total * total / (weights**2).sum()
     assert rep.max_norm_weight == weights.max() / total
 
 
-def test_batch_stream_is_fresh_philox_of_seed_and_batch(model_exp_exp, linear_pair):
+def test_batch_stream_is_fresh_sfc64_of_seed_and_batch(model_exp_exp, linear_pair):
     cfg = SimConfig(u=5.0, k=50, seed=987654321)
     ctx = engine._prepare(model_exp_exp, linear_pair, cfg)
     for batch in (0, 1, 77, 2**40 + 5):
@@ -272,6 +300,22 @@ def test_batch_stream_is_fresh_philox_of_seed_and_batch(model_exp_exp, linear_pa
                   walked.overshoot)
         ref = reference_walk(model_exp_exp, linear_pair, cfg, batch, cfg.k)
         assert all(_same(g, r) for g, r in zip(got, ref)), batch
+
+
+def test_stream_layout_is_pinned(model_exp_exp):
+    # the lane streams, chunk schedule and row blocks fix every estimate bit
+    # for bit (numpy 2.4.6 on x86-64): a change to any of them must edit these
+    t1, t4 = table_spec("table1").columns[0], table_spec("table4").columns[1]
+    assert (t1.label, t4.label) == ("Exp(1)", "Pa(2,3)")
+    rho = lundberg_root(model_exp_exp)
+    points = [
+        (t1.model, tilt_from_config(t1.tilt_config, t1.model), 5.0, "0x1.000451279529ep-3"),
+        (t4.model, tilt_from_config(t4.tilt_config, t4.model), 20.0, "0x1.2af9086cc4350p-1"),
+        (model_exp_exp, EsscherTilt(model_exp_exp, rho), 10.0, "0x1.83c6511e78bd5p-6"),
+    ]
+    for model, pair, u, want in points:
+        rep = estimate_psi(model, pair, SimConfig(u=u, k=2048, seed=1))
+        assert rep.estimate.hex() == want, pair.label()
 
 
 def test_first_batch_does_not_depend_on_k(model_exp_exp, linear_pair):
@@ -302,8 +346,8 @@ def test_replay_walks_each_batch_once(model_exp_exp, linear_pair, monkeypatch):
 
 def test_step_cap_names_lowest_live_replication(model_exp_exp, linear_pair, monkeypatch):
     cfg = SimConfig(u=5.0, k=600, seed=3)
-    # the end of the sixth chunk, a cap that the first lanes stop before
-    cap = sum(itertools.islice(engine._chunks(engine._prepare(model_exp_exp, linear_pair, cfg)), 6))
+    # the end of the fourth chunk, a cap that the first lanes stop before
+    cap = sum(itertools.islice(engine._chunks(engine._prepare(model_exp_exp, linear_pair, cfg)), 4))
     steps = [run_replication(model_exp_exp, linear_pair, cfg, i).n_claims for i in range(cfg.k)]
     lowest = next(i for i, n in enumerate(steps) if n > cap)
     assert lowest > 1

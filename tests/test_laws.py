@@ -236,6 +236,17 @@ def test_std_exp_transform_float_path_matches_array_path(law):
         assert abs(value - want) <= 1e-15 * abs(want), (e, value, want)
 
 
+@pytest.mark.parametrize("law", STD_EXP_LAWS, ids=_ids(STD_EXP_LAWS))
+def test_sampler_returns_its_std_exp(law):
+    # (Z, E) from one call: Z is the plain sample_n's draws bit for bit, and
+    # E the -log1p(-U) they were made from
+    z = law.sample_n(np.random.default_rng(7), 1000)
+    got, e = law.sample_n(np.random.default_rng(7), 1000, return_std_exp=True)
+    assert np.array_equal(got, z)
+    assert np.array_equal(e, -np.log1p(-np.random.default_rng(7).random(1000)))
+    assert np.array_equal(law._from_std_exp(e, np), z)
+
+
 # 30-digit values of the substituted integral: x = lam * t^(1/k) turns
 # E[exp(-s X)] into the integral of exp(-s lam t^(1/k) - t) over (0, inf)
 WEIBULL_LAPLACE_REFS = [
@@ -399,6 +410,42 @@ def test_gamma_ratio_moments_on_both_sides_of_the_stirling_switch():
 
 def test_gamma_mgf_past_largest_double_reads_inf():
     assert Gamma(3e305, 1e300).mgf(0.5e300) == math.inf
+
+
+def test_gamma_mgf_at_large_shapes():
+    # (rate / (rate - t))^shape multiplies its base's rounding error by the
+    # shape; exp(-shape log1p(-t / rate)) does not. Ga(a, a/10) at t = 1/10
+    # is (1 - 1/a)^-a = exp(1 + 1/(2a) + 1/(3a^2) + ...)
+    assert Gamma(1e14, 1e13).mgf(0.1) == pytest.approx(math.e, rel=1e-14)
+    for a in (1e6, 1e20, 1e300):
+        want = math.exp(1.0 + 1.0 / (2 * a) + 1.0 / (3 * a * a))
+        assert Gamma(a, a / 10).mgf(0.1) == pytest.approx(want, rel=1e-14), a
+    # below the switch the power form stays, bit for bit
+    assert Gamma(2.0, 1.0).mgf(0.3) == (1.0 / 0.7) ** 2.0
+    assert Gamma(99.5, 9.95).mgf(0.5) == (9.95 / 9.45) ** 99.5
+
+
+@pytest.mark.parametrize("a", [1e6, 1e14, 1e100, 3e305])
+def test_gamma_type_logpdf_at_large_shapes(a):
+    # at its mean 10 a law of shape a is within O(1/a) of the normal density
+    # with its sd, 10 / sqrt(a) up to O(1/a): the plain forms lose every
+    # digit to a log a - log G(a) here, and past 2.6e305 read nan
+    ref = -math.log(10.0 / math.sqrt(a) * math.sqrt(2 * math.pi))
+    for law in (Gamma(a, a / 10), InvGamma(a, 10 * (a - 1))):
+        assert law.logpdf(10.0) == pytest.approx(ref, rel=1e-14, abs=3.0 / a), law
+        assert law.logpdf(np.array([10.0]))[0] == pytest.approx(law.logpdf(10.0), rel=1e-15)
+    # 0.5 log(a / 2 pi) - log x at the mode of Ga(3e305, 1e300)
+    assert Gamma(3e305, 1e300).logpdf(3e5) == pytest.approx(338.16, abs=5e-3)
+
+
+def test_gamma_type_logpdf_on_both_sides_of_the_shape_switch():
+    for a in np.linspace(_STIRLING_MIN - 5.0, _STIRLING_MIN + 5.0, 11):
+        for law, ref in ((Gamma(a, a / 10), stats.gamma(a, scale=10 / a)),
+                         (InvGamma(a, 10 * a), stats.invgamma(a, scale=10 * a))):
+            x = np.array([8.0, 10.0, 12.5])
+            assert np.allclose(law.logpdf(x), ref.logpdf(x), rtol=1e-12, atol=1e-12), law
+        with np.errstate(divide="ignore"):  # the IEEE fallback for log of 0
+            assert Gamma(a, a / 10).logpdf(0.0) == -math.inf
 
 
 def test_risk_model_rejections():

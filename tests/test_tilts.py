@@ -182,6 +182,37 @@ def test_log_weight_matches_reduced_forms():
             assert abs(g - sum(terms)) <= 1e-12 * sum(map(abs, terms)), (pair.label(), n)
 
 
+@pytest.mark.parametrize("name, col", [("table4", 0), ("table4", 1), ("table4", 2), ("table5", 0)])
+def test_hazard_weights_from_std_exp_match_pointwise(name, col):
+    # a twisted draw Z = T_f(E) has H(Z) = E / f, so weighing E is weighing Z:
+    # per step, ln f - (1 - 1/f) E against gamma(Z) + delta(W), on draws from
+    # the tilted laws and at E = 36.7 (a uniform within 2^-53 of 1) and 2^-53
+    col = table_spec(name).columns[col]
+    pair = tilt_from_config(col.tilt_config, col.model)
+    assert pair.weighs_std_exp == (True, name == "table4")  # table5 leaves Ga(2,1) waits
+    rng = np.random.default_rng(37)
+    edge = np.array([36.7, 2.0**-53])
+    draws = []
+    scale = 1.0  # of the terms ln f and (f - 1) H that gamma + delta adds up
+    for law, std_exp, f, base in zip((pair.tilted_claim_law(), pair.tilted_wait_law()),
+                                     pair.weighs_std_exp, (pair.r, pair.theta),
+                                     (pair.model.claim_law, pair.model.wait_law)):
+        if std_exp:
+            z, e = law.sample_n(rng, 100_000, return_std_exp=True)
+            z, e = np.append(z, law._from_std_exp(edge, np)), np.append(e, edge)
+            scale = scale + abs(math.log(f)) + abs(f - 1.0) * base.cumulative_hazard(z)
+            draws.append((z, e))
+        else:
+            draws.append((law.sample_n(rng, 100_000 + edge.size), None))
+    (x, ex), (w, ew) = draws
+    steps = np.arange(x.size)  # one step per segment
+    got = pair.path_log_weight(x, w, steps, ex, ew)
+    g, d = pair.gamma(x), pair.delta(w)
+    assert np.all(np.abs(got - (g + d)) <= 2e-15 * scale)
+    # without E the pair weighs the draws, as every other family does
+    assert np.array_equal(pair.path_log_weight(x, w, steps), g + d)
+
+
 # -- tilted laws ---------------------------------------------------------------
 
 
