@@ -18,6 +18,14 @@ numpy's Marsaglia-Tsang rejection sampler, and inverse gamma is the reciprocal
 of its draw. Streams are therefore reproducible for a fixed numpy version given
 the same generator state and call sequence.
 
+Gamma type: the gamma, inverse gamma and generalized gamma laws are members
+(alpha, b, p) of Stacy's family Z = b G^(1/alpha), G ~ Ga(p, 1): (1, 1/rate,
+shape), (-1, scale, shape) and (alpha, scale, shape). They share one
+log-density, ``cdf``, ``ppf``, moment formula and mgf radius, stated once in
+``_GammaType``; from shape ``_STIRLING_MIN`` on the log-density is written
+about G = p, where nothing cancels. The gamma law keeps its moments and mgf
+written in its rate.
+
 Quadrature: ``expectation`` integrates a family with a ``_from_std_exp`` over
 its standard exponential E, through the same T as the sampler, and every
 other law over x against its density. In e-space the heavy Weibull's
@@ -232,36 +240,84 @@ class Exponential(PositiveLaw):
         return f"Exp({self.rate:g})"
 
 
+class _GammaType(PositiveLaw):
+    """Stacy's generalized gamma law Z = b G^(1/alpha), G ~ Ga(p, 1).
+
+    Its density is |alpha| x^(alpha p - 1) exp(-(x/b)^alpha) / (b^(alpha p) G(p)).
+    The gamma law is the member (1, 1/rate, shape) and the inverse gamma the
+    member (-1, scale, shape). Each family keeps its own fields, sampler and
+    label, and names its triple (alpha, b, p) to ``_set_triple`` when it is
+    built; the log-density, ``cdf``, ``ppf``, moments and mgf radius are
+    stated here once.
+    """
+
+    def _set_triple(self, alpha: float, b: float, p: float) -> None:
+        log_abs_alpha = math.log(abs(alpha))
+        if p < _STIRLING_MIN:
+            # the log normalizer's three terms, kept apart: the density sums
+            # them in this order
+            log_norm = (log_abs_alpha, alpha * p * math.log(b), _lgam(p))
+        else:
+            # log|alpha| - log b + (1/2 - 1/alpha) log p - log G(p) + p - p log p,
+            # once Stirling's series for log G(p) has cancelled its large terms
+            log_norm = (log_abs_alpha - math.log(b)) + (
+                (0.5 - 1.0 / alpha) * math.log(p) - _HALF_LOG_2PI - _stirling_tail(p)
+            )
+        for name, v in (("_alpha", alpha), ("_b", b), ("_p", p), ("_log_norm", log_norm)):
+            object.__setattr__(self, name, v)
+
+    def _logpdf(self, x, xp):
+        a, p = self._alpha, self._p
+        y = (x / self._b) ** a
+        if p < _STIRLING_MIN:
+            log_abs_alpha, log_scale_pow, log_gamma = self._log_norm
+            return log_abs_alpha + (a * p - 1.0) * xp.log(x) - log_scale_pow - log_gamma - y
+        # about y = p (1 + d), so no term of size p log p cancels: at p = 1e14
+        # the form above reads 13.0 for a log-density of 12.90, and past
+        # 2.6e305 its log G(p) is inf
+        d = (y - p) / p
+        return (p - 1.0 / a) * xp.log1p(d) - p * d + self._log_norm
+
+    def cdf(self, x):
+        from scipy.special import gammainc, gammaincc  # on first use: no simulation needs it
+
+        t = (np.asarray(x, dtype=float) / self._b) ** self._alpha
+        return (gammainc if self._alpha > 0 else gammaincc)(self._p, t)
+
+    def ppf(self, q):
+        from scipy.special import gammainccinv, gammaincinv
+
+        inv = gammaincinv if self._alpha > 0 else gammainccinv
+        return self._b * inv(self._p, np.asarray(q, dtype=float)) ** (1.0 / self._alpha)
+
+    def _raw_moment(self, k: float) -> float:
+        d = k / self._alpha
+        if self._p + d <= 0:
+            return math.inf
+        return self._b**k * math.exp(_log_gamma_ratio(self._p, d))
+
+    def mgf_radius(self) -> float:
+        if self._alpha > 1.0:
+            return math.inf
+        if self._alpha == 1.0:
+            return 1.0 / self._b
+        return 0.0
+
+
 @dataclass(frozen=True)
-class Gamma(PositiveLaw):
-    """Gamma law (shape, rate); sampled via numpy's standard_gamma rejection."""
+class Gamma(_GammaType):
+    """Gamma law (shape, rate); sampled via numpy's standard_gamma rejection.
+
+    Its moments, mgf and mgf radius stay written in the rate: through
+    b = 1/rate they would round differently.
+    """
 
     shape: float
     rate: float
 
     def __post_init__(self):
         _require_positive(shape=self.shape, rate=self.rate)
-        if self.shape < _STIRLING_MIN:
-            log_norm = self.shape * math.log(self.rate) - _lgam(self.shape)
-        else:
-            log_norm = math.log(self.rate) + _large_shape_log_norm(self.shape, -0.5)
-        object.__setattr__(self, "_log_norm", log_norm)
-
-    def _logpdf(self, x, xp):
-        a = self.shape
-        if a < _STIRLING_MIN:
-            return self._log_norm + (a - 1.0) * xp.log(x) - self.rate * x
-        return _large_shape_logpdf(a, a - 1.0, (self.rate * x - a) / a, self._log_norm, xp)
-
-    def cdf(self, x):
-        from scipy.special import gammainc  # on first use: no simulation needs it
-
-        return gammainc(self.shape, self.rate * np.asarray(x, dtype=float))
-
-    def ppf(self, q):
-        from scipy.special import gammaincinv
-
-        return gammaincinv(self.shape, np.asarray(q, dtype=float)) / self.rate
+        self._set_triple(1.0, 1.0 / self.rate, self.shape)
 
     def _raw_moment(self, k: float) -> float:
         return math.exp(_log_gamma_ratio(self.shape, k) - k * math.log(self.rate))
@@ -330,7 +386,7 @@ class Weibull(PositiveLaw):
 
 
 @dataclass(frozen=True)
-class InvGamma(PositiveLaw):
+class InvGamma(_GammaType):
     """Inverse gamma law (shape, scale); sampled as scale / standard gamma draw."""
 
     shape: float
@@ -338,35 +394,7 @@ class InvGamma(PositiveLaw):
 
     def __post_init__(self):
         _require_positive(shape=self.shape, scale=self.scale)
-        if self.shape < _STIRLING_MIN:
-            log_norm = self.shape * math.log(self.scale) - _lgam(self.shape)
-        else:
-            log_norm = _large_shape_log_norm(self.shape, 1.5) - math.log(self.scale)
-        object.__setattr__(self, "_log_norm", log_norm)
-
-    def _logpdf(self, x, xp):
-        a = self.shape
-        if a < _STIRLING_MIN:
-            return self._log_norm - (a + 1.0) * xp.log(x) - self.scale / x
-        return _large_shape_logpdf(a, a + 1.0, (self.scale / x - a) / a, self._log_norm, xp)
-
-    def cdf(self, x):
-        from scipy.special import gammaincc
-
-        return gammaincc(self.shape, self.scale / np.asarray(x, dtype=float))
-
-    def ppf(self, q):
-        from scipy.special import gammainccinv
-
-        return self.scale / gammainccinv(self.shape, np.asarray(q, dtype=float))
-
-    def _raw_moment(self, k: float) -> float:
-        if k >= self.shape:
-            return math.inf
-        return self.scale**k * math.exp(_log_gamma_ratio(self.shape, -k))
-
-    def mgf_radius(self) -> float:
-        return 0.0
+        self._set_triple(-1.0, self.scale, self.shape)
 
     def sample_n(self, rng, n):
         return self.scale / rng.standard_gamma(self.shape, n)
@@ -418,7 +446,7 @@ class InvWeibull(PositiveLaw):
 
 
 @dataclass(frozen=True)
-class GenGamma(PositiveLaw):
+class GenGamma(_GammaType):
     """Generalized gamma law with density |a| x^{ap-1} exp(-(x/b)^a) / (b^{ap} G(p)).
 
     ``alpha`` may be negative (inverse families); ``alpha = 1`` recovers the
@@ -433,52 +461,7 @@ class GenGamma(PositiveLaw):
     def __post_init__(self):
         _require(self.alpha != 0 and math.isfinite(self.alpha), "alpha must be nonzero and finite")
         _require_positive(scale=self.scale, shape=self.shape)
-        a, b, p = self.alpha, self.scale, self.shape
-        # kept as separate terms: the array path sums them in this order
-        object.__setattr__(self, "_log_abs_alpha", math.log(abs(a)))
-        object.__setattr__(self, "_log_scale_pow", a * p * math.log(b))
-        object.__setattr__(self, "_gammaln_shape", _lgam(p))
-
-    def _logpdf(self, x, xp):
-        a, b, p = self.alpha, self.scale, self.shape
-        return (
-            self._log_abs_alpha
-            + (a * p - 1.0) * xp.log(x)
-            - self._log_scale_pow
-            - self._gammaln_shape
-            - (x / b) ** a
-        )
-
-    def cdf(self, x):
-        from scipy.special import gammainc, gammaincc
-
-        t = (np.asarray(x, dtype=float) / self.scale) ** self.alpha
-        if self.alpha > 0:
-            return gammainc(self.shape, t)
-        return gammaincc(self.shape, t)
-
-    def ppf(self, q):
-        from scipy.special import gammainccinv, gammaincinv
-
-        q = np.asarray(q, dtype=float)
-        if self.alpha > 0:
-            t = gammaincinv(self.shape, q)
-        else:
-            t = gammainccinv(self.shape, q)
-        return self.scale * t ** (1.0 / self.alpha)
-
-    def _raw_moment(self, k: float) -> float:
-        d = k / self.alpha
-        if self.shape + d <= 0:
-            return math.inf
-        return self.scale**k * math.exp(_log_gamma_ratio(self.shape, d))
-
-    def mgf_radius(self) -> float:
-        if self.alpha > 1.0:
-            return math.inf
-        if self.alpha == 1.0:
-            return 1.0 / self.scale
-        return 0.0
+        self._set_triple(self.alpha, self.scale, self.shape)
 
     def sample_n(self, rng, n):
         return self.scale * rng.standard_gamma(self.shape, n) ** (1.0 / self.alpha)
@@ -720,8 +703,8 @@ _LGAM_C = (
 _LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
 _MAXLGM = 2.556348e305
 # from here on log G(b + d) - log G(b) is a difference of Stirling's series,
-# and gamma and inverse gamma laws of this shape or more take the forms of
-# their log-density and mgf that do not cancel
+# and gamma-type laws of this shape or more take the form of their log-density
+# that does not cancel, and the gamma law that of its mgf
 _STIRLING_MIN = 100.0
 
 
@@ -784,25 +767,6 @@ def _lgam(x: float) -> float:
 def _stirling_tail(y: float) -> float:
     # log G(y) - (y - 1/2) log y + y - log sqrt(2 pi), to its 1/y^3 term
     return (1.0 / 12.0 - 1.0 / (360.0 * y * y)) / y
-
-
-def _large_shape_log_norm(a: float, k: float) -> float:
-    # p log a - a - log G(a) with p = a + k - 1/2, once Stirling's series for
-    # log G(a) has cancelled its large terms exactly: with log c added, the
-    # log_norm of _large_shape_logpdf
-    return k * math.log(a) - _HALF_LOG_2PI - _stirling_tail(a)
-
-
-def _large_shape_logpdf(a, p, d, log_norm, xp):
-    """p log1p(d) - a d + log_norm: log(c y^p e^-y / G(a)) at y = a (1 + d).
-
-    The log-density of a gamma-type law of shape a >= _STIRLING_MIN, written
-    about y = a: the gamma law has y = rate x, p = a - 1 and c = rate; the
-    inverse gamma y = scale / x, p = a + 1 and c = 1 / scale. No term of size
-    a log a cancels: at a = 1e14 the plain form reads 12.78 for a log-density
-    of 12.90, and past 2.6e305 its log G(a) is inf.
-    """
-    return p * xp.log1p(d) - a * d + log_norm
 
 
 def _log_gamma_ratio(b: float, d: float, offset: float = 0.0) -> float:

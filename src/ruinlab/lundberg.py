@@ -53,6 +53,7 @@ class AdjustmentSolution:
     y: float  # theta + c*r
     residual: float  # |M_X(r) * L_W(y) - 1|
     wait_laplace: float  # L_W(y)
+    claim_mgf: float  # M_X(r)
 
 
 @dataclass(frozen=True)
@@ -94,14 +95,15 @@ def theta_of_r(model: RiskModel, r: float) -> AdjustmentSolution:
     The left-hand side is strictly decreasing in y = theta + c*r, so the root
     is bracketed by climbing y = 1, 2, 4, ... and then located by Brent's
     method. Each L_W(y) is computed once per solve: the climb, Brent's bracket
-    ends, the residual and ``wait_laplace`` share it. Raises NoBracket when
+    ends, the residual and ``wait_laplace`` share it, and M_X(r) is computed
+    once and returned as ``claim_mgf``. Raises NoBracket when
     L_W underflows to 0 at the root, which then does not solve the equation.
     """
     radius = _require_light_tail(model)
     if not 0.0 <= r < radius:
         raise ValueError(f"r must lie in [0, {radius:g}), got {r:g}")
     if r == 0.0:
-        return AdjustmentSolution(0.0, 0.0, 0.0, 0.0, 1.0)
+        return AdjustmentSolution(0.0, 0.0, 0.0, 0.0, 1.0, 1.0)
 
     mx = model.claim_law.mgf(r)
     laplace = functools.cache(model.wait_law.laplace)
@@ -111,7 +113,7 @@ def theta_of_r(model: RiskModel, r: float) -> AdjustmentSolution:
     y = _climb_to_root(lambda y: -g(y), 0.0, math.inf)
     if laplace(y) == 0.0:
         raise NoBracket(f"L_W underflows to 0 at the adjustment root for r = {r:g}")
-    return AdjustmentSolution(r, y - model.premium * r, y, abs(g(y)), laplace(y))
+    return AdjustmentSolution(r, y - model.premium * r, y, abs(g(y)), laplace(y), mx)
 
 
 def theta_prime(model: RiskModel, r: float) -> float:
@@ -119,7 +121,7 @@ def theta_prime(model: RiskModel, r: float) -> float:
     if r == 0.0:
         return model.claim_mean / model.wait_mean - model.premium
     sol = theta_of_r(model, r)
-    num = exp_weighted_mean(model.claim_law, r) / model.claim_law.mgf(r)
+    num = exp_weighted_mean(model.claim_law, r) / sol.claim_mgf
     if not math.isfinite(num):
         return math.inf
     wait_mean = exp_weighted_mean(model.wait_law, -sol.y) / sol.wait_laplace

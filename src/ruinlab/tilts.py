@@ -90,14 +90,18 @@ _BOUNDARY_RTOL = 1e-9
 
 
 def _pos(v):
-    """``v`` checked to lie in (0, inf); a Python float stays a float, all else an array."""
+    """``v`` checked to lie in [0, inf); a Python float stays a float, all else an array.
+
+    0 is let through: a sampler maps U = 0, drawn with probability 2^-53 per
+    uniform, to a standard exponential of 0 and so to a draw of 0.
+    """
     if type(v) is float:
         low = v
     else:
         v = np.asarray(v, dtype=float)
         low = np.min(v) if v.size else math.inf
-    if low <= 0.0:
-        raise DomainError("tilting functions are defined on (0, inf) only")
+    if low < 0.0:
+        raise DomainError("tilting functions are defined on [0, inf) only")
     return v
 
 
@@ -203,7 +207,7 @@ class EsscherTilt(TiltingPair):
         self.r = float(r)
         self.adjustment = theta_of_r(model, self.r)  # validates r in [0, r_X)
         self.y = self.adjustment.y
-        self._ln_mx = math.log(model.claim_law.mgf(self.r)) if self.r else 0.0
+        self._ln_mx = math.log(self.adjustment.claim_mgf) if self.r else 0.0
         self._ln_lw = math.log(self.adjustment.wait_laplace) if self.y else 0.0
 
     def gamma(self, x):

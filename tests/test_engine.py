@@ -31,7 +31,7 @@ from ruinlab import (
     tilt_from_config,
     xi_hat,
 )
-from ruinlab import engine
+from ruinlab import engine, laws
 from ruinlab.errors import NotRuinInducing, StepCapExceeded
 from ruinlab.tables import table_spec
 
@@ -612,3 +612,32 @@ def test_threshold_half_capital_targets_shifted_psi(model_exp_exp, linear_pair):
     rep = estimate_psi(model_exp_exp, linear_pair, cfg)
     exact = exact_psi(model_exp_exp, 10.0)  # 2.378e-02
     assert within_se(rep.estimate, exact, rep.std_error)
+
+
+# -- draws of exactly 0 -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", ["table1 linear", "Exp/Exp esscher at rho"])
+def test_a_std_exp_of_zero_is_weighed(case, model_exp_exp, monkeypatch):
+    # Generator.random gives U = 0 with probability 2^-53; E = -log1p(-U) is
+    # then 0 and so is the Exponential draw made from it, which the tilting
+    # functions must weigh rather than reject mid-run
+    if case == "table1 linear":
+        col = table_spec("table1").columns[0]
+        model, pair = col.model, tilt_from_config(col.tilt_config, col.model)
+    else:
+        model = model_exp_exp
+        pair = EsscherTilt(model, lundberg_root(model))
+    std_exp, zeroed = laws._std_exp, []
+
+    def first_e_zero(rng, n):
+        e = std_exp(rng, n)
+        if not zeroed:
+            e[0] = 0.0  # the first step of the first lane: always walked
+            zeroed.append(n)
+        return e
+
+    monkeypatch.setattr(laws, "_std_exp", first_e_zero)
+    rep = estimate_psi(model, pair, SimConfig(u=5.0, k=200, seed=1))
+    assert zeroed
+    assert within_se(rep.estimate, exact_psi(model, 5.0), rep.std_error)

@@ -448,6 +448,35 @@ def test_gamma_type_logpdf_on_both_sides_of_the_shape_switch():
             assert Gamma(a, a / 10).logpdf(0.0) == -math.inf
 
 
+@pytest.mark.parametrize("a", [0.7, 2.0, 99.0, 100.0, 1e4, 1e14])
+def test_gamma_and_inverse_gamma_are_gengamma_at_alpha_one_and_minus_one(a):
+    # Ga(a, rate) = GGa(1, 1/rate, a) and InvGa(a, s) = GGa(-1, s, a) share one
+    # density, cdf and quantile; Gamma writes its moments in its rate
+    for law, gga in ((Gamma(a, 2.5), GenGamma(1.0, 1.0 / 2.5, a)),
+                     (InvGamma(a, 4.0), GenGamma(-1.0, 4.0, a))):
+        x = gga.ppf(np.array([0.01, 0.3, 0.5, 0.7, 0.99]))
+        assert np.all(np.isfinite(gga.logpdf(x))), gga
+        assert np.array_equal(law.logpdf(x), gga.logpdf(x)), law
+        assert law.logpdf(float(x[2])) == gga.logpdf(float(x[2])), law
+        assert np.array_equal(law.cdf(x), gga.cdf(x)), law
+        assert np.array_equal(law.ppf([0.01, 0.5, 0.99]), gga.ppf([0.01, 0.5, 0.99])), law
+        for k in (1.0, 2.0):
+            assert law.raw_moment(k) == pytest.approx(gga.raw_moment(k), rel=1e-13), (law, k)
+
+
+@pytest.mark.parametrize("a", [1e6, 1e14])
+def test_gengamma_logpdf_at_large_shapes(a):
+    # at about its mean 10, Z = b G^(1/alpha) of shape a is within O(1/a) of
+    # the normal density with its sd, 10 / (|alpha| sqrt(a)) up to O(1/a)
+    for alpha, b in ((1.0, 10.0 / a), (-1.0, 10.0 * (a - 1.0)),
+                     (2.0, 10.0 / math.sqrt(a)), (-2.0, 10.0 * math.sqrt(a))):
+        ref = -math.log(10.0 / (abs(alpha) * math.sqrt(a)) * math.sqrt(2 * math.pi))
+        law = GenGamma(alpha, b, a)
+        assert law.logpdf(10.0) == pytest.approx(ref, rel=1e-14, abs=3.0 / a), law
+        assert law.logpdf(np.array([10.0]))[0] == pytest.approx(law.logpdf(10.0), rel=1e-15)
+    assert GenGamma(1.0, 1e-13, 1e14).logpdf(10.0) == pytest.approx(12.8966, abs=1e-4)
+
+
 def test_risk_model_rejections():
     exp1 = Exponential(1.0)
     for premium in (0.5, 1.0):  # c*E[W] below and at E[X]

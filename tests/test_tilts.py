@@ -39,6 +39,7 @@ from ruinlab.errors import (
     NotRuinInducing,
     UnsupportedCombination,
 )
+from ruinlab.lundberg import theta_prime
 from ruinlab.tables import table_spec
 
 GRID = np.linspace(0.05, 12.0, 80)
@@ -89,7 +90,21 @@ def test_domain_validation(model_exp_exp):
         with pytest.raises(DomainError):
             pair.gamma(np.array([1.0, -0.5]))
         with pytest.raises(DomainError):
-            pair.delta(0.0)
+            pair.delta(-1.0)
+
+
+def test_claim_mgf_is_computed_once_per_adjustment_solve(monkeypatch):
+    # theta_prime and EsscherTilt read M_X(r) from theta_of_r's solution
+    # instead of integrating it again
+    model = RiskModel.from_safety_loading(Weibull(2.0, 1.0), Exponential(1.0), 0.5)
+    mgf, calls = Weibull.mgf, []
+    monkeypatch.setattr(Weibull, "mgf", lambda law, t: calls.append(t) or mgf(law, t))
+    theta_prime(model, 0.3)
+    assert calls == [0.3]
+    calls.clear()
+    pair = EsscherTilt(model, 0.3)
+    assert calls == [0.3]
+    assert pair.adjustment.claim_mgf == mgf(model.claim_law, 0.3)
 
 
 def test_path_log_weight_matches_pointwise(model_exp_exp, model_pareto_weibull, rng):

@@ -9,11 +9,13 @@ the last lines. It hashes
 
 * the ``table1``..``table5`` CSVs at ``--K 1000 --seed 42``;
 * ``check`` on five light-tailed models, each without a tilt, with a claims-only
-  hazard twist and with an Esscher tilt, and without a tilt on five models
-  whose claims are inverse gamma, inverse Weibull, Pareto, log-normal and
-  generalized gamma, so every family's moments are hashed (exit code, stdout
-  and stderr);
-* ``estimate`` runs with ``--exact`` on three exponential-claim models (up to
+  hazard twist and with an Esscher tilt; without a tilt on five models whose
+  claims are inverse gamma, inverse Weibull, Pareto, log-normal and
+  generalized gamma, so every family's moments are hashed, and on three
+  models with gamma or inverse gamma laws of rate or scale other than 1; and
+  without a tilt and with an Esscher tilt on Ga(0.7,2.5)/Exp (exit code,
+  stdout and stderr);
+* ``estimate`` runs with ``--exact`` on four exponential-claim models (up to
   u = 2300, where the closed form underflows and ``are`` reads nan), one with
   ``--threshold`` and one without ``--exact`` (exit code, stdout, stderr and
   the CSV without its ``runtime_seconds`` column);
@@ -48,9 +50,12 @@ CHECK_MODELS = {
     "Wei(2,1)/Exp": ({"family": "weibull", "params": {"shape": 2.0, "scale": 1.0}}, _EXP),
     "Exp/Wei(0.375,0.5)": (_EXP, {"family": "weibull", "params": {"shape": 0.375, "scale": 0.5}}),
 }
+_GA_07 = {"family": "gamma", "params": {"shape": 0.7, "rate": 2.5}}
+_GA_35 = {"family": "gamma", "params": {"shape": 3.5, "rate": 0.3}}
+_INVGA = {"family": "invgamma", "params": {"shape": 3.0, "scale": 4.0}}
 # checked without a tilt only
 UNTILTED_CHECK_MODELS = {
-    "InvGa(3,4)/Exp": ({"family": "invgamma", "params": {"shape": 3.0, "scale": 4.0}}, _EXP),
+    "InvGa(3,4)/Exp": (_INVGA, _EXP),
     "InvWei(3,1.48)/Exp": (
         {"family": "invweibull", "params": {"shape": 3.0, "scale": 1.48}}, _EXP),
     "Pa(2.5,3)/Exp": ({"family": "pareto", "params": {"shape": 2.5, "scale": 3.0}}, _EXP),
@@ -59,7 +64,11 @@ UNTILTED_CHECK_MODELS = {
         {"family": "gengamma", "params": {"alpha": 1.5, "scale": 1.0, "shape": 2.0}},
         {"family": "lognormal", "params": {"mu": 0.0, "sigma": 0.5}},
     ),
+    "Exp/Ga(3.5,0.3)": (_EXP, _GA_35),
+    "Exp/InvGa(3,4)": (_EXP, _INVGA),
 }
+# checked without a tilt and with an Esscher tilt
+ESSCHER_CHECK_MODELS = {"Ga(0.7,2.5)/Exp": (_GA_07, _EXP)}
 _HAZARD = {"family": "hazard", "params": {"theta": 1.0, "r_factor": 0.9}}
 _LINEAR = {"family": "linear", "params": {"xi_factor": 1.95}}
 # (label, claim, wait, tilt, extra CLI arguments); every run at K 200, seed 42
@@ -68,6 +77,7 @@ ESTIMATE_RUNS = [
     ("Exp/Ga(2,1) exact", *CHECK_MODELS["Exp/Ga(2,1)"], _HAZARD, ["--u", "0,5", "--exact"]),
     ("Exp/Wei(0.375,0.5) exact", *CHECK_MODELS["Exp/Wei(0.375,0.5)"], _HAZARD,
      ["--u", "0,5", "--exact"]),
+    ("Exp/Ga(3.5,0.3) exact", _EXP, _GA_35, _HAZARD, ["--u", "0,2,10", "--exact"]),
     ("Exp/Exp threshold exact", _EXP, _EXP, _LINEAR,
      ["--u", "5", "--threshold", "2", "--exact"]),
     ("Exp/Exp", _EXP, _EXP, _LINEAR, ["--u", "0,5"]),
@@ -95,19 +105,17 @@ def _tables(cli, tmp: Path):
 
 
 def _checks(cli, tmp: Path):
-    for mname, (claim, wait) in CHECK_MODELS.items():
-        model = tmp / "model.json"
-        model.write_text(json.dumps({"claim": claim, "wait": wait, "safety_loading": 0.5}))
-        for tname, tilt in CHECK_TILTS.items():
-            argv = ["check", "--model", str(model)]
-            if tilt is not None:
-                (tmp / "tilt.json").write_text(json.dumps(tilt))
-                argv += ["--tilt", str(tmp / "tilt.json")]
-            yield f"check {mname} {tname}", _run_cli(cli, argv)
-    for mname, (claim, wait) in UNTILTED_CHECK_MODELS.items():
-        model = tmp / "model.json"
-        model.write_text(json.dumps({"claim": claim, "wait": wait, "safety_loading": 0.5}))
-        yield f"check {mname} none", _run_cli(cli, ["check", "--model", str(model)])
+    for models, tilts in ((CHECK_MODELS, CHECK_TILTS), (UNTILTED_CHECK_MODELS, ("none",)),
+                          (ESSCHER_CHECK_MODELS, ("none", "esscher"))):
+        for mname, (claim, wait) in models.items():
+            model = tmp / "model.json"
+            model.write_text(json.dumps({"claim": claim, "wait": wait, "safety_loading": 0.5}))
+            for tname in tilts:
+                argv = ["check", "--model", str(model)]
+                if CHECK_TILTS[tname] is not None:
+                    (tmp / "tilt.json").write_text(json.dumps(CHECK_TILTS[tname]))
+                    argv += ["--tilt", str(tmp / "tilt.json")]
+                yield f"check {mname} {tname}", _run_cli(cli, argv)
 
 
 def _estimates(cli, tmp: Path):
