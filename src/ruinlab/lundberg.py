@@ -27,6 +27,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import MgfUnavailable, NoBracket, SecondMomentInfinite, UnsupportedCombination
 from .laws import Exponential, Gamma, PositiveLaw, expectation
 from .model import RiskModel
@@ -77,7 +79,7 @@ def exp_weighted_mean(law: PositiveLaw, t: float) -> float:
         return law.mgf(t) * law.shape / (law.rate - t)
     if t > 0 and t >= law.mgf_radius():
         return math.inf
-    return expectation(law, lambda x: math.log(x) + t * x)
+    return expectation(law, lambda x: np.log(x) + t * x)
 
 
 def _require_light_tail(model: RiskModel) -> float:

@@ -36,15 +36,18 @@ for name in TABLES:
     for col in table_spec(name).columns:
         tilt = tilt_from_config(col.tilt_config, col.model)
         estimate_psi(col.model, tilt, SimConfig(u=0.0, k=50, seed=1))
+laplace = Weibull(0.375, 0.5).laplace(1.0)
 with tempfile.TemporaryDirectory() as tmp:
     model = Path(tmp) / "model.json"
     exp1 = {"family": "exp", "params": {"rate": 1.0}}
     gamma = {"family": "gamma", "params": {"shape": 2.0, "rate": 1.0}}
-    model.write_text(json.dumps({"claim": exp1, "wait": gamma, "safety_loading": 0.5}))
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["check", "--model", str(model)]) == 0
+    weibull = {"family": "weibull", "params": {"shape": 0.375, "scale": 0.5}}
+    for wait in (gamma, weibull):
+        model.write_text(json.dumps({"claim": exp1, "wait": wait, "safety_loading": 0.5}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["check", "--model", str(model)]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-print(Weibull(0.375, 0.5).laplace(1.0).hex())
+print(laplace.hex())
 """
 
 FIRST_CALLS = """
@@ -68,10 +71,12 @@ def _fresh_process(code: str) -> list[str]:
 
 
 def test_simulation_and_closed_form_check_load_no_scipy():
+    # the quadrature behind the Weibull Laplace transform and the Exp/Wei
+    # check (M_X, L_W, the roots, the tilt's normalizers) is numpy alone
     loaded, laplace = _fresh_process(GUARD)
     assert loaded == "[]"
-    # quadrature still imports its integrator on first use; value as with a module-level import
-    assert float.fromhex(laplace) == 0.6499164412290026
+    # against the value to 25 digits
+    assert abs(float.fromhex(laplace) / 0.6499164412289979199724419 - 1.0) <= 1e-15
 
 
 def test_first_cdf_and_ppf_import_scipy_special_with_the_same_values():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaln, kv
 
 from ruinlab import (
     Exponential,
@@ -63,8 +64,77 @@ def test_mean_matches_quadrature(law):
     mean = law.mean()
     if not math.isfinite(mean):
         pytest.skip("mean does not exist")
-    quad_mean = expectation(law, math.log)
+    quad_mean = expectation(law, np.log)
     assert abs(mean - quad_mean) < 1e-8 * max(1.0, mean)
+
+
+@pytest.mark.parametrize(
+    "law", [LogNormal(0.0, 0.5), InvGamma(3.0, 4.0)], ids=lambda law: law.label()
+)
+def test_quadrature_calls_log_fn_once_per_level_on_new_nodes(law):
+    # one array call per level of the rule; a level halves the step and adds
+    # only the nodes between the previous level's, so from the third call on
+    # each call gets twice as many points as the one before
+    seen = []
+
+    def log_fn(x):
+        assert isinstance(x, np.ndarray)
+        seen.append(x.size)
+        return -0.5 * x
+
+    assert expectation(law, log_fn) == pytest.approx(law.laplace(0.5), rel=1e-15)
+    assert 3 <= len(seen) <= laws._QUAD_LEVELS
+    assert seen[2:] == [seen[1] * 2**i for i in range(1, len(seen) - 1)]
+
+
+@pytest.mark.parametrize(
+    "law, k, want",
+    [
+        (Weibull(0.01, 1.0), 1.0, math.gamma(101.0)),  # T(e) = e^100 overflows past e = 1202
+        (Pareto(2.5, 3.0), 1.0, 2.0),  # T(e) = 3 expm1(e / 2.5) overflows past e = 1774
+        (Pareto(1.5, 3.0), 2.0, math.inf),  # the moment does not exist
+    ],
+    ids=["Wei(0.01,1)", "Pa(2.5,3)", "Pa(1.5,3)-k2"],
+)
+def test_quadrature_where_the_transform_overflows(law, k, want):
+    # where T(e) is not in (0, inf) the integrand is 0, and no numpy warning
+    # leaves the rule
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expectation(law, lambda x: k * np.log(x))
+    if math.isfinite(want):
+        assert abs(got / want - 1.0) <= 1e-12
+    else:  # a divergent moment reads inf or a huge finite truncation, never nan
+        assert got > 1e6
+
+
+def test_quadrature_overflow_reads_inf():
+    # E[exp(1e300 X)] for Wei(2, 1) is finite but past the largest double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert expectation(Weibull(2.0, 1.0), lambda x: 1e300 * x) == math.inf
+        assert expectation(LogNormal(0.0, 1.0), lambda x: 800.0 + 0.0 * x) == math.inf
+
+
+@pytest.mark.parametrize("s", [1e12, 1e20])
+def test_laplace_below_the_smallest_double_reads_zero(s):
+    # log E[exp(-s X)] for LN(0, 0.5) is -1162 at s = 1e12 and -3520 at 1e20:
+    # the first levels' nodes miss the peak by more than e^709, and the sum
+    # must rescale to the peak a finer level finds, not overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert LogNormal(0.0, 0.5).laplace(s) == 0.0
+
+
+@pytest.mark.parametrize("s", [1.0, 30.0, 300.0])
+def test_inverse_gamma_laplace_against_bessel_closed_form(s):
+    # E[exp(-s X)] = 2 (b s)^(a/2) K_a(2 sqrt(b s)) / G(a) for InvGa(a, b); at
+    # s = 300 the integrand peaks at x = 0.11, between x-space knots 0 and
+    # the median 1.48, where an adaptive rule started on the whole piece read
+    # 3% low
+    a, b = 3.0, 4.0
+    want = 2.0 * (b * s) ** (a / 2) * kv(a, 2.0 * math.sqrt(b * s)) / math.gamma(a)
+    assert abs(InvGamma(a, b).laplace(s) / want - 1.0) <= 1e-13
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=_ids(ALL_LAWS))

@@ -108,12 +108,48 @@ def test_lundberg_root_heavy_tail_unavailable():
         memm_point(model_ln)
 
 
-def test_theta_of_r_raises_when_wait_laplace_underflows():
-    # at eta = 1e6 the root's y is so large that L_W(y) is 0.0 in floats, so
-    # M_X(r) * L_W(y) = 0 does not solve the adjustment equation
-    model = RiskModel.from_safety_loading(GenGamma(1.5, 1.0, 2.0), LogNormal(0.0, 0.5), 1e6)
+# safety loading 1e6 puts the adjustment root at y = 1.07e9, where L_W(y) of
+# LN(0, 0.5) waits is e^-619: tiny, and still a normal double
+MODEL_GGA_LN_ETA_1E6 = RiskModel.from_safety_loading(
+    GenGamma(1.5, 1.0, 2.0), LogNormal(0.0, 0.5), 1e6
+)
+
+
+def _lognormal_log_laplace(y, sigma):
+    # log E[exp(-y W)] for W = exp(sigma N) by the trapezoid rule in u = log w,
+    # summed in log space: with x = e^u the integrand is
+    # exp(-y e^u - u^2 / (2 sigma^2)) / (sigma sqrt(2 pi)), smooth and
+    # double-exponentially small at both ends, where the rule converges fast
+    u, du = np.linspace(-60.0, 10.0, 400_001, retstep=True)
+    log_f = -y * np.exp(u) - u * u / (2.0 * sigma * sigma)
+    peak = log_f.max()
+    return peak + math.log(np.exp(log_f - peak).sum() * du / (sigma * math.sqrt(2.0 * math.pi)))
+
+
+def test_theta_of_r_at_a_large_loading_where_wait_laplace_is_tiny():
+    sol = theta_of_r(MODEL_GGA_LN_ETA_1E6, 16.0)
+    assert sol.y == pytest.approx(1.0748554582e9, rel=1e-9)
+    want = _lognormal_log_laplace(sol.y, 0.5)  # -618.93671661005...
+    assert abs(math.log(sol.wait_laplace) / want - 1.0) <= 1e-12
+    assert sol.residual <= 1e-12
+
+
+def test_theta_of_r_raises_when_wait_laplace_underflows(monkeypatch):
+    # a wait law whose Laplace transform reads 0.0 past y = 1e3, as one below
+    # the smallest double does: M_X(r) * L_W(y) = 0 does not solve the
+    # adjustment equation
+    laplace = LogNormal.laplace
+    monkeypatch.setattr(LogNormal, "laplace", lambda law, s: 0.0 if s > 1e3 else laplace(law, s))
     with pytest.raises(NoBracket):
-        theta_of_r(model, 16.0)
+        theta_of_r(MODEL_GGA_LN_ETA_1E6, 16.0)
+
+
+def test_memm_point_at_a_large_loading():
+    mp = memm_point(MODEL_GGA_LN_ETA_1E6)
+    # theta' changes sign at r_m, from about -2 to +2 within 1e-6 of it
+    assert theta_prime(MODEL_GGA_LN_ETA_1E6, mp.r - 1e-6) < 0.0
+    assert theta_prime(MODEL_GGA_LN_ETA_1E6, mp.r + 1e-6) > 0.0
+    assert mp.r == pytest.approx(11.5909527112, rel=1e-9)
 
 
 def test_memm_point_against_grid_search(model_exp_exp):
@@ -220,7 +256,7 @@ def test_rho_and_r_m_at_small_safety_loadings(claim, wait, eta):
     assert abs(theta_of_r(model, rho).theta) <= 1e-10
 
 
-@pytest.mark.parametrize("eta", [1e-5, 3e-6])
+@pytest.mark.parametrize("eta", [1e-5, 3e-6, 1e-6])
 def test_small_loading_root_approaches_diffusion_limit(eta):
     # as eta -> 0, rho -> 2(c E[W] - E[X]) / Var(X - cW); the O(eta) correction
     # is about 2e-5 relative here, and a root lost in quadrature noise reads
@@ -236,6 +272,15 @@ def test_small_loading_root_approaches_diffusion_limit(eta):
     var_w = wait.raw_moment(2.0) - wait.mean() ** 2
     limit = 2.0 * (c * wait.mean() - claim.mean()) / (eta * (var_x + c * c * var_w))
     assert abs(rho / eta / limit - 1.0) <= 2e-4
+
+
+def test_gengamma_spike_root_matches_the_same_law_as_gamma():
+    # GGa(1, 1e-13, 1e14) is Ga(1e14, 1e13): a density 1e-6 wide at x = 10,
+    # between its knots at the median and the 0.999 quantile; the gamma form
+    # has a closed-form mgf
+    spike = RiskModel.from_safety_loading(GenGamma(1.0, 1e-13, 1e14), Exponential(1.0), 0.5)
+    gamma = RiskModel.from_safety_loading(Gamma(1e14, 1e13), Exponential(1.0), 0.5)
+    assert abs(lundberg_root(spike) / lundberg_root(gamma) - 1.0) <= 1e-8
 
 
 @pytest.mark.parametrize("eta", [1e-4, 1e-2, 0.5, 5.0, 50.0, 1e6])

@@ -13,8 +13,9 @@ the last lines. It hashes
   claims are inverse gamma, inverse Weibull, Pareto, log-normal and
   generalized gamma, so every family's moments are hashed, and on three
   models with gamma or inverse gamma laws of rate or scale other than 1; and
-  without a tilt and with an Esscher tilt on Ga(0.7,2.5)/Exp (exit code,
-  stdout and stderr);
+  without a tilt and with an Esscher tilt on Ga(0.7,2.5)/Exp; and without a
+  tilt on GGa(1.5,1,2)/LN(0,0.5) at safety loading 1e6 and on
+  GGa(1,1e-13,1e14)/Exp (exit code, stdout and stderr);
 * ``estimate`` runs with ``--exact`` on four exponential-claim models (up to
   u = 2300, where the closed form underflows and ``are`` reads nan), one with
   ``--threshold`` and one without ``--exact`` (exit code, stdout, stderr and
@@ -69,6 +70,15 @@ UNTILTED_CHECK_MODELS = {
 }
 # checked without a tilt and with an Esscher tilt
 ESSCHER_CHECK_MODELS = {"Ga(0.7,2.5)/Exp": (_GA_07, _EXP)}
+# checked without a tilt: L_W near e^-619 at the adjustment root, and a
+# generalized gamma density 1e-6 wide
+SPIKE_CHECK_MODELS = {
+    "GGa(1.5,1,2)/LN(0,0.5) eta 1e6": UNTILTED_CHECK_MODELS["GGa(1.5,1,2)/LN(0,0.5)"],
+    "GGa(1,1e-13,1e14)/Exp": (
+        {"family": "gengamma", "params": {"alpha": 1.0, "scale": 1e-13, "shape": 1e14}}, _EXP),
+}
+# every other check is at safety loading 1/2
+SAFETY_LOADINGS = {"GGa(1.5,1,2)/LN(0,0.5) eta 1e6": 1e6}
 _HAZARD = {"family": "hazard", "params": {"theta": 1.0, "r_factor": 0.9}}
 _LINEAR = {"family": "linear", "params": {"xi_factor": 1.95}}
 # (label, claim, wait, tilt, extra CLI arguments); every run at K 200, seed 42
@@ -106,10 +116,12 @@ def _tables(cli, tmp: Path):
 
 def _checks(cli, tmp: Path):
     for models, tilts in ((CHECK_MODELS, CHECK_TILTS), (UNTILTED_CHECK_MODELS, ("none",)),
-                          (ESSCHER_CHECK_MODELS, ("none", "esscher"))):
+                          (ESSCHER_CHECK_MODELS, ("none", "esscher")),
+                          (SPIKE_CHECK_MODELS, ("none",))):
         for mname, (claim, wait) in models.items():
+            eta = SAFETY_LOADINGS.get(mname, 0.5)
             model = tmp / "model.json"
-            model.write_text(json.dumps({"claim": claim, "wait": wait, "safety_loading": 0.5}))
+            model.write_text(json.dumps({"claim": claim, "wait": wait, "safety_loading": eta}))
             for tname in tilts:
                 argv = ["check", "--model", str(model)]
                 if CHECK_TILTS[tname] is not None:
