@@ -9,7 +9,7 @@ the cumulative hazard where it has a closed form, and a deterministic sampler.
 Sampling contract: each family uses a fixed, documented algorithm driven by a
 ``numpy.random.Generator``. Exponential, Weibull, inverse Weibull and Pareto
 draw Z = T(E), where E = -log1p(-U) is a standard exponential made from
-``Generator.random`` and T is the family's ``_from_std_exp(e, xp)``; their
+``Generator.random`` and T is the family's ``_from_std_exp(e)``; their
 quantile is the same T. Their ``sample_n(rng, n, return_std_exp=True)``
 returns E beside Z, so a hazard-twist weight needs no transcendental call per
 draw; Z is the same array either way. Log-normal is exp(mu + sigma N) on
@@ -33,20 +33,18 @@ singularity at 0 and the Pareto's polynomial tail become smooth, fast-decaying
 integrands. The rule is an in-package double-exponential one (tanh-sinh on
 the finite pieces, exp-sinh on the tail) that evaluates the integrand on
 numpy arrays, one call per level; there is no QUADPACK (see ``expectation``).
+Its x-space knots, the median and 0.999 quantile of a gamma-type or
+log-normal law, are computed in the package too, not by ``ppf``.
 
-Float path: each family writes its log-density once, as ``_logpdf(x, xp)``
-with ``xp`` the ``math`` or the ``numpy`` module. ``logpdf`` hands a Python
-float to ``math`` and anything else, as an array, to numpy (see ``_by_kind``),
-so a call with one float runs as plain float arithmetic while array calls,
-the engine's and the quadrature's, keep their numpy arithmetic bit for bit.
-Constants of a density, such as log G of a shape, are computed once when the
-law is built. Log-gamma is ``_lgam``, an in-package transcription of the
-cephes routine behind ``scipy.special.gammaln`` that matches it bit for bit,
-so building a law, its moments, its quadratures and every simulation import
-numpy alone. ``scipy.special`` is imported on the first ``cdf`` or ``ppf``
-that needs an incomplete gamma or normal function, among them the x-space
-quadrature knots of the gamma-type and log-normal laws; no SciPy integration
-routine is imported.
+Arithmetic: each family writes its log-density once, as ``_logpdf(x)`` on a
+numpy array, and its T as ``_from_std_exp(e)``; the sampler, the engine and
+the quadrature share them. Constants of a density, such as log G of a shape,
+are computed once when the law is built. Log-gamma is ``_lgam``, an
+in-package transcription of the cephes routine behind
+``scipy.special.gammaln`` that matches it bit for bit, so building a law, its
+moments, its quadratures and every simulation import numpy alone.
+``scipy.special`` is imported on the first ``cdf`` or ``ppf`` that needs an
+incomplete gamma or normal function; nothing else in the package needs it.
 """
 
 from __future__ import annotations
@@ -80,6 +78,8 @@ _QUAD_LEVELS = 10
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 _LN_2 = math.log(2.0)
 _LN_1000 = math.log(1000.0)
+# Phi^-1(q) at the probabilities of the x-space quadrature knots
+_NORMAL_QUANTILE = {0.5: 0.0, 0.999: 3.090232306167813, 0.001: -3.090232306167813}
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -93,31 +93,16 @@ def _require_positive(**params: float) -> None:
     _require(not bad, f"{' and '.join(bad)} must be positive and finite")
 
 
-def _by_kind(formula, x):
-    """``formula(x, math)`` for a Python float, ``formula(array, numpy)`` otherwise.
-
-    The float path returns a Python float. Where ``math`` raises instead of
-    giving an IEEE special value (log of 0, overflow in ``**`` or ``exp``), the
-    float takes the numpy path, so both paths give the same -inf, inf or nan.
-    """
-    if type(x) is float:
-        try:
-            return formula(x, math)
-        except (ArithmeticError, ValueError):
-            return float(formula(np.float64(x), np))
-    return formula(np.asarray(x, dtype=float), np)
-
-
 class PositiveLaw:
     """Base class for laws supported on (0, inf)."""
 
     # -- density / distribution ------------------------------------------------
 
     def logpdf(self, x):
-        return _by_kind(self._logpdf, x)
+        return self._logpdf(np.asarray(x, dtype=float))
 
-    def _logpdf(self, x, xp):
-        """The log-density formula; ``xp`` is the ``math`` or the ``numpy`` module."""
+    def _logpdf(self, x):
+        """The log-density formula on an array."""
         raise NotImplementedError
 
     def cdf(self, x):
@@ -125,7 +110,7 @@ class PositiveLaw:
 
     def ppf(self, q):
         """F^{-1}(q) = T(-log(1 - q)) for a family sampled as Z = T(E), T increasing."""
-        return self._from_std_exp(-np.log1p(-np.asarray(q, dtype=float)), np)
+        return self._from_std_exp(-np.log1p(-np.asarray(q, dtype=float)))
 
     # -- moments ---------------------------------------------------------------
 
@@ -169,10 +154,14 @@ class PositiveLaw:
         """Abscissa of convergence r_Z = sup{r >= 0 : E[exp(rZ)] < inf}."""
         raise NotImplementedError
 
+    def _quad_knots(self) -> tuple[float, float]:
+        """Median and 0.999 quantile, for a law ``expectation`` integrates over x."""
+        raise NotImplementedError
+
     # -- sampling ----------------------------------------------------------------
 
     # T in Z = T(E), E standard exponential, for the families sampled that way:
-    # ``_from_std_exp(e, xp)`` with ``xp`` as in ``_logpdf``
+    # ``_from_std_exp(e)`` on an array
     _from_std_exp = None
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -201,7 +190,7 @@ def _std_exp(rng: np.random.Generator, n: int) -> np.ndarray:
 def _sample_t_of_e(law: PositiveLaw, rng, n: int, return_std_exp: bool):
     """Z = T(E) for ``n`` standard exponentials E; (Z, E) if ``return_std_exp``."""
     e = _std_exp(rng, n)
-    z = law._from_std_exp(e, np)  # a new array: E stays as drawn
+    z = law._from_std_exp(e)  # a new array: E stays as drawn
     return (z, e) if return_std_exp else z
 
 
@@ -215,7 +204,7 @@ class Exponential(PositiveLaw):
         _require_positive(rate=self.rate)
         object.__setattr__(self, "_log_rate", float(np.log(self.rate)))
 
-    def _logpdf(self, x, xp):
+    def _logpdf(self, x):
         return self._log_rate - self.rate * x
 
     def cdf(self, x):
@@ -235,7 +224,7 @@ class Exponential(PositiveLaw):
     def mgf_radius(self) -> float:
         return self.rate
 
-    def _from_std_exp(self, e, xp):
+    def _from_std_exp(self, e):
         return e / self.rate
 
     def sample_n(self, rng, n, return_std_exp=False):
@@ -271,17 +260,17 @@ class _GammaType(PositiveLaw):
         for name, v in (("_alpha", alpha), ("_b", b), ("_p", p), ("_log_norm", log_norm)):
             object.__setattr__(self, name, v)
 
-    def _logpdf(self, x, xp):
+    def _logpdf(self, x):
         a, p = self._alpha, self._p
         y = (x / self._b) ** a
         if p < _STIRLING_MIN:
             log_abs_alpha, log_scale_pow, log_gamma = self._log_norm
-            return log_abs_alpha + (a * p - 1.0) * xp.log(x) - log_scale_pow - log_gamma - y
+            return log_abs_alpha + (a * p - 1.0) * np.log(x) - log_scale_pow - log_gamma - y
         # about y = p (1 + d), so no term of size p log p cancels: at p = 1e14
         # the form above reads 13.0 for a log-density of 12.90, and past
         # 2.6e305 its log G(p) is inf
         d = (y - p) / p
-        return (p - 1.0 / a) * xp.log1p(d) - p * d + self._log_norm
+        return (p - 1.0 / a) * np.log1p(d) - p * d + self._log_norm
 
     def cdf(self, x):
         from scipy.special import gammainc, gammaincc  # on first use: no simulation needs it
@@ -300,6 +289,17 @@ class _GammaType(PositiveLaw):
         if self._p + d <= 0:
             return math.inf
         return self._b**k * math.exp(_log_gamma_ratio(self._p, d))
+
+    def _quad_knots(self) -> tuple[float, float]:
+        # b G_q^(1/alpha): G's 0.5 and 0.999 quantiles, or its 0.001 one when
+        # Z falls as G grows. numpy's power, as in ``ppf``: a quantile past
+        # the doubles reads 0 or inf, and raises nothing
+        tail = 0.999 if self._alpha > 0 else 0.001
+        with np.errstate(divide="ignore", over="ignore"):
+            return tuple(
+                float(self._b * np.float64(_std_gamma_quantile(self._p, q)) ** (1.0 / self._alpha))
+                for q in (0.5, tail)
+            )
 
     def mgf_radius(self) -> float:
         if self._alpha > 1.0:
@@ -325,6 +325,8 @@ class Gamma(_GammaType):
         self._set_triple(1.0, 1.0 / self.rate, self.shape)
 
     def _raw_moment(self, k: float) -> float:
+        if self.shape + k <= 0:
+            return math.inf
         return math.exp(_log_gamma_ratio(self.shape, k) - k * math.log(self.rate))
 
     def mgf(self, t: float) -> float:
@@ -359,9 +361,9 @@ class Weibull(PositiveLaw):
         _require_positive(shape=self.shape, scale=self.scale)
         object.__setattr__(self, "_log_norm", math.log(self.shape / self.scale))
 
-    def _logpdf(self, x, xp):
+    def _logpdf(self, x):
         t = x / self.scale
-        return self._log_norm + (self.shape - 1.0) * xp.log(t) - t**self.shape
+        return self._log_norm + (self.shape - 1.0) * np.log(t) - t**self.shape
 
     def cdf(self, x):
         t = np.asarray(x, dtype=float) / self.scale
@@ -380,7 +382,7 @@ class Weibull(PositiveLaw):
             return 1.0 / self.scale
         return 0.0
 
-    def _from_std_exp(self, e, xp):
+    def _from_std_exp(self, e):
         return self.scale * e ** (1.0 / self.shape)
 
     def sample_n(self, rng, n, return_std_exp=False):
@@ -419,9 +421,9 @@ class InvWeibull(PositiveLaw):
         _require_positive(shape=self.shape, scale=self.scale)
         object.__setattr__(self, "_log_norm", math.log(self.shape / self.scale))
 
-    def _logpdf(self, x, xp):
+    def _logpdf(self, x):
         t = self.scale / x
-        return self._log_norm + (self.shape + 1.0) * xp.log(t) - t**self.shape
+        return self._log_norm + (self.shape + 1.0) * np.log(t) - t**self.shape
 
     def cdf(self, x):
         t = self.scale / np.asarray(x, dtype=float)
@@ -429,7 +431,7 @@ class InvWeibull(PositiveLaw):
 
     def ppf(self, q):
         # T is decreasing here, so F^{-1}(q) = T(-log q)
-        return self._from_std_exp(-np.log(np.asarray(q, dtype=float)), np)
+        return self._from_std_exp(-np.log(np.asarray(q, dtype=float)))
 
     def _raw_moment(self, k: float) -> float:
         if k >= self.shape:
@@ -439,7 +441,7 @@ class InvWeibull(PositiveLaw):
     def mgf_radius(self) -> float:
         return 0.0
 
-    def _from_std_exp(self, e, xp):
+    def _from_std_exp(self, e):
         # reciprocal of Weibull(shape, 1/scale): scale * E^(-1/shape)
         return self.scale * e ** (-1.0 / self.shape)
 
@@ -487,8 +489,8 @@ class LogNormal(PositiveLaw):
         _require_positive(sigma=self.sigma)
         object.__setattr__(self, "_log_sigma", math.log(self.sigma))
 
-    def _logpdf(self, x, xp):
-        log_x = xp.log(x)
+    def _logpdf(self, x):
+        log_x = np.log(x)
         z = (log_x - self.mu) / self.sigma
         return -log_x - self._log_sigma - _HALF_LOG_2PI - 0.5 * z * z
 
@@ -504,6 +506,12 @@ class LogNormal(PositiveLaw):
 
     def _raw_moment(self, k: float) -> float:
         return math.exp(self.mu * k + 0.5 * self.sigma**2 * k**2)
+
+    def _quad_knots(self) -> tuple[float, float]:
+        with np.errstate(over="ignore"):
+            return tuple(
+                float(np.exp(self.mu + self.sigma * z)) for z in (0.0, _NORMAL_QUANTILE[0.999])
+            )
 
     def mgf_radius(self) -> float:
         return 0.0
@@ -527,8 +535,8 @@ class Pareto(PositiveLaw):
         log_norm = math.log(self.shape) + self.shape * math.log(self.scale)
         object.__setattr__(self, "_log_norm", log_norm)
 
-    def _logpdf(self, x, xp):
-        return self._log_norm - (self.shape + 1.0) * xp.log(self.scale + x)
+    def _logpdf(self, x):
+        return self._log_norm - (self.shape + 1.0) * np.log(self.scale + x)
 
     def cdf(self, x):
         t = np.asarray(x, dtype=float) / self.scale
@@ -545,8 +553,8 @@ class Pareto(PositiveLaw):
     def mgf_radius(self) -> float:
         return 0.0
 
-    def _from_std_exp(self, e, xp):
-        return self.scale * xp.expm1(e / self.shape)
+    def _from_std_exp(self, e):
+        return self.scale * np.expm1(e / self.shape)
 
     def sample_n(self, rng, n, return_std_exp=False):
         return _sample_t_of_e(self, rng, n, return_std_exp)
@@ -591,8 +599,8 @@ def expectation(law: PositiveLaw, log_fn) -> float:
     """E[exp(log_fn(Z))] by double-exponential quadrature over (0, inf).
 
     ``log_fn`` takes a numpy array of points and returns their values as an
-    array (or a scalar that broadcasts), following the laws' ``xp``
-    convention; the whole integrand is one array call per level of the rule.
+    array (or a scalar that broadcasts); the whole integrand is one array
+    call per level of the rule.
 
     A family sampled as Z = T(E), E standard exponential, is integrated over
     e: the integrand is exp(log_fn(T(e)) - e), knotted at E's median ln 2 and
@@ -601,7 +609,12 @@ def expectation(law: PositiveLaw, log_fn) -> float:
     is not in (0, inf) the integrand is 0, and ``log_fn`` is not called there.
     Every other law is integrated over x: the integrand is
     exp(log_fn(x) + logpdf(x)), knotted at the law's median and 0.999
-    quantile, so the rule sees the bulk and the tail separately.
+    quantile, so the rule sees the bulk and the tail separately. These knots
+    are closed forms, not ``ppf`` calls: exp(mu) and exp(mu + sigma z),
+    z = Phi^-1(0.999), for a log-normal law, and b G_q^(1/alpha) for a
+    gamma-type one, with G's 0.5 and 0.999 quantiles (its 0.001 quantile
+    when alpha < 0) from ``_std_gamma_quantile``. They are kept per law
+    (``_x_knots``), since every transform and root on a law asks for them.
 
     The rule (Takahasi & Mori, Publ. RIMS 9, 1974; Bailey, Jeyabalan & Li,
     Experimental Mathematics 14, 2005) is tanh-sinh on each finite piece
@@ -619,7 +632,7 @@ def expectation(law: PositiveLaw, log_fn) -> float:
     """
     transform = law._from_std_exp
     if transform is None:
-        knots = (0.0, float(law.ppf(0.5)), float(law.ppf(0.999)))
+        knots = _x_knots(law)
 
         def log_integrand(x):
             return log_fn(x) + law.logpdf(x)
@@ -628,7 +641,7 @@ def expectation(law: PositiveLaw, log_fn) -> float:
         knots = (0.0, _LN_2, _LN_1000)
 
         def log_integrand(e):
-            z = transform(e, np)
+            z = transform(e)
             inside = (z > 0.0) & (z < math.inf)
             out = np.full_like(e, -math.inf)
             out[inside] = log_fn(z[inside]) - e[inside]
@@ -654,6 +667,12 @@ def expectation(law: PositiveLaw, log_fn) -> float:
                 break
             prev = total
         return float(np.exp(np.log(total) + shift))
+
+
+@functools.lru_cache(maxsize=64)
+def _x_knots(law: PositiveLaw) -> tuple[float, float, float]:
+    """(0, median, 0.999 quantile) of a law integrated over x, kept for the last 64 laws."""
+    return (0.0, *law._quad_knots())
 
 
 @functools.lru_cache(maxsize=64)
@@ -855,6 +874,77 @@ def _log_gamma_ratio(b: float, d: float, offset: float = 0.0) -> float:
         + _stirling_tail(x)
         - _stirling_tail(b)
     )
+
+
+# -- standard gamma quantiles -------------------------------------------------------
+
+# below this shape Newton's method refines a Wilson-Hilferty quantile; from it
+# on the start is within 7e-6 relative of the quantile and is used as it is
+_NEWTON_MAX_SHAPE = 1e3
+
+
+def _std_gamma_quantile(p: float, q: float) -> float:
+    """G_q, the q-quantile of Ga(p, 1), for q in ``_NORMAL_QUANTILE``.
+
+    The start is Wilson and Hilferty's cube-root normal approximation
+    p (1 - 1/(9p) + z/(3 sqrt p))^3, z = Phi^-1(q) (PNAS 17, 1931), or, where
+    that base is not positive, the small-x form (q G(p + 1))^(1/p) of
+    P(p, x) ~ x^p / G(p + 1). Below ``_NEWTON_MAX_SHAPE`` Newton's method on
+    log F(e^t) = log q' refines it, with F the tail of ``_std_gamma_tail_sum``
+    on the side where G_q lies and q' its probability (after DiDonato &
+    Morris, ACM TOMS 12, 1986). Against ``scipy.special.gammaincinv`` it is
+    within 1e-13 relative for p in [0.02, 1e3), 7e-6 at p = 1e3 and 2e-10 at
+    p = 1e6. A quantile that underflows reads 0.
+    """
+    z = _NORMAL_QUANTILE[q]
+    base = 1.0 - 1.0 / (9.0 * p) + z / (3.0 * math.sqrt(p))
+    x = p * base**3 if base > 0 else (q * math.exp(_lgam(p + 1.0))) ** (1.0 / p)
+    if p >= _NEWTON_MAX_SHAPE or x == 0.0:
+        return x
+    upper = q > 0.5
+    target = math.log1p(-q) if upper else math.log(q)
+    log_gamma = _lgam(p)
+    t = math.log(x)
+    for _ in range(30):
+        # F = x f(x) S, f the Ga(p, 1) density, so d log F / dt = +-1/S; a
+        # step moves x by a factor of e at most
+        s = _std_gamma_tail_sum(p, x, upper)
+        step = (p * t - x - log_gamma + math.log(s) - target) * s
+        t += min(1.0, max(-1.0, step if upper else -step))
+        x = math.exp(t)
+        if abs(step) <= 1e-14 * max(1.0, abs(t)) or x == 0.0:
+            break
+    return x
+
+
+def _std_gamma_tail_sum(p: float, x: float, upper: bool) -> float:
+    """P(p, x), or Q(p, x) = 1 - P(p, x) if ``upper``, over x f(x), f the Ga(p, 1) density.
+
+    For P it is the power series sum_n x^n / (p (p + 1) ... (p + n)), for Q
+    the continued fraction 1/(x + 1 - p - 1 (1 - p)/(x + 3 - p - 2 (2 - p)/
+    (x + 5 - p - ...))), run by Lentz's method. A quantile below the median
+    is found on P and one above it on Q, so neither tail is 1 minus the other.
+    """
+    if not upper:
+        term = total = 1.0 / p
+        n = p
+        while term > total * 1e-17:
+            n += 1.0
+            term *= x / n
+            total += term
+        return total
+    b = x + 1.0 - p
+    c, d = math.inf, 1.0 / b
+    h = d
+    for i in range(1, 1000):
+        a = i * (p - i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        h *= d * c
+        if abs(d * c - 1.0) <= 1e-16:
+            break
+    return h
 
 
 # _lgam is a transcription of lgam in cephes/gamma.c (Cephes Math Library

@@ -42,8 +42,10 @@ with tempfile.TemporaryDirectory() as tmp:
     exp1 = {"family": "exp", "params": {"rate": 1.0}}
     gamma = {"family": "gamma", "params": {"shape": 2.0, "rate": 1.0}}
     weibull = {"family": "weibull", "params": {"shape": 0.375, "scale": 0.5}}
-    for wait in (gamma, weibull):
-        model.write_text(json.dumps({"claim": exp1, "wait": wait, "safety_loading": 0.5}))
+    gengamma = {"family": "gengamma", "params": {"alpha": 1.5, "scale": 1.0, "shape": 2.0}}
+    lognormal = {"family": "lognormal", "params": {"mu": 0.0, "sigma": 0.5}}
+    for claim, wait in ((exp1, gamma), (exp1, weibull), (gengamma, lognormal), (gamma, exp1)):
+        model.write_text(json.dumps({"claim": claim, "wait": wait, "safety_loading": 0.5}))
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["check", "--model", str(model)]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
@@ -71,8 +73,9 @@ def _fresh_process(code: str) -> list[str]:
 
 
 def test_simulation_and_closed_form_check_load_no_scipy():
-    # the quadrature behind the Weibull Laplace transform and the Exp/Wei
-    # check (M_X, L_W, the roots, the tilt's normalizers) is numpy alone
+    # the quadrature behind the Weibull Laplace transform and the checks on
+    # Exp/Wei, GGa/LN and Ga/Exp (M_X, L_W, the roots, the tilt's
+    # normalizers), x-space knots included, is numpy alone
     loaded, laplace = _fresh_process(GUARD)
     assert loaded == "[]"
     # against the value to 25 digits

@@ -214,7 +214,7 @@ def test_hazard_weights_from_std_exp_match_pointwise(name, col):
                                      (pair.model.claim_law, pair.model.wait_law)):
         if std_exp:
             z, e = law.sample_n(rng, 100_000, return_std_exp=True)
-            z, e = np.append(z, law._from_std_exp(edge, np)), np.append(e, edge)
+            z, e = np.append(z, law._from_std_exp(edge)), np.append(e, edge)
             scale = scale + abs(math.log(f)) + abs(f - 1.0) * base.cumulative_hazard(z)
             draws.append((z, e))
         else:

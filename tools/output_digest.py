@@ -11,8 +11,9 @@ the last lines. It hashes
 * ``check`` on five light-tailed models, each without a tilt, with a claims-only
   hazard twist and with an Esscher tilt; without a tilt on five models whose
   claims are inverse gamma, inverse Weibull, Pareto, log-normal and
-  generalized gamma, so every family's moments are hashed, and on three
-  models with gamma or inverse gamma laws of rate or scale other than 1; and
+  generalized gamma, so every family's moments are hashed, on three models
+  with gamma or inverse gamma laws of rate or scale other than 1, and on
+  GGa(2,1,0.05)/Exp and Exp/LN(0,2) for the x-space quadrature knots; and
   without a tilt and with an Esscher tilt on Ga(0.7,2.5)/Exp; and without a
   tilt on GGa(1.5,1,2)/LN(0,0.5) at safety loading 1e6 and on
   GGa(1,1e-13,1e14)/Exp (exit code, stdout and stderr);
@@ -67,6 +68,11 @@ UNTILTED_CHECK_MODELS = {
     ),
     "Exp/Ga(3.5,0.3)": (_EXP, _GA_35),
     "Exp/InvGa(3,4)": (_EXP, _INVGA),
+    # x-space quadrature knots: a gamma quantile from the small-shape start,
+    # and log-normal waits
+    "GGa(2,1,0.05)/Exp": (
+        {"family": "gengamma", "params": {"alpha": 2.0, "scale": 1.0, "shape": 0.05}}, _EXP),
+    "Exp/LN(0,2)": (_EXP, {"family": "lognormal", "params": {"mu": 0.0, "sigma": 2.0}}),
 }
 # checked without a tilt and with an Esscher tilt
 ESSCHER_CHECK_MODELS = {"Ga(0.7,2.5)/Exp": (_GA_07, _EXP)}
