@@ -29,7 +29,7 @@ from ruinlab.errors import ConfigError, UnsupportedCombination
 from ruinlab.laws import _FAMILIES, _STIRLING_MIN, _lgam
 from ruinlab.model import RiskModel, model_from_config
 from ruinlab.tables import TABLES, table_spec
-from ruinlab.tilts import tilt_from_config
+from ruinlab.tilts import hazard_twisted, size_biased, tilt_from_config
 
 ALL_LAWS = [
     Exponential(1.0),
@@ -316,6 +316,28 @@ def test_laplace_quadrature_agreement(law):
     assert law.laplace(s) == pytest.approx(direct, rel=1e-8)
 
 
+# every catalog family, a size-biased and a hazard-twisted law
+FLOAT_PATH_LAWS = ALL_LAWS + [
+    size_biased(Weibull(0.75, 1.68)),
+    hazard_twisted(Pareto(1.5, 3.0), 0.9),
+]
+
+
+@pytest.mark.parametrize("law", FLOAT_PATH_LAWS, ids=_ids(FLOAT_PATH_LAWS))
+def test_logpdf_float_path_matches_array_path(law):
+    # a Python float takes the same numpy formula as an array, as a 0-d value
+    grid = [0.0, *np.geomspace(1e-6, 1e3, 271), 1e300]
+    for x in grid:
+        with np.errstate(all="ignore"):
+            value = law.logpdf(float(x))
+            ref = law.logpdf(np.array([x]))[0]
+        assert isinstance(value, float) and np.ndim(value) == 0
+        if math.isfinite(ref):
+            assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref)), (x, value, ref)
+        else:  # the same -inf, inf or nan
+            assert str(value) == str(ref), (x, value, ref)
+
+
 STD_EXP_LAWS = [
     Exponential(1.0),
     Exponential(0.4),
@@ -337,6 +359,17 @@ def test_sampler_returns_its_std_exp(law):
     assert np.array_equal(got, z)
     assert np.array_equal(e, -np.log1p(-np.random.default_rng(7).random(1000)))
     assert np.array_equal(law._from_std_exp(e), z)
+
+
+@pytest.mark.parametrize("law", STD_EXP_LAWS, ids=_ids(STD_EXP_LAWS))
+def test_std_exp_transform_float_path_matches_array_path(law):
+    # one transform serves the sampler (arrays) and ppf of a float (0-d)
+    grid = np.geomspace(1e-6, 700.0, 271)
+    ref = law._from_std_exp(grid)
+    for e, want in zip(grid, ref):
+        value = law._from_std_exp(float(e))
+        assert isinstance(value, float) and np.ndim(value) == 0
+        assert abs(value - want) <= 1e-15 * abs(want), (e, value, want)
 
 
 # 30-digit values of the substituted integral: x = lam * t^(1/k) turns
