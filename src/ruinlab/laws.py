@@ -2,17 +2,18 @@
 
 Every law exposes what the tilting machinery and the engine need: the
 log-density, the distribution function ``cdf`` (the sampler tests' reference),
-the quantile ``ppf``, one transform ``mgf(t) = E[exp(t Z)]`` for real t with
-``laplace(s) = mgf(-s)``, raw moments (``math.inf`` where one does not exist),
-the cumulative hazard where it has a closed form, and a deterministic sampler.
+one transform ``mgf(t) = E[exp(t Z)]`` for real t with ``laplace(s) =
+mgf(-s)``, raw moments (``math.inf`` where one does not exist), the cumulative
+hazard where it has a closed form, and a deterministic sampler. There is no
+quantile function: nothing in the package inverts a ``cdf``.
 
 Sampling contract: each family uses a fixed, documented algorithm driven by a
 ``numpy.random.Generator``. Exponential, Weibull, inverse Weibull and Pareto
 draw Z = T(E), where E = -log1p(-U) is a standard exponential made from
-``Generator.random`` and T is the family's ``_from_std_exp(e)``; their
-quantile is the same T. Their ``sample_n(rng, n, return_std_exp=True)``
-returns E beside Z, so a hazard-twist weight needs no transcendental call per
-draw; Z is the same array either way. Log-normal is exp(mu + sigma N) on
+``Generator.random`` and T is the family's ``_from_std_exp(e)``. Their
+``sample_n(rng, n, return_std_exp=True)`` returns E beside Z, so a
+hazard-twist weight needs no transcendental call per draw; Z is the same
+array either way. Log-normal is exp(mu + sigma N) on
 ``Generator.standard_normal``; gamma-type laws use ``Generator.standard_gamma``,
 numpy's Marsaglia-Tsang rejection sampler, and inverse gamma is the reciprocal
 of its draw. Streams are therefore reproducible for a fixed numpy version given
@@ -21,7 +22,7 @@ the same generator state and call sequence.
 Gamma type: the gamma, inverse gamma and generalized gamma laws are members
 (alpha, b, p) of Stacy's family Z = b G^(1/alpha), G ~ Ga(p, 1): (1, 1/rate,
 shape), (-1, scale, shape) and (alpha, scale, shape). They share one
-log-density, ``cdf``, ``ppf``, moment formula and mgf radius, stated once in
+log-density, ``cdf``, moment formula and mgf radius, stated once in
 ``_GammaType``; from shape ``_STIRLING_MIN`` on the log-density is written
 about G = p, where nothing cancels. The gamma law keeps its moments and mgf
 written in its rate.
@@ -33,8 +34,10 @@ singularity at 0 and the Pareto's polynomial tail become smooth, fast-decaying
 integrands. The rule is an in-package double-exponential one (tanh-sinh on
 the finite pieces, exp-sinh on the tail) that evaluates the integrand on
 numpy arrays, one call per level; there is no QUADPACK (see ``expectation``).
-Its x-space knots, the median and 0.999 quantile of a gamma-type or
-log-normal law, are computed in the package too, not by ``ppf``.
+Its x-space knots are placements near the median and 0.999 quantile of a
+gamma-type or log-normal law, from closed forms: Wilson-Hilferty's for the
+gamma type, which is not refined to the exact quantile since the rule does
+not need it. A law whose knots leave the doubles raises ``DomainError``.
 
 Arithmetic: each family writes its log-density once, as ``_logpdf(x)`` on a
 numpy array, and its T as ``_from_std_exp(e)``; the sampler, the engine and
@@ -43,8 +46,8 @@ are computed once when the law is built. Log-gamma is ``_lgam``, an
 in-package transcription of the cephes routine behind
 ``scipy.special.gammaln`` that matches it bit for bit, so building a law, its
 moments, its quadratures and every simulation import numpy alone.
-``scipy.special`` is imported on the first ``cdf`` or ``ppf`` that needs an
-incomplete gamma or normal function; nothing else in the package needs it.
+``scipy.special`` is imported on the first ``cdf`` that needs an incomplete
+gamma or normal function; nothing else in the package needs it.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedCombination
+from .errors import ConfigError, DomainError, UnsupportedCombination
 
 __all__ = [
     "PositiveLaw",
@@ -75,6 +78,8 @@ __all__ = [
 _QUAD_RTOL = 1e-11
 # levels of the quadrature rule: its step runs from 1/2 down to 2^-_QUAD_LEVELS
 _QUAD_LEVELS = 10
+# the largest node of the rule
+_NODE_MAX = 1e300
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 _LN_2 = math.log(2.0)
 _LN_1000 = math.log(1000.0)
@@ -108,14 +113,10 @@ class PositiveLaw:
     def cdf(self, x):
         raise NotImplementedError
 
-    def ppf(self, q):
-        """F^{-1}(q) = T(-log(1 - q)) for a family sampled as Z = T(E), T increasing."""
-        return self._from_std_exp(-np.log1p(-np.asarray(q, dtype=float)))
-
     # -- moments ---------------------------------------------------------------
 
     def raw_moment(self, k: float) -> float:
-        """E[Z^k] for k > 0; ``math.inf`` when the moment does not exist or
+        """E[Z^k] for real k; ``math.inf`` when the moment does not exist or
         exceeds the largest double."""
         try:
             return self._raw_moment(k)
@@ -155,7 +156,8 @@ class PositiveLaw:
         raise NotImplementedError
 
     def _quad_knots(self) -> tuple[float, float]:
-        """Median and 0.999 quantile, for a law ``expectation`` integrates over x."""
+        """Placements near the median and the 0.999 quantile, for a law
+        ``expectation`` integrates over x."""
         raise NotImplementedError
 
     # -- sampling ----------------------------------------------------------------
@@ -211,6 +213,8 @@ class Exponential(PositiveLaw):
         return -np.expm1(-self.rate * np.asarray(x, dtype=float))
 
     def _raw_moment(self, k: float) -> float:
+        if k <= -1.0:
+            return math.inf
         return math.exp(_lgam(k + 1.0) - k * math.log(self.rate))
 
     def cumulative_hazard(self, x):
@@ -241,8 +245,8 @@ class _GammaType(PositiveLaw):
     The gamma law is the member (1, 1/rate, shape) and the inverse gamma the
     member (-1, scale, shape). Each family keeps its own fields, sampler and
     label, and names its triple (alpha, b, p) to ``_set_triple`` when it is
-    built; the log-density, ``cdf``, ``ppf``, moments and mgf radius are
-    stated here once.
+    built; the log-density, ``cdf``, moments, mgf radius and quadrature
+    knots are stated here once.
     """
 
     def _set_triple(self, alpha: float, b: float, p: float) -> None:
@@ -278,12 +282,6 @@ class _GammaType(PositiveLaw):
         t = (np.asarray(x, dtype=float) / self._b) ** self._alpha
         return (gammainc if self._alpha > 0 else gammaincc)(self._p, t)
 
-    def ppf(self, q):
-        from scipy.special import gammainccinv, gammaincinv
-
-        inv = gammaincinv if self._alpha > 0 else gammainccinv
-        return self._b * inv(self._p, np.asarray(q, dtype=float)) ** (1.0 / self._alpha)
-
     def _raw_moment(self, k: float) -> float:
         d = k / self._alpha
         if self._p + d <= 0:
@@ -291,9 +289,9 @@ class _GammaType(PositiveLaw):
         return self._b**k * math.exp(_log_gamma_ratio(self._p, d))
 
     def _quad_knots(self) -> tuple[float, float]:
-        # b G_q^(1/alpha): G's 0.5 and 0.999 quantiles, or its 0.001 one when
-        # Z falls as G grows. numpy's power, as in ``ppf``: a quantile past
-        # the doubles reads 0 or inf, and raises nothing
+        # b G_q^(1/alpha): G's approximate 0.5 and 0.999 quantiles, or its
+        # 0.001 one when Z falls as G grows. numpy's power: a knot past the
+        # doubles reads 0 or inf here, and ``_x_knots`` rejects it
         tail = 0.999 if self._alpha > 0 else 0.001
         with np.errstate(divide="ignore", over="ignore"):
             return tuple(
@@ -370,6 +368,8 @@ class Weibull(PositiveLaw):
         return -np.expm1(-(t**self.shape))
 
     def _raw_moment(self, k: float) -> float:
+        if k <= -self.shape:
+            return math.inf
         return self.scale**k * math.exp(_lgam(1.0 + k / self.shape))
 
     def cumulative_hazard(self, x):
@@ -428,10 +428,6 @@ class InvWeibull(PositiveLaw):
     def cdf(self, x):
         t = self.scale / np.asarray(x, dtype=float)
         return np.exp(-(t**self.shape))
-
-    def ppf(self, q):
-        # T is decreasing here, so F^{-1}(q) = T(-log q)
-        return self._from_std_exp(-np.log(np.asarray(q, dtype=float)))
 
     def _raw_moment(self, k: float) -> float:
         if k >= self.shape:
@@ -499,11 +495,6 @@ class LogNormal(PositiveLaw):
 
         return ndtr((np.log(np.asarray(x, dtype=float)) - self.mu) / self.sigma)
 
-    def ppf(self, q):
-        from scipy.special import ndtri
-
-        return np.exp(self.mu + self.sigma * ndtri(np.asarray(q, dtype=float)))
-
     def _raw_moment(self, k: float) -> float:
         return math.exp(self.mu * k + 0.5 * self.sigma**2 * k**2)
 
@@ -543,7 +534,7 @@ class Pareto(PositiveLaw):
         return -np.expm1(-self.shape * np.log1p(t))
 
     def _raw_moment(self, k: float) -> float:
-        if k >= self.shape:
+        if not -1.0 < k < self.shape:
             return math.inf
         return self.scale**k * math.exp(_log_gamma_ratio(self.shape, -k, _lgam(k + 1.0)))
 
@@ -608,13 +599,21 @@ def expectation(law: PositiveLaw, log_fn) -> float:
     x^(shape-1) singularity at 0 and a Pareto no polynomial tail. Where T(e)
     is not in (0, inf) the integrand is 0, and ``log_fn`` is not called there.
     Every other law is integrated over x: the integrand is
-    exp(log_fn(x) + logpdf(x)), knotted at the law's median and 0.999
-    quantile, so the rule sees the bulk and the tail separately. These knots
-    are closed forms, not ``ppf`` calls: exp(mu) and exp(mu + sigma z),
+    exp(log_fn(x) + logpdf(x)), knotted near the law's median and 0.999
+    quantile, so the rule sees the bulk and the tail separately. The knots
+    are placements, not exact quantiles: exp(mu) and exp(mu + sigma z),
     z = Phi^-1(0.999), for a log-normal law, and b G_q^(1/alpha) for a
-    gamma-type one, with G's 0.5 and 0.999 quantiles (its 0.001 quantile
-    when alpha < 0) from ``_std_gamma_quantile``. They are kept per law
-    (``_x_knots``), since every transform and root on a law asks for them.
+    gamma-type one, with G's Wilson-Hilferty 0.5 and 0.999 quantiles (its
+    0.001 quantile when alpha < 0) from ``_std_gamma_quantile``. They are
+    kept per law (``_x_knots``), since every transform and root on a law
+    asks for them.
+
+    Domain: over x the rule's nodes run from k1 u0, k1 the median knot and
+    u0 = 6.1e-276 the smallest tanh-sinh node, to 1e300. A law whose k1 u0
+    underflows to 0 (k1 below about 4e-49, as for Ga(0.001, 1)) or whose
+    tail knot is not below 1e300 (InvGa(0.005, 1), LN(0, 300)) has mass
+    where the rule has no node, and there it would read nan, inf or a short
+    sum; ``expectation`` raises ``DomainError`` naming the law instead.
 
     The rule (Takahasi & Mori, Publ. RIMS 9, 1974; Bailey, Jeyabalan & Li,
     Experimental Mathematics 14, 2005) is tanh-sinh on each finite piece
@@ -671,8 +670,19 @@ def expectation(law: PositiveLaw, log_fn) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _x_knots(law: PositiveLaw) -> tuple[float, float, float]:
-    """(0, median, 0.999 quantile) of a law integrated over x, kept for the last 64 laws."""
-    return (0.0, *law._quad_knots())
+    """(0, ~median, ~0.999 quantile) of a law integrated over x, kept for the last 64 laws.
+
+    Raises ``DomainError`` where the rule's nodes miss part of the law's mass
+    (see ``expectation``).
+    """
+    median, tail = law._quad_knots()
+    # u0 is level 0's first node, the smallest of every level
+    if not (median * _de_nodes(0)[0][0] > 0.0 and tail < _NODE_MAX):
+        raise DomainError(
+            f"law {law.label()} has mass outside the doubles the quadrature reaches "
+            f"(x-space knots {median:g} and {tail:g})"
+        )
+    return (0.0, median, tail)
 
 
 @functools.lru_cache(maxsize=64)
@@ -680,16 +690,16 @@ def _de_points(knots: tuple[float, float, float], level: int):
     """The nodes level ``level`` adds on (0, k1), (k1, k2) and (k2, inf), and their weights.
 
     The reference nodes are mapped affinely: x = a + (b - a) u on a finite
-    piece, x = k2 + (k2 - k1) v on the tail, whose nodes stop at x = 1e300
-    so that no point or weight overflows. Knots are shared by every law
-    integrated over E and by every quadrature on one law over x, so the
-    mapped nodes are kept for the last 64 (knots, level) pairs.
+    piece, x = k2 + (k2 - k1) v on the tail, whose nodes stop at x =
+    ``_NODE_MAX`` so that no point or weight overflows. Knots are shared by
+    every law integrated over E and by every quadrature on one law over x, so
+    the mapped nodes are kept for the last 64 (knots, level) pairs.
     """
     u, wu, v, wv = _de_nodes(level)
     lo = np.array(knots[:-1])[:, None]
     width = np.diff(knots)[:, None]
     tail, tail_scale = knots[-1], float(width[-1, 0])
-    n = np.searchsorted(v, (1e300 - tail) / tail_scale) if tail_scale else 0
+    n = np.searchsorted(v, (_NODE_MAX - tail) / tail_scale) if tail_scale else 0
     x = np.concatenate(((lo + width * u).ravel(), tail + tail_scale * v[:n]))
     w = np.concatenate(((width * wu).ravel(), tail_scale * wv[:n]))
     x.flags.writeable = w.flags.writeable = False
@@ -876,75 +886,24 @@ def _log_gamma_ratio(b: float, d: float, offset: float = 0.0) -> float:
     )
 
 
-# -- standard gamma quantiles -------------------------------------------------------
-
-# below this shape Newton's method refines a Wilson-Hilferty quantile; from it
-# on the start is within 7e-6 relative of the quantile and is used as it is
-_NEWTON_MAX_SHAPE = 1e3
+# -- standard gamma knot placements ----------------------------------------------
 
 
 def _std_gamma_quantile(p: float, q: float) -> float:
-    """G_q, the q-quantile of Ga(p, 1), for q in ``_NORMAL_QUANTILE``.
+    """An approximate q-quantile of Ga(p, 1), for q in ``_NORMAL_QUANTILE``.
 
-    The start is Wilson and Hilferty's cube-root normal approximation
+    Wilson and Hilferty's cube-root normal approximation
     p (1 - 1/(9p) + z/(3 sqrt p))^3, z = Phi^-1(q) (PNAS 17, 1931), or, where
     that base is not positive, the small-x form (q G(p + 1))^(1/p) of
-    P(p, x) ~ x^p / G(p + 1). Below ``_NEWTON_MAX_SHAPE`` Newton's method on
-    log F(e^t) = log q' refines it, with F the tail of ``_std_gamma_tail_sum``
-    on the side where G_q lies and q' its probability (after DiDonato &
-    Morris, ACM TOMS 12, 1986). Against ``scipy.special.gammaincinv`` it is
-    within 1e-13 relative for p in [0.02, 1e3), 7e-6 at p = 1e3 and 2e-10 at
-    p = 1e6. A quantile that underflows reads 0.
+    P(p, x) ~ x^p / G(p + 1). It places the quadrature's x-space knots, which
+    need not be exact quantiles: against ``scipy.special.gammaincinv`` it is
+    within 4% of the median for p from 0.02 up, and within a factor of 5 of
+    the 0.999 and 0.001 quantiles; from p = 1e3 on all three are within 7e-6
+    relative. A value that underflows reads 0.
     """
     z = _NORMAL_QUANTILE[q]
     base = 1.0 - 1.0 / (9.0 * p) + z / (3.0 * math.sqrt(p))
-    x = p * base**3 if base > 0 else (q * math.exp(_lgam(p + 1.0))) ** (1.0 / p)
-    if p >= _NEWTON_MAX_SHAPE or x == 0.0:
-        return x
-    upper = q > 0.5
-    target = math.log1p(-q) if upper else math.log(q)
-    log_gamma = _lgam(p)
-    t = math.log(x)
-    for _ in range(30):
-        # F = x f(x) S, f the Ga(p, 1) density, so d log F / dt = +-1/S; a
-        # step moves x by a factor of e at most
-        s = _std_gamma_tail_sum(p, x, upper)
-        step = (p * t - x - log_gamma + math.log(s) - target) * s
-        t += min(1.0, max(-1.0, step if upper else -step))
-        x = math.exp(t)
-        if abs(step) <= 1e-14 * max(1.0, abs(t)) or x == 0.0:
-            break
-    return x
-
-
-def _std_gamma_tail_sum(p: float, x: float, upper: bool) -> float:
-    """P(p, x), or Q(p, x) = 1 - P(p, x) if ``upper``, over x f(x), f the Ga(p, 1) density.
-
-    For P it is the power series sum_n x^n / (p (p + 1) ... (p + n)), for Q
-    the continued fraction 1/(x + 1 - p - 1 (1 - p)/(x + 3 - p - 2 (2 - p)/
-    (x + 5 - p - ...))), run by Lentz's method. A quantile below the median
-    is found on P and one above it on Q, so neither tail is 1 minus the other.
-    """
-    if not upper:
-        term = total = 1.0 / p
-        n = p
-        while term > total * 1e-17:
-            n += 1.0
-            term *= x / n
-            total += term
-        return total
-    b = x + 1.0 - p
-    c, d = math.inf, 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        a = i * (p - i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        h *= d * c
-        if abs(d * c - 1.0) <= 1e-16:
-            break
-    return h
+    return p * base**3 if base > 0 else (q * math.exp(_lgam(p + 1.0))) ** (1.0 / p)
 
 
 # _lgam is a transcription of lgam in cephes/gamma.c (Cephes Math Library

@@ -53,11 +53,9 @@ print(laplace.hex())
 """
 
 FIRST_CALLS = """
-from ruinlab import Gamma, GenGamma, InvGamma, LogNormal
+from ruinlab import InvGamma, LogNormal
 
-print(float(Gamma(2.0, 1.0).ppf(0.5)).hex())
 print(float(InvGamma(3.0, 4.0).cdf(2.0)).hex())
-print(float(GenGamma(-1.5, 1.0, 2.0).ppf(0.3)).hex())
 print(float(LogNormal(0.0, 1.0).cdf(2.0)).hex())
 """
 
@@ -82,11 +80,9 @@ def test_simulation_and_closed_form_check_load_no_scipy():
     assert abs(float.fromhex(laplace) / 0.6499164412289979199724419 - 1.0) <= 1e-15
 
 
-def test_first_cdf_and_ppf_import_scipy_special_with_the_same_values():
+def test_first_cdf_imports_scipy_special_with_the_same_values():
     # the values with scipy.special imported when ruinlab is
     assert _fresh_process(FIRST_CALLS) == [
-        "0x1.ada825f9762b5p+0",
         "0x1.5a7554caf623ep-1",
-        "0x1.1a8e1752f3564p-1",
         "0x1.830432b8db5c5p-1",
     ]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
-from scipy.special import gammainccinv, gammaincinv, gammaln, kv
+from scipy.special import gammaln, kv
 
 from ruinlab import (
     Exponential,
@@ -25,7 +26,7 @@ from ruinlab import (
     law_from_config,
 )
 from ruinlab import laws
-from ruinlab.errors import ConfigError, UnsupportedCombination
+from ruinlab.errors import ConfigError, DomainError, UnsupportedCombination
 from ruinlab.laws import _FAMILIES, _STIRLING_MIN, _lgam
 from ruinlab.model import RiskModel, model_from_config
 from ruinlab.tables import TABLES, table_spec
@@ -179,28 +180,48 @@ def test_x_space_knots_are_ordered_and_finite(law):
 
 
 @pytest.mark.parametrize(
-    "p", [0.02, 0.05, 0.5, 1.0, 2.0, 13.0, 99.0, 100.0, 999.0, 1e3, 1e6, 1e14]
+    "law, inside",
+    [
+        (Gamma(2.0, 1e40), True),  # smallest node 1.0e-315
+        (Gamma(0.001, 1.0), False),  # median knot 5.2e-302: the smallest node is 0
+        (InvGamma(2.0, 1e290), True),  # tail knot 2.2e291
+        (InvGamma(0.005, 1.0), False),  # tail knot inf
+        (LogNormal(0.0, 300.0), False),  # tail knot inf
+    ],
+    ids=lambda v: v.label() if isinstance(v, laws.PositiveLaw) else str(v),
 )
-def test_std_gamma_quantile_matches_scipy(p):
-    # Newton-refined below 1e3, where the q = 0.001 quantile of a small
-    # shape carries the 1/p conditioning of x = (q G(p + 1))^(1/p); from
-    # 1e3 on the cube-root normal start alone, within 7e-6 and closer as
-    # p^-1.5 down to rounding
-    bound = 1e-13 if p < 1e3 else max(7e-6 * (1e3 / p) ** 1.5, 1e-15)
-    for q in (0.5, 0.999, 0.001):
-        want = float(gammainccinv(p, 1.0 - q) if q > 0.5 else gammaincinv(p, q))
-        assert abs(laws._std_gamma_quantile(p, q) / want - 1.0) <= bound, q
+def test_x_space_law_whose_knots_leave_the_doubles_raises(law, inside):
+    # where the rule's nodes would miss part of the mass it used to read nan
+    # or inf for the total; now it integrates or raises, naming the law
+    if inside:
+        assert abs(expectation(law, lambda x: 0.0 * x) - 1.0) <= 1e-12
+    else:
+        with pytest.raises(DomainError, match=re.escape(law.label())):
+            expectation(law, lambda x: 0.0 * x)
+
+
+# each family as a scipy.stats law, whose quantiles pick test points
+SCIPY_LAW = {
+    Exponential: lambda law: stats.expon(scale=1.0 / law.rate),
+    Gamma: lambda law: stats.gamma(law.shape, scale=1.0 / law.rate),
+    Weibull: lambda law: stats.weibull_min(law.shape, scale=law.scale),
+    InvGamma: lambda law: stats.invgamma(law.shape, scale=law.scale),
+    InvWeibull: lambda law: stats.invweibull(law.shape, scale=law.scale),
+    GenGamma: lambda law: stats.gengamma(law.shape, law.alpha, scale=law.scale),
+    LogNormal: lambda law: stats.lognorm(law.sigma, scale=math.exp(law.mu)),
+    Pareto: lambda law: stats.lomax(law.shape, scale=law.scale),
+}
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=_ids(ALL_LAWS))
 def test_cdf_pdf_consistency(law):
     # numeric derivative of the cdf recovers the density at a few interior points
     for q in (0.2, 0.5, 0.9):
-        x = float(law.ppf(q))
+        x = float(SCIPY_LAW[type(law)](law).ppf(q))
         h = 1e-6 * max(1.0, x)
         deriv = (law.cdf(x + h) - law.cdf(x - h)) / (2 * h)
         assert deriv == pytest.approx(math.exp(law.logpdf(x)), rel=1e-4)
-        assert float(law.cdf(float(law.ppf(q)))) == pytest.approx(q, abs=1e-9)
+        assert float(law.cdf(x)) == pytest.approx(q, abs=1e-9)
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=_ids(ALL_LAWS))
@@ -259,7 +280,7 @@ def test_cumulative_hazard_examples():
 
 
 # each family's closed-form quantile, which the sampler's T at -log1p(-q) reproduces
-CLOSED_FORM_PPF = {
+CLOSED_FORM_QUANTILE = {
     Exponential: lambda law, q: -np.log1p(-q) / law.rate,
     Weibull: lambda law, q: law.scale * (-np.log1p(-q)) ** (1.0 / law.shape),
     Pareto: lambda law, q: law.scale * np.expm1(-np.log1p(-q) / law.shape),
@@ -272,11 +293,14 @@ CLOSED_FORM_PPF = {
     )
 )
 def test_hazard_inverse_roundtrip(law):
+    def quantile(q):
+        return law._from_std_exp(-np.log1p(-q))
+
     q = np.linspace(0.0, 1.0, 100001, endpoint=False)
-    assert np.array_equal(law.ppf(q), CLOSED_FORM_PPF[type(law)](law, q))
+    assert np.array_equal(quantile(q), CLOSED_FORM_QUANTILE[type(law)](law, q))
     # H inverts through the quantile function: H(F^{-1}(1 - e^{-h})) = h
     h = np.linspace(0.01, 12.0, 100)
-    x = law.ppf(-np.expm1(-h))
+    x = quantile(-np.expm1(-h))
     assert np.allclose(law.cumulative_hazard(x), h, rtol=1e-10)
     # H(x) agrees with -log(survival)
     assert np.allclose(law.cumulative_hazard(x), -np.log1p(-law.cdf(x)), rtol=1e-9)
@@ -363,7 +387,7 @@ def test_sampler_returns_its_std_exp(law):
 
 @pytest.mark.parametrize("law", STD_EXP_LAWS, ids=_ids(STD_EXP_LAWS))
 def test_std_exp_transform_float_path_matches_array_path(law):
-    # one transform serves the sampler (arrays) and ppf of a float (0-d)
+    # one transform serves arrays (the sampler) and a float (0-d)
     grid = np.geomspace(1e-6, 700.0, 271)
     ref = law._from_std_exp(grid)
     for e, want in zip(grid, ref):
@@ -576,15 +600,14 @@ def test_gamma_type_logpdf_on_both_sides_of_the_shape_switch():
 @pytest.mark.parametrize("a", [0.7, 2.0, 99.0, 100.0, 1e4, 1e14])
 def test_gamma_and_inverse_gamma_are_gengamma_at_alpha_one_and_minus_one(a):
     # Ga(a, rate) = GGa(1, 1/rate, a) and InvGa(a, s) = GGa(-1, s, a) share one
-    # density, cdf and quantile; Gamma writes its moments in its rate
+    # density and cdf; Gamma writes its moments in its rate
     for law, gga in ((Gamma(a, 2.5), GenGamma(1.0, 1.0 / 2.5, a)),
                      (InvGamma(a, 4.0), GenGamma(-1.0, 4.0, a))):
-        x = gga.ppf(np.array([0.01, 0.3, 0.5, 0.7, 0.99]))
+        x = SCIPY_LAW[GenGamma](gga).ppf(np.array([0.01, 0.3, 0.5, 0.7, 0.99]))
         assert np.all(np.isfinite(gga.logpdf(x))), gga
         assert np.array_equal(law.logpdf(x), gga.logpdf(x)), law
         assert law.logpdf(float(x[2])) == gga.logpdf(float(x[2])), law
         assert np.array_equal(law.cdf(x), gga.cdf(x)), law
-        assert np.array_equal(law.ppf([0.01, 0.5, 0.99]), gga.ppf([0.01, 0.5, 0.99])), law
         for k in (1.0, 2.0):
             assert law.raw_moment(k) == pytest.approx(gga.raw_moment(k), rel=1e-13), (law, k)
 
@@ -597,6 +620,30 @@ def test_gamma_negative_moments_match_gengamma(k):
         want = gga.raw_moment(k)
         assert law.raw_moment(k) == pytest.approx(want, rel=1e-13), (law, k)
         assert math.isfinite(want) == (shape + k > 0), (law, k)
+
+
+# where E[Z^k] is finite for k < 0, by each family's density at 0
+NEGATIVE_MOMENT_EXISTS = {
+    Exponential: lambda law, k: k > -1.0,
+    Gamma: lambda law, k: law.shape + k > 0.0,
+    Weibull: lambda law, k: k > -law.shape,
+    InvGamma: lambda law, k: True,
+    InvWeibull: lambda law, k: True,
+    GenGamma: lambda law, k: law.shape + k / law.alpha > 0.0,
+    LogNormal: lambda law, k: True,
+    Pareto: lambda law, k: k > -1.0,
+}
+
+
+@pytest.mark.parametrize("k", [-0.5, -1.0, -2.5])
+@pytest.mark.parametrize("law", ALL_LAWS, ids=_ids(ALL_LAWS))
+def test_negative_moments_are_inf_exactly_where_they_diverge(law, k):
+    got = law.raw_moment(k)
+    assert math.isfinite(got) == NEGATIVE_MOMENT_EXISTS[type(law)](law, k), got
+    if math.isfinite(got):
+        assert abs(expectation(law, lambda x: k * np.log(x)) / got - 1.0) <= 1e-10
+    else:
+        assert got == math.inf
 
 
 @pytest.mark.parametrize("a", [1e6, 1e14])

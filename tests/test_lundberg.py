@@ -297,7 +297,8 @@ def test_weibull_tilted_wait_mean_matches_x_space(y):
     # E[W exp(-yW)] for the table4 waits against x-space quadrature of the
     # density, split at the law's median and 0.999 quantile
     law = Weibull(0.375, 0.5)
-    knots = [0.0, float(law.ppf(0.5)), float(law.ppf(0.999)), math.inf]
+    knots = [0.0, *(law.scale * math.log(v) ** (1.0 / law.shape) for v in (2.0, 1000.0)),
+             math.inf]
     ref = sum(
         quad(lambda x: x * math.exp(-y * x) * math.exp(law.logpdf(x)), a, b, epsabs=1e-14,
              epsrel=1e-11, limit=200)[0]

@@ -24,9 +24,14 @@ the last lines. It hashes
 * every operation of every benchmark workload built at seeds 1 and 11, each
   estimate at ``K_SIM`` replications (every report field but its run time and,
   where a report still carries one, its ``are``) and each analytic check's
-  output dict.
+  output dict;
+* the bits of ``laplace(0.5)``, ``laplace(2)`` and the quadrature mean
+  ``expectation(law, np.log)`` of five laws integrated over x, where a change
+  to the x-space knots or the rule moves a last bit that ``check``'s 11
+  printed digits hide.
 
-Each part's digest is printed on its own line, then the digest of them all.
+Each part's digest is printed on its own line (a ``bits`` part prints its
+``float.hex`` values instead), then the digest of them all.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 TABLE_ARGS = ["--K", "1000", "--seed", "42"]
 WORKLOAD_SEEDS = (1, 11)
@@ -97,6 +104,14 @@ ESTIMATE_RUNS = [
     ("Exp/Exp threshold exact", _EXP, _EXP, _LINEAR,
      ["--u", "5", "--threshold", "2", "--exact"]),
     ("Exp/Exp", _EXP, _EXP, _LINEAR, ["--u", "0,5"]),
+]
+# laws whose transforms and mean are printed bit for bit
+BIT_LAWS = [
+    _GA_07,
+    _INVGA,
+    UNTILTED_CHECK_MODELS["GGa(1.5,1,2)/LN(0,0.5)"][0],
+    {"family": "gengamma", "params": {"alpha": -3.0, "scale": 1.48, "shape": 2.0 / 3.0}},
+    UNTILTED_CHECK_MODELS["GGa(1.5,1,2)/LN(0,0.5)"][1],
 ]
 CHECK_TILTS = {
     "none": None,
@@ -178,13 +193,20 @@ def _workloads(workloads):
             yield f"{name} seed {seed}", digest.digest()
 
 
+def _bits(laws):
+    for config in BIT_LAWS:
+        law = laws.law_from_config(config)
+        values = (law.laplace(0.5), law.laplace(2.0), laws.expectation(law, np.log))
+        yield f"bits {law.label()}", " ".join(float(v).hex() for v in values).encode()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     root = Path(argv[0]).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    from ruinlab import cli
+    from ruinlab import cli, laws
 
     import workloads
 
@@ -195,9 +217,10 @@ def main(argv: list[str]) -> int:
             *_checks(cli, Path(tmp)),
             *_estimates(cli, Path(tmp)),
             *_workloads(workloads),
+            *_bits(laws),
         ]
     for label, data in parts:
-        part = hashlib.sha256(data).hexdigest()
+        part = data.decode() if label.startswith("bits ") else hashlib.sha256(data).hexdigest()
         print(f"{part}  {label}")
         total.update(part.encode())
     print(f"{total.hexdigest()}  all")
