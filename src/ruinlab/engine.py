@@ -31,9 +31,15 @@ split into row blocks of about _BLOCK_ELEMS variates, and each row block draws
 its waits with one ``sample_n`` call and then its claims with another, both
 laid out row by row; where the pair weighs a component by the standard
 exponentials behind its draws (``TiltingPair.weighs_std_exp``), that call
-returns them too. The walk, the stop tests and one segmented pass summing
-gamma + delta and the waits over each row's own steps then run along the rows.
-A lane's draws therefore depend on which lanes of its batch are still live.
+returns them too. The walk and the stop tests then run along the rows.
+gamma + delta is evaluated on every variate of the block, used or not, and
+one ``reduceat`` over the flat block sums each row's used steps where the row
+lies: its bounds alternate a row's start and that start plus the steps the
+row used, and the segments over the unused rest of each row are discarded.
+The waits' time sum is the same reduction. Each row's sums thus add the same
+elements in the same order as its used steps summed alone, and no step mask
+or compacted copy is built. A lane's draws therefore depend on which lanes of
+its batch are still live.
 The first chunk is a quarter of the mean step count u_eff / drift, plus 16
 (64 without a positive drift), and each later chunk grows by a quarter, so a
 lane that stops early throws few drawn variates away. Chunk sizes are a
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -101,6 +108,10 @@ class SimConfig:
     def __post_init__(self):
         if not 0 <= self.u < math.inf:
             raise ValueError("initial reserve u must be finite and nonnegative")
+        for name in ("k", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.k < 1:
             raise ValueError("replication count K must be at least 1")
         if not 0 <= self.seed < 2**64:
@@ -235,11 +246,12 @@ def _walk_block(ctx: _RunContext, gen, out: _Walked, n, m, pos, z, t, log_w):
 
     One ``sample_n`` call draws the block's waits and one its claims, row by
     row, each with its standard exponentials where the pair weighs those; the
-    walk and the stop tests run once along the rows, and one
-    segmented ``path_log_weight`` call and one ``reduceat`` of the waits sum
-    each row's log-weight and time over the steps it used. Stopped lanes are
-    written to ``out``; ``z``, ``t`` and ``log_w`` are advanced in place.
-    Returns which rows go on.
+    walk and the stop tests run once along the rows. One ``path_log_weight``
+    call weighs the whole flat block and one ``reduceat`` sums its waits, both
+    over the bounds of ``_row_prefix_bounds``, whose even segments are each
+    row's used steps; the odd ones are dropped. Stopped lanes are written to
+    ``out``; ``z``, ``t`` and ``log_w`` are advanced in place. Returns which
+    rows go on.
     """
     ex_on, ew_on = ctx.pair.weighs_std_exp
     w, ew = _draw(ctx.qw, gen, len(pos), m, ew_on)
@@ -258,16 +270,13 @@ def _walk_block(ctx: _RunContext, gen, out: _Walked, n, m, pos, z, t, log_w):
         late = j_late <= j_stop
         j_stop = np.minimum(j_stop, j_late)
 
-    # the steps each row used, rows end to end; every row uses one at least,
-    # as reduceat needs: at a repeated start it gives an element, not 0
+    # each row's sums over the steps it used, taken where the row lies
     used = np.minimum(j_stop + 1, m)
-    steps = np.arange(m) < used[:, None]
-    xs, ws = x[steps], w[steps]
-    starts = np.cumsum(used) - used
+    bounds = _row_prefix_bounds(used, m)
     if ctx.pair.variant != "identity":
-        ex, ew = (None if e is None else e[steps] for e in (ex, ew))
-        log_w -= ctx.pair.path_log_weight(xs, ws, starts, ex, ew)
-    t += np.add.reduceat(ws, starts)
+        ex, ew = (None if e is None else e.ravel() for e in (ex, ew))
+        log_w -= ctx.pair.path_log_weight(x.ravel(), w.ravel(), bounds, ex, ew)[::2]
+    t += np.add.reduceat(w.ravel(), bounds)[::2]
 
     stop = j_stop < m
     p, late_s, ruined = pos[stop], late[stop], ~late[stop]
@@ -279,6 +288,23 @@ def _walk_block(ctx: _RunContext, gen, out: _Walked, n, m, pos, z, t, log_w):
     out.overshoot[p[ruined]] = zc[rows_r, j_stop[rows_r]] - ctx.u_eff
     z[:] = zc[:, -1]
     return ~stop
+
+
+def _row_prefix_bounds(used: np.ndarray, m: int) -> np.ndarray:
+    """``reduceat`` bounds over a flat block of rows of ``m`` whose even
+    segments are each row's first ``used`` elements, 1 <= used <= m.
+
+    Bounds 2i and 2i + 1 are row i's start and start + used; the odd segments
+    run over the gaps to the next rows and are discarded. A row that uses all
+    m steps leaves an empty gap, where ``reduceat`` gives one element rather
+    than 0, and the last row's bound at the block's end is dropped, since
+    ``reduceat`` rejects an index equal to the length. Each even segment is a
+    contiguous run of the row's own elements, so its sum is bit-identical to
+    that run summed alone.
+    """
+    starts = np.arange(0, len(used) * m, m)
+    bounds = np.stack((starts, starts + used), axis=1).ravel()
+    return bounds[:-1] if used[-1] == m else bounds
 
 
 def _draw(law, gen, rows: int, m: int, std_exp: bool):

@@ -558,7 +558,7 @@ class Mixture(PositiveLaw):
     """Two-component mixture of positive laws (the linear tilt's claim law).
 
     Sampling draws one selector uniform per variate, then fills the first
-    component's slots from its sampler, then the second's.
+    component's slots from its sampler, then the second's, each by index.
     """
 
     def __init__(self, components: tuple[PositiveLaw, ...], weights: tuple[float, ...]):
@@ -573,10 +573,10 @@ class Mixture(PositiveLaw):
 
     def sample_n(self, rng, n):
         second = rng.random(n) >= self.weights[0]
-        k = int(np.count_nonzero(second))
+        at = np.flatnonzero(~second), np.flatnonzero(second)
         out = np.empty(n)
-        out[~second] = self.components[0].sample_n(rng, n - k)
-        out[second] = self.components[1].sample_n(rng, k)
+        for c, i in zip(self.components, at):
+            out[i] = c.sample_n(rng, len(i))
         return out
 
     def label(self) -> str:

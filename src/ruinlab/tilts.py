@@ -150,9 +150,12 @@ class TiltingPair:
                         ex=None, ew=None):
         """sum(gamma) + sum(delta) over each path segment of the 1-D ``x``, ``w``.
 
-        Segment i begins at ``starts[i]`` and must be non-empty: ``reduceat``
-        gives the element at a repeated start, not 0. A segment's value depends
-        only on its own elements, bit-identical to weighing it alone. ``ex``
+        Segment i runs from ``starts[i]`` to ``starts[i + 1]`` (the last to the
+        end); the pointwise log-weight is evaluated on every element. A
+        non-empty segment's value depends only on its own elements,
+        bit-identical to weighing it alone. An empty segment (a repeated
+        start) gives the element at its start, not 0, as ``reduceat`` does: a
+        caller may pass empty gap segments only where it discards them. ``ex``
         and ``ew`` are the standard exponentials behind ``x`` and ``w``, passed
         for the components ``weighs_std_exp`` names; only the hazard twist
         reads them.

@@ -95,6 +95,50 @@ def test_block_rows_equal_sample_n(law):
         assert np.array_equal(z, np.cumsum(x - model.premium * w, axis=1)[:, -1])
 
 
+# m = 300 steps per row, so a full row's sum runs numpy's blocked pairwise loop
+ROW_M = 300
+ROW_USED = {
+    "used_1": [1, 1, 1],
+    "first_row_full": [ROW_M, 137, 1],
+    "last_row_full": [9, 1, ROW_M],
+    "all_full": [ROW_M, ROW_M, ROW_M],
+    "one_row": [150],
+    "one_row_full": [ROW_M],
+}
+
+
+@pytest.mark.parametrize("used", ROW_USED.values(), ids=ROW_USED.keys())
+@pytest.mark.parametrize("stride", [1, 3], ids=["contiguous", "strided"])
+def test_row_prefix_sums_match_each_row_alone(used, stride):
+    # the even segments of reduceat over _row_prefix_bounds are each row's
+    # first `used` elements, summed bit for bit as that run alone
+    used = np.array(used)
+    rng = np.random.default_rng(5)
+    size = stride * len(used) * ROW_M
+    flat = (rng.standard_normal(size) * 10.0 ** rng.integers(-6, 7, size))[::stride]
+    assert flat.flags.c_contiguous == (stride == 1)
+    bounds = engine._row_prefix_bounds(used, ROW_M)
+    assert len(bounds) == 2 * len(used) - (used[-1] == ROW_M)
+    got = np.add.reduceat(flat, bounds)[::2]
+    want = np.array([
+        np.add.reduceat(flat[r * ROW_M: r * ROW_M + u], [0])[0] for r, u in enumerate(used)
+    ])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("field, bad", [("k", 2000.0), ("seed", 1.5), ("k", True), ("seed", "3")])
+def test_sim_config_rejects_a_non_integer_k_or_seed(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        SimConfig(**{"u": 1.0, "k": 10, "seed": 1, field: bad})
+
+
+def test_sim_config_accepts_numpy_integers(model_exp_exp, linear_pair):
+    cfg = SimConfig(u=1.0, k=np.int64(10), seed=np.uint64(3))
+    got = estimate_psi(model_exp_exp, linear_pair, cfg)
+    want = estimate_psi(model_exp_exp, linear_pair, SimConfig(u=1.0, k=10, seed=3))
+    assert (got.estimate, got.std_error) == (want.estimate, want.std_error)
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(u=-1.0, k=10, seed=1)

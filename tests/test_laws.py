@@ -444,6 +444,47 @@ def test_mixture_moments_and_sampling(rng):
     assert mix.mgf(0.0) == 1.0
 
 
+def _mask_filled_mixture(mix, rng, n):
+    # reference: the same selector and component draws, scattered by boolean masks
+    second = rng.random(n) >= mix.weights[0]
+    k = int(np.count_nonzero(second))
+    out = np.empty(n)
+    out[~second] = mix.components[0].sample_n(rng, n - k)
+    out[second] = mix.components[1].sample_n(rng, k)
+    return out
+
+
+LINEAR_MIXTURES = [
+    tilt_from_config(col.tilt_config, col.model).tilted_claim_law()
+    for name in ("table1", "table2", "table3")
+    for col in table_spec(name).columns
+]
+ONE_SIDED_MIXTURES = [  # a draw of 50 almost surely leaves one component empty
+    Mixture((Exponential(1.0), Gamma(2.0, 1.0)), (1.0 - 1e-13, 1e-13)),
+    Mixture((Exponential(1.0), Gamma(2.0, 1.0)), (1e-13, 1.0 - 1e-13)),
+]
+
+
+@pytest.mark.parametrize("n", [0, 1, 50, 5000])
+@pytest.mark.parametrize("mix", LINEAR_MIXTURES + ONE_SIDED_MIXTURES,
+                         ids=lambda mix: mix.label())
+def test_mixture_index_fill_matches_mask_fill(mix, n):
+    assert isinstance(mix, Mixture)
+    got_rng, want_rng = (np.random.Generator(np.random.SFC64(17)) for _ in range(2))
+    got = mix.sample_n(got_rng, n)
+    want = _mask_filled_mixture(mix, want_rng, n)
+    assert got.tobytes() == want.tobytes()
+    # the same generator state: the same raw output from here on
+    raw = [g.bit_generator.random_raw(8) for g in (got_rng, want_rng)]
+    assert np.array_equal(*raw)
+
+
+@pytest.mark.parametrize("mix", ONE_SIDED_MIXTURES, ids=lambda mix: mix.label())
+def test_one_sided_mixture_draw_leaves_a_component_empty(mix):
+    second = np.random.Generator(np.random.SFC64(17)).random(50) >= mix.weights[0]
+    assert second.all() or not second.any()
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         Exponential(0.0)
