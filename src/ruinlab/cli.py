@@ -2,7 +2,8 @@
 and print analytic diagnostics for a model/tilt configuration.
 
 Exit codes: 0 success, 2 configuration error (a tilted law with no sampler
-included, and any other library error an estimate or table cannot run past),
+included, a K whose per-replication state does not fit in memory, and any
+other library error an estimate or table cannot run past),
 3 admissibility failure, 4 step cap exceeded (``engine._MAX_STEPS``, 10^8 steps
 per replication). ``check`` prints a quantity the library cannot compute as
 ``unavailable (<reason>)`` and still exits 0.
@@ -259,6 +260,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_STEP_CAP
     except (ValueError, RuinlabError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        # a run holds the state of all K replications at once; check has no K
+        k = getattr(args, "K", None)
+        print(f"configuration error: out of memory with --K {k} replications per run",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

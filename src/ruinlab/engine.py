@@ -13,20 +13,19 @@ Infinite-time runs require a ruin-inducing pair with a positive tilted drift;
 finite-horizon runs accept any pair. A replication still live after
 _MAX_STEPS steps raises StepCapExceeded rather than truncating the estimate.
 
-Determinism contract (lane streams): replication i is lane i mod _BATCH of
-batch b = i // _BATCH, and batch b draws from one SFC64 generator seeded by
-``SeedSequence([master seed, b])``, so a batch's draws do not depend on which
-batches ran before it. SeedSequence hashes the pair to the generator's three
-64-bit state words; every stream starts with the same value in its fourth,
-a counter that each draw advances by one, so two streams with distinct
-starting states cannot overlap within 2^64 draws. A full batch's outcomes are
-a function of (seed, b) and the run's model, tilt and capital alone; the last,
-partial batch also depends on its lane count, K - b * _BATCH. _BATCH,
+Determinism contract (one stream per run): replication i is lane i of the
+run, and all K lanes draw from one SFC64 generator seeded by
+``SeedSequence([master seed, 0])``. SeedSequence hashes the pair to the
+generator's three 64-bit state words; every stream starts with the same value
+in its fourth, a counter that each draw advances by one, so two streams with
+distinct starting states cannot overlap within 2^64 draws. A run's outcomes
+are a function of its seed, K, model, tilt and capital alone; K sets how the
+lanes fill the row blocks, so runs at different K share no paths.
 _BLOCK_ELEMS and the chunk schedule's _FIRST_DIV and _GROW_DIV are stream
 constants: changing any of them changes every stream. The reduction is an
 index-ordered array sum.
 
-A batch advances in chunks of steps: every live lane takes the same chunk,
+A run advances in chunks of steps: every live lane takes the same chunk,
 split into row blocks of about _BLOCK_ELEMS variates, and each row block draws
 its waits with one ``sample_n`` call and then its claims with another, both
 laid out row by row; where the pair weighs a component by the standard
@@ -39,7 +38,7 @@ row used, and the segments over the unused rest of each row are discarded.
 The waits' time sum is the same reduction. Each row's sums thus add the same
 elements in the same order as its used steps summed alone, and no step mask
 or compacted copy is built. A lane's draws therefore depend on which lanes of
-its batch are still live.
+the run are still live.
 The first chunk is a quarter of the mean step count u_eff / drift, plus 16
 (64 without a positive drift), and each later chunk grows by a quarter, so a
 lane that stops early throws few drawn variates away. Chunk sizes are a
@@ -54,7 +53,7 @@ import functools
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,7 +77,7 @@ _FIRST_DIV = 4
 _GROW_DIV = 4
 _CHUNK_MAX = 65536
 # variates per row block of the walk (rows x chunk); a stream constant, since
-# the row blocks set the order in which a batch's lanes draw
+# the row blocks set the order in which a run's lanes draw
 _BLOCK_ELEMS = 1 << 14
 # A row block's temporaries, arrays of up to _BLOCK_ELEMS floats, are freed at
 # the end of the block. glibc's malloc returns free memory at the top of its
@@ -88,9 +87,6 @@ _BLOCK_ELEMS = 1 << 14
 # (1 MiB) here keeps the blocks' memory in the heap; under another allocator it
 # is one short-lived allocation.
 np.empty(8 * _BLOCK_ELEMS)
-# replications per generator stream; a stream constant that neither K nor the
-# caller changes, so replication i always draws from stream (seed, i // _BATCH)
-_BATCH = 1024
 # steps per replication before StepCapExceeded
 _MAX_STEPS = 10**8
 
@@ -200,7 +196,7 @@ def _chunks(ctx: _RunContext):
 
 @dataclass(frozen=True)
 class _Walked:
-    """Per-lane outcomes of a batch's walk; position j is lane j."""
+    """Per-lane outcomes of a run's walk; position j is replication j."""
 
     ruined: np.ndarray
     n_claims: np.ndarray
@@ -209,8 +205,8 @@ class _Walked:
     overshoot: np.ndarray
 
 
-def _walk(ctx: _RunContext, seed: int, batch: int, k: int) -> _Walked:
-    """Walk lanes 0, ..., k - 1 of batch ``batch`` until each stops.
+def _walk(ctx: _RunContext, seed: int, k: int) -> _Walked:
+    """Walk replications 0, ..., k - 1 of the run on its one stream until each stops.
 
     Every live lane takes the same chunk, so a chunk is walked for all of them,
     in row blocks of about _BLOCK_ELEMS variates, before the next.
@@ -222,7 +218,7 @@ def _walk(ctx: _RunContext, seed: int, batch: int, k: int) -> _Walked:
         log_weight=np.zeros(k),
         overshoot=np.full(k, math.nan),
     )
-    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, batch])))
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, 0])))
     # the live lanes, their walk position z, elapsed time t and log-weight
     live, z, t, log_w = np.arange(k), np.zeros(k), np.zeros(k), np.zeros(k)
     n = 0
@@ -237,7 +233,7 @@ def _walk(ctx: _RunContext, seed: int, batch: int, k: int) -> _Walked:
         live, z, t, log_w = live[go], z[go], t[go], log_w[go]
         n += m
     if live.size:
-        raise StepCapExceeded(batch * _BATCH + int(live[0]), _MAX_STEPS)
+        raise StepCapExceeded(int(live[0]), _MAX_STEPS)
     return out
 
 
@@ -328,25 +324,27 @@ def run_replication(
     """Replication ``index`` of the run defined by ``cfg``.
 
     For ``index < cfg.k`` the outcome is bit-identical to that replication's
-    part of ``estimate_psi``; past K it is that lane of a full batch. No
-    admissibility gate applies. The last batch walked is kept, so replaying
-    indices in order walks each batch once.
+    part of ``estimate_psi``; past K it is that replication of the same run
+    with K doubled until it covers ``index``. No admissibility gate applies.
+    The last run walked is kept, so replaying indices in order walks each run
+    once.
     """
-    batch, lane = divmod(index, _BATCH)
-    k = min(_BATCH, cfg.k - batch * _BATCH) if index < cfg.k else _BATCH
-    walked = _walk_batch(model, pair, cfg, batch, k)
+    k = cfg.k
+    while k <= index:
+        k *= 2
+    walked = _walk_run(model, pair, replace(cfg, k=k))
     return ReplicationOutcome(
-        bool(walked.ruined[lane]),
-        int(walked.n_claims[lane]),
-        float(walked.ruin_time[lane]),
-        float(walked.log_weight[lane]),
-        float(walked.overshoot[lane]),
+        bool(walked.ruined[index]),
+        int(walked.n_claims[index]),
+        float(walked.ruin_time[index]),
+        float(walked.log_weight[index]),
+        float(walked.overshoot[index]),
     )
 
 
 @functools.lru_cache(maxsize=1)
-def _walk_batch(model, pair, cfg, batch, k) -> _Walked:
-    return _walk(_prepare(model, pair, cfg), cfg.seed, batch, k)
+def _walk_run(model, pair, cfg) -> _Walked:
+    return _walk(_prepare(model, pair, cfg), cfg.seed, cfg.k)
 
 
 def estimate_psi(
@@ -367,12 +365,9 @@ def estimate_psi(
     if cfg.horizon is None:
         require_ruin_inducing(pair)
     ctx = _prepare(model, pair, cfg)
+    walked = _walk(ctx, cfg.seed, cfg.k)
     weights = np.zeros(cfg.k)
-    for first in range(0, cfg.k, _BATCH):
-        walked = _walk(ctx, cfg.seed, first // _BATCH, min(_BATCH, cfg.k - first))
-        lw = walked.log_weight[walked.ruined]
-        ruined_at = first + np.flatnonzero(walked.ruined)
-        weights[ruined_at] = np.exp(lw)
+    weights[walked.ruined] = np.exp(walked.log_weight[walked.ruined])
 
     total = float(weights.sum())
     estimate = total / cfg.k

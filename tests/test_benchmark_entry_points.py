@@ -68,7 +68,7 @@ def test_tracer_sees_one_log_weight_span_per_block(monkeypatch):
     spans = _load("spans")
     col = table_spec("table1").columns[0]
     pair = tilt_from_config(col.tilt_config, col.model)
-    cfg = SimConfig(u=5.0, k=2000, seed=3)  # two batches, the second partial
+    cfg = SimConfig(u=5.0, k=2000, seed=3)  # several row blocks, the last partial
 
     blocks = []  # rows x chunk of each block
     walk_block = engine._walk_block

@@ -230,6 +230,27 @@ def test_step_cap_exit_code(configs, tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "table"])
+def test_k_too_large_for_memory_exits_2(configs, tmp_path, capsys, monkeypatch, command):
+    # a run allocates state for all K replications at once; numpy's
+    # MemoryError is a configuration error that names K, not a traceback
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "estimate_psi", no_memory)
+    out = tmp_path / "big.csv"
+    argv = {
+        "estimate": ["estimate", "--model", configs["model"], "--tilt", configs["tilt"],
+                     "--u", "1"],
+        "table": ["table", "table1"],
+    }[command]
+    assert main(argv + ["--K", "1000000000000", "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("configuration error: out of memory with --K 1000000000000 replications "
+                   "per run\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [["--seed=-1"], ["--K", "0"]], ids=["seed", "K"])
 def test_bad_table_setting_leaves_no_csv(tmp_path, bad):
     out = tmp_path / "t.csv"

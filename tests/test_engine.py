@@ -27,11 +27,11 @@ from ruinlab import (
     hazard_r_max,
     hazard_twisted,
     lundberg_root,
-    run_replication,
     tilt_from_config,
     xi_hat,
 )
 from ruinlab import engine, laws
+from ruinlab.engine import run_replication
 from ruinlab.errors import NotRuinInducing, StepCapExceeded
 from ruinlab.tables import table_spec
 
@@ -46,7 +46,8 @@ def within_se(estimate, target, std_error, mult=4.0):
 
 
 def _stream(seed, b):
-    # SFC64(seed, b) below: batch b's generator, SFC64 seeded by SeedSequence([seed, b])
+    # SFC64(seed, b) below: SFC64 seeded by SeedSequence([seed, b]); a run
+    # walks all its replications on SFC64(seed, 0)
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, b])))
 
 
@@ -77,7 +78,7 @@ BLOCK_LAWS = [
 @pytest.mark.parametrize("law", BLOCK_LAWS, ids=[law.label() for law in BLOCK_LAWS])
 def test_block_rows_equal_sample_n(law):
     # a row block walks one flat sample_n of waits, then one of claims, from
-    # the batch's SFC64(seed, b) stream, laid out row by row
+    # the run's stream, laid out row by row
     model = RiskModel.from_safety_loading(Exponential(1.0), Exponential(1.0), 0.5)
     cfg = SimConfig(u=1.0, k=1, seed=99)
     ctx = engine._prepare(model, IdentityTilt(model), cfg)
@@ -164,12 +165,12 @@ def test_seed_outside_uint64_rejected(model_exp_exp, linear_pair):
 
 def test_replication_replay_oracle(model_exp_exp, linear_pair):
     cfg = SimConfig(u=5.0, k=1, seed=3)
-    out = run_replication(model_exp_exp, linear_pair, cfg, 9)  # past K: a full batch's lane
+    out = run_replication(model_exp_exp, linear_pair, cfg, 9)  # past K: the run at K = 16
     assert out.ruined
     m = engine._prepare(model_exp_exp, linear_pair, cfg).first_chunk
     assert out.n_claims <= m
     # replay the first row block of SFC64(3, 0): waits, then claims, row by row
-    rows = min(engine._BLOCK_ELEMS // m, engine._BATCH)
+    rows = min(engine._BLOCK_ELEMS // m, 16)
     rng = _stream(3, 0)
     waits = linear_pair.tilted_wait_law().sample_n(rng, rows * m).reshape(rows, m)
     claims = linear_pair.tilted_claim_law().sample_n(rng, rows * m).reshape(rows, m)
@@ -193,32 +194,32 @@ def test_identity_replication_has_unit_weight(model_exp_exp):
 
 def test_step_cap_exceeded(model_exp_exp, monkeypatch):
     # identity tilt cannot reach a high barrier: the cap must trip, not hang,
-    # and it names the lowest live replication of the batch, here its first
+    # and it names the lowest live replication of the run, here its first
     monkeypatch.setattr(engine, "_MAX_STEPS", 2000)
     cfg = SimConfig(u=500.0, k=1, seed=5)
     pair = IdentityTilt(model_exp_exp)
     with pytest.raises(StepCapExceeded) as err:
-        run_replication(model_exp_exp, pair, cfg, engine._BATCH + 7)
-    assert (err.value.replication, err.value.steps) == (engine._BATCH, 2000)
+        run_replication(model_exp_exp, pair, cfg, 7)  # past K: the run at K = 8
+    assert (err.value.replication, err.value.steps) == (0, 2000)
     # the replay oracle below walks to the same cap
     with pytest.raises(StepCapExceeded) as err:
-        reference_walk(model_exp_exp, pair, cfg, 1, engine._BATCH)
-    assert (err.value.replication, err.value.steps) == (engine._BATCH, 2000)
+        reference_walk(model_exp_exp, pair, dataclasses.replace(cfg, k=8))
+    assert (err.value.replication, err.value.steps) == (0, 2000)
 
 
-def reference_walk(model, pair, cfg, batch, k):
-    """Lanes 0, ..., k - 1 of batch ``batch``, each row walked on 1-D arrays.
+def reference_walk(model, pair, cfg):
+    """Replications 0, ..., K - 1 of the run, each row walked on 1-D arrays.
 
-    Replays the batch's draw order on SFC64(seed, batch): chunk by chunk, the
-    live lanes in row blocks, each block's waits and then its claims, row by
-    row. Returns one (ruined, n_claims, ruin_time, log_weight, overshoot) per
-    lane; the block walk must reproduce them bit for bit.
+    Replays the run's draw order on SFC64(seed, 0): chunk by chunk, the live
+    lanes in row blocks, each block's waits and then its claims, row by row.
+    Returns one (ruined, n_claims, ruin_time, log_weight, overshoot) per
+    replication; the block walk must reproduce them bit for bit.
     """
     ctx = engine._prepare(model, pair, cfg)
-    rng = _stream(cfg.seed, batch)
+    rng = _stream(cfg.seed, 0)
     ex_on, ew_on = pair.weighs_std_exp
-    outs = [None] * k
-    live = [(lane, 0.0, 0.0, 0.0) for lane in range(k)]  # (lane, z, t, log_w)
+    outs = [None] * cfg.k
+    live = [(lane, 0.0, 0.0, 0.0) for lane in range(cfg.k)]  # (lane, z, t, log_w)
     n = 0
     for m in engine._chunks(ctx):
         if not live:
@@ -253,7 +254,7 @@ def reference_walk(model, pair, cfg, batch, k):
         live = still
         n += m
     if live:
-        raise StepCapExceeded(batch * engine._BATCH + live[0][0], engine._MAX_STEPS)
+        raise StepCapExceeded(live[0][0], engine._MAX_STEPS)
     return outs
 
 
@@ -266,17 +267,6 @@ def _rows(law, rng, rows, m, std_exp):
     return law.sample_n(rng, rows * m).reshape(-1, m), [None] * rows
 
 
-def _batches(model, pair, cfg):
-    """reference_walk over every batch of the run, replications in order."""
-    return [
-        out
-        for first in range(0, cfg.k, engine._BATCH)
-        for out in reference_walk(
-            model, pair, cfg, first // engine._BATCH, min(engine._BATCH, cfg.k - first)
-        )
-    ]
-
-
 def _same(a, b):
     return all(p == q or (p != p and q != q) for p, q in zip(a, b))
 
@@ -287,7 +277,7 @@ def _same(a, b):
 # column, whose twist weighs both components by their standard exponentials
 WALK_CASES = {
     "infinite": ("linear", SimConfig(u=5.0, k=1000, seed=3), True),
-    "two_batches": ("linear", SimConfig(u=5.0, k=1500, seed=3), True),
+    "k_1500": ("linear", SimConfig(u=5.0, k=1500, seed=3), True),
     "threshold": ("linear", SimConfig(u=10.0, k=1000, seed=3, threshold=5.0), True),
     "horizon_crude": ("identity", SimConfig(u=1.0, k=600, seed=3, horizon=300.0), True),
     "horizon_tilted": ("linear", SimConfig(u=2.0, k=1000, seed=3, horizon=20.0), False),
@@ -317,7 +307,7 @@ def test_block_walk_matches_replications_walked_alone(model_exp_exp, linear_pair
     assert cfg.k > rows and cfg.k % rows  # several blocks, the last one partial
     outs = [run_replication(model, pair, cfg, i) for i in range(cfg.k)]
     assert (max(o.n_claims for o in outs) > first + second) == deep
-    for i, (o, ref) in enumerate(zip(outs, _batches(model, pair, cfg))):
+    for i, (o, ref) in enumerate(zip(outs, reference_walk(model, pair, cfg))):
         got = (o.ruined, o.n_claims, o.ruin_time, o.log_weight, o.overshoot)
         assert _same(got, ref), (case, i)
 
@@ -335,57 +325,50 @@ def test_block_walk_matches_replications_walked_alone(model_exp_exp, linear_pair
     assert rep.max_norm_weight == weights.max() / total
 
 
-def test_batch_stream_is_fresh_sfc64_of_seed_and_batch(model_exp_exp, linear_pair):
-    cfg = SimConfig(u=5.0, k=50, seed=987654321)
-    ctx = engine._prepare(model_exp_exp, linear_pair, cfg)
-    for batch in (0, 1, 77, 2**40 + 5):
-        walked = engine._walk(ctx, cfg.seed, batch, cfg.k)
+def test_run_stream_is_fresh_sfc64_of_seed(model_exp_exp, linear_pair):
+    # one stream per (seed, run): every replication draws from SFC64(seed, 0)
+    for seed in (0, 1, 987654321, 2**64 - 1):
+        cfg = SimConfig(u=5.0, k=50, seed=seed)
+        walked = engine._walk(engine._prepare(model_exp_exp, linear_pair, cfg), seed, cfg.k)
         got = zip(walked.ruined, walked.n_claims, walked.ruin_time, walked.log_weight,
                   walked.overshoot)
-        ref = reference_walk(model_exp_exp, linear_pair, cfg, batch, cfg.k)
-        assert all(_same(g, r) for g, r in zip(got, ref)), batch
+        ref = reference_walk(model_exp_exp, linear_pair, cfg)
+        assert all(_same(g, r) for g, r in zip(got, ref)), seed
 
 
 def test_stream_layout_is_pinned(model_exp_exp):
-    # the lane streams, chunk schedule and row blocks fix every estimate bit
+    # the run's stream, chunk schedule and row blocks fix every estimate bit
     # for bit (numpy 2.4.6 on x86-64): a change to any of them must edit these
     t1, t4 = table_spec("table1").columns[0], table_spec("table4").columns[1]
     assert (t1.label, t4.label) == ("Exp(1)", "Pa(2,3)")
+    t1_pair = tilt_from_config(t1.tilt_config, t1.model)
     rho = lundberg_root(model_exp_exp)
     points = [
-        (t1.model, tilt_from_config(t1.tilt_config, t1.model), 5.0, "0x1.000451279529ep-3"),
-        (t4.model, tilt_from_config(t4.tilt_config, t4.model), 20.0, "0x1.2af9086cc4350p-1"),
-        (model_exp_exp, EsscherTilt(model_exp_exp, rho), 10.0, "0x1.83c6511e78bd5p-6"),
+        (t1.model, t1_pair, 5.0, 1000, "0x1.00e1bd7b3e10fp-3"),
+        (t1.model, t1_pair, 5.0, 2048, "0x1.01d0896604ef1p-3"),
+        (t4.model, tilt_from_config(t4.tilt_config, t4.model), 20.0, 2048, "0x1.3180d4f7fd54ap-1"),
+        (model_exp_exp, EsscherTilt(model_exp_exp, rho), 10.0, 2048, "0x1.8786910909cb9p-6"),
     ]
-    for model, pair, u, want in points:
-        rep = estimate_psi(model, pair, SimConfig(u=u, k=2048, seed=1))
-        assert rep.estimate.hex() == want, pair.label()
+    for model, pair, u, k, want in points:
+        rep = estimate_psi(model, pair, SimConfig(u=u, k=k, seed=1))
+        assert rep.estimate.hex() == want, (pair.label(), k)
 
 
-def test_first_batch_does_not_depend_on_k(model_exp_exp, linear_pair):
-    # a full batch's outcomes are a function of (seed, batch) alone
-    short, long = SimConfig(u=5.0, k=1024, seed=3), SimConfig(u=5.0, k=2148, seed=3)
-    assert engine._BATCH == 1024
-    a = [run_replication(model_exp_exp, linear_pair, short, i) for i in range(1024)]
-    b = [run_replication(model_exp_exp, linear_pair, long, i) for i in range(1024)]
-    assert a == b
-    weights = np.array([np.exp(o.log_weight) if o.ruined else 0.0 for o in a])
-    assert estimate_psi(model_exp_exp, linear_pair, short).estimate == weights.sum() / 1024
-
-
-def test_replay_walks_each_batch_once(model_exp_exp, linear_pair, monkeypatch):
+def test_replay_walks_each_run_once(model_exp_exp, linear_pair, monkeypatch):
     cfg = SimConfig(u=5.0, k=1500, seed=3)
     walks = []
     walk = engine._walk
     monkeypatch.setattr(engine, "_walk", lambda *a: walks.append(a[2:]) or walk(*a))
-    engine._walk_batch.cache_clear()
+    engine._walk_run.cache_clear()
     for i in range(cfg.k):
         run_replication(model_exp_exp, linear_pair, cfg, i)
-    assert walks == [(0, 1024), (1, 476)]
-    # past K an index is the lane of a full batch
-    past = run_replication(model_exp_exp, linear_pair, cfg, 1600)
-    assert walks[-1] == (1, 1024)
-    assert past == run_replication(model_exp_exp, linear_pair, SimConfig(5.0, 2048, 3), 1600)
+    assert walks == [(1500,)]
+    # past K an index is that replication of the run at 2K, walked once
+    past = [run_replication(model_exp_exp, linear_pair, cfg, i) for i in range(1500, 3000)]
+    assert walks == [(1500,), (3000,)]
+    engine._walk_run.cache_clear()
+    assert past[100] == run_replication(model_exp_exp, linear_pair, SimConfig(5.0, 3000, 3), 1600)
+    assert walks[-1] == (3000,)
 
 
 def test_step_cap_names_lowest_live_replication(model_exp_exp, linear_pair, monkeypatch):
@@ -432,7 +415,7 @@ def test_lanes_walk_most_of_the_steps_they_draw(monkeypatch):
     col = table_spec("table4").columns[2]  # Pa(2.5,3) claims, hazard twist
     assert col.label == "Pa(2.5,3)"
     pair = tilt_from_config(col.tilt_config, col.model)
-    cfg = SimConfig(u=250.0, k=engine._BATCH, seed=7)
+    cfg = SimConfig(u=250.0, k=1024, seed=7)
     drawn = []
     walk_block = engine._walk_block
 
@@ -441,14 +424,14 @@ def test_lanes_walk_most_of_the_steps_they_draw(monkeypatch):
         return walk_block(ctx, gen, out, n, m, pos, *rest)
 
     monkeypatch.setattr(engine, "_walk_block", counted)
-    walked = engine._walk(engine._prepare(col.model, pair, cfg), cfg.seed, 0, cfg.k)
+    walked = engine._walk(engine._prepare(col.model, pair, cfg), cfg.seed, cfg.k)
     assert walked.ruined.all()
     assert walked.n_claims.sum() / sum(drawn) >= 0.75
 
 
 def test_weight_overflow_gives_an_infinite_estimate(model_exp_exp, linear_pair, monkeypatch):
     # exp of a log-weight above log(max float) is inf, not an OverflowError
-    def walk(ctx, seed, batch, k):
+    def walk(ctx, seed, k):
         lw = np.full(k, 800.0)
         return engine._Walked(np.ones(k, dtype=bool), np.ones(k, dtype=np.int64), np.ones(k),
                               lw, np.zeros(k))
