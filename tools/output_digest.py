@@ -25,6 +25,9 @@ the last lines. It hashes
   estimate at ``K_SIM`` replications (every report field but its run time and,
   where a report still carries one, its ``are``) and each analytic check's
   output dict;
+* every operation of the simulation workloads built at seed 1, each estimate
+  at the operation's own K (500 to 8000), so a change to how a run past 1024
+  replications draws shows here;
 * the bits of ``laplace(0.5)``, ``laplace(2)`` and the quadrature mean
   ``expectation(law, np.log)`` of five laws integrated over x, where a change
   to the x-space knots or the rule moves a last bit that ``check``'s 11
@@ -51,6 +54,8 @@ import numpy as np
 TABLE_ARGS = ["--K", "1000", "--seed", "42"]
 WORKLOAD_SEEDS = (1, 11)
 K_SIM = 200
+OWN_K_WORKLOADS = ("short_paths", "long_paths", "finite_horizon")
+OWN_K_SEED = 1
 _EXP = {"family": "exp", "params": {"rate": 1.0}}
 CHECK_MODELS = {
     "Exp/Exp": (_EXP, _EXP),
@@ -170,9 +175,10 @@ def _estimates(cli, tmp: Path):
         yield f"estimate {label}", data
 
 
-def _output(workloads, op) -> bytes:
+def _output(workloads, op, k=K_SIM) -> bytes:
+    """``op``'s output at ``k`` replications (None: the operation's own K)."""
     try:
-        out = op.run(k=K_SIM) if isinstance(op, workloads.SimOp) else op.run()
+        out = op.run(k=k) if isinstance(op, workloads.SimOp) else op.run()
     except Exception as exc:  # a raising operation is an output too
         return f"{type(exc).__name__}: {exc}".encode()
     if isinstance(out, dict):
@@ -183,14 +189,23 @@ def _output(workloads, op) -> bytes:
     return repr(sorted(fields.items())).encode()
 
 
+def _workload_digest(workloads, name, seed, k=K_SIM) -> bytes:
+    digest = hashlib.sha256()
+    for op in workloads.build(name, seed).ops:
+        digest.update(op.label.encode() + b"\0" + _output(workloads, op, k) + b"\0")
+    return digest.digest()
+
+
 def _workloads(workloads):
     for seed in WORKLOAD_SEEDS:
         for name in workloads.WORKLOADS:
-            wl = workloads.build(name, seed)
-            digest = hashlib.sha256()
-            for op in wl.ops:
-                digest.update(op.label.encode() + b"\0" + _output(workloads, op) + b"\0")
-            yield f"{name} seed {seed}", digest.digest()
+            yield f"{name} seed {seed}", _workload_digest(workloads, name, seed)
+
+
+def _workloads_own_k(workloads):
+    for name in OWN_K_WORKLOADS:
+        yield (f"{name} seed {OWN_K_SEED} own K",
+               _workload_digest(workloads, name, OWN_K_SEED, k=None))
 
 
 def _bits(laws):
@@ -217,6 +232,7 @@ def main(argv: list[str]) -> int:
             *_checks(cli, Path(tmp)),
             *_estimates(cli, Path(tmp)),
             *_workloads(workloads),
+            *_workloads_own_k(workloads),
             *_bits(laws),
         ]
     for label, data in parts:
