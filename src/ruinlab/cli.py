@@ -262,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError:
-        # a run holds the state of all K replications at once; check has no K
+        # a run holds the state of all K replications at once (check takes no --K)
         k = getattr(args, "K", None)
         print(f"configuration error: out of memory with --K {k} replications per run",
               file=sys.stderr)
