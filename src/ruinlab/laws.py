@@ -1,11 +1,13 @@
 """Catalog of positive continuous laws used for claim sizes and interarrival times.
 
 Every law exposes what the tilting machinery and the engine need: the
-log-density, the distribution function ``cdf`` (the sampler tests' reference),
-one transform ``mgf(t) = E[exp(t Z)]`` for real t with ``laplace(s) =
-mgf(-s)``, raw moments (``math.inf`` where one does not exist), the cumulative
-hazard where it has a closed form, and a deterministic sampler. There is no
-quantile function: nothing in the package inverts a ``cdf``.
+log-density, the survival function ``sf(x) = P(Z > x)``, one transform
+``mgf(t) = E[exp(t Z)]`` for real t with ``laplace(s) = mgf(-s)``, raw moments
+(``math.inf`` where one does not exist), the cumulative hazard H where it has a
+closed form, and a deterministic sampler. ``sf`` is the tail itself, never
+1 - F, so it keeps its digits where it is far below the double's epsilon; it is
+exp(-H) for every family with a closed-form H and is written directly for the
+others. There is no quantile function: nothing in the package inverts ``sf``.
 
 Sampling contract: each family uses a fixed, documented algorithm driven by a
 ``numpy.random.Generator``. Exponential, Weibull, inverse Weibull and Pareto
@@ -22,7 +24,7 @@ the same generator state and call sequence.
 Gamma type: the gamma, inverse gamma and generalized gamma laws are members
 (alpha, b, p) of Stacy's family Z = b G^(1/alpha), G ~ Ga(p, 1): (1, 1/rate,
 shape), (-1, scale, shape) and (alpha, scale, shape). They share one
-log-density, ``cdf``, moment formula and mgf radius, stated once in
+log-density, ``sf``, moment formula and mgf radius, stated once in
 ``_GammaType``; from shape ``_STIRLING_MIN`` on the log-density is written
 about G = p, where nothing cancels. The gamma law keeps its moments and mgf
 written in its rate.
@@ -46,7 +48,7 @@ are computed once when the law is built. Log-gamma is ``_lgam``, an
 in-package transcription of the cephes routine behind
 ``scipy.special.gammaln`` that matches it bit for bit, so building a law, its
 moments, its quadratures and every simulation import numpy alone.
-``scipy.special`` is imported on the first ``cdf`` that needs an incomplete
+``scipy.special`` is imported on the first ``sf`` that needs an incomplete
 gamma or normal function; nothing else in the package needs it.
 """
 
@@ -110,8 +112,9 @@ class PositiveLaw:
         """The log-density formula on an array."""
         raise NotImplementedError
 
-    def cdf(self, x):
-        raise NotImplementedError
+    def sf(self, x):
+        """The survival function P(Z > x), exp(-H(x)) where H has a closed form."""
+        return np.exp(-self.cumulative_hazard(x))
 
     # -- moments ---------------------------------------------------------------
 
@@ -133,7 +136,7 @@ class PositiveLaw:
     # -- hazard ----------------------------------------------------------------
 
     def cumulative_hazard(self, x):
-        """H(x) = -ln(1 - F(x)); only families with a closed form support this."""
+        """H(x) = -ln sf(x); only families with a closed form support this."""
         raise UnsupportedCombination(f"{self.label()} has no closed-form cumulative hazard")
 
     # -- transforms --------------------------------------------------------------
@@ -209,9 +212,6 @@ class Exponential(PositiveLaw):
     def _logpdf(self, x):
         return self._log_rate - self.rate * x
 
-    def cdf(self, x):
-        return -np.expm1(-self.rate * np.asarray(x, dtype=float))
-
     def _raw_moment(self, k: float) -> float:
         if k <= -1.0:
             return math.inf
@@ -245,7 +245,7 @@ class _GammaType(PositiveLaw):
     The gamma law is the member (1, 1/rate, shape) and the inverse gamma the
     member (-1, scale, shape). Each family keeps its own fields, sampler and
     label, and names its triple (alpha, b, p) to ``_set_triple`` when it is
-    built; the log-density, ``cdf``, moments, mgf radius and quadrature
+    built; the log-density, ``sf``, moments, mgf radius and quadrature
     knots are stated here once.
     """
 
@@ -276,11 +276,11 @@ class _GammaType(PositiveLaw):
         d = (y - p) / p
         return (p - 1.0 / a) * np.log1p(d) - p * d + self._log_norm
 
-    def cdf(self, x):
+    def sf(self, x):
         from scipy.special import gammainc, gammaincc  # on first use: no simulation needs it
 
         t = (np.asarray(x, dtype=float) / self._b) ** self._alpha
-        return (gammainc if self._alpha > 0 else gammaincc)(self._p, t)
+        return (gammaincc if self._alpha > 0 else gammainc)(self._p, t)
 
     def _raw_moment(self, k: float) -> float:
         d = k / self._alpha
@@ -363,10 +363,6 @@ class Weibull(PositiveLaw):
         t = x / self.scale
         return self._log_norm + (self.shape - 1.0) * np.log(t) - t**self.shape
 
-    def cdf(self, x):
-        t = np.asarray(x, dtype=float) / self.scale
-        return -np.expm1(-(t**self.shape))
-
     def _raw_moment(self, k: float) -> float:
         if k <= -self.shape:
             return math.inf
@@ -425,9 +421,9 @@ class InvWeibull(PositiveLaw):
         t = self.scale / x
         return self._log_norm + (self.shape + 1.0) * np.log(t) - t**self.shape
 
-    def cdf(self, x):
+    def sf(self, x):
         t = self.scale / np.asarray(x, dtype=float)
-        return np.exp(-(t**self.shape))
+        return -np.expm1(-(t**self.shape))
 
     def _raw_moment(self, k: float) -> float:
         if k >= self.shape:
@@ -490,10 +486,10 @@ class LogNormal(PositiveLaw):
         z = (log_x - self.mu) / self.sigma
         return -log_x - self._log_sigma - _HALF_LOG_2PI - 0.5 * z * z
 
-    def cdf(self, x):
+    def sf(self, x):
         from scipy.special import ndtr
 
-        return ndtr((np.log(np.asarray(x, dtype=float)) - self.mu) / self.sigma)
+        return ndtr((self.mu - np.log(np.asarray(x, dtype=float))) / self.sigma)
 
     def _raw_moment(self, k: float) -> float:
         return math.exp(self.mu * k + 0.5 * self.sigma**2 * k**2)
@@ -528,10 +524,6 @@ class Pareto(PositiveLaw):
 
     def _logpdf(self, x):
         return self._log_norm - (self.shape + 1.0) * np.log(self.scale + x)
-
-    def cdf(self, x):
-        t = np.asarray(x, dtype=float) / self.scale
-        return -np.expm1(-self.shape * np.log1p(t))
 
     def _raw_moment(self, k: float) -> float:
         if not -1.0 < k < self.shape:
@@ -568,8 +560,8 @@ class Mixture(PositiveLaw):
         self.components = tuple(components)
         self.weights = tuple(float(w) for w in weights)
 
-    def cdf(self, x):
-        return sum(w * c.cdf(x) for w, c in zip(self.weights, self.components))
+    def sf(self, x):
+        return sum(w * c.sf(x) for w, c in zip(self.weights, self.components))
 
     def sample_n(self, rng, n):
         second = rng.random(n) >= self.weights[0]

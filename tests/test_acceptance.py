@@ -247,7 +247,7 @@ def test_criterion_8_tilted_law_goodness_of_fit():
     pvalues = {}
     for name, law in cases.items():
         draws = law.sample_n(rng, 100_000)
-        pvalues[name] = stats.kstest(draws, law.cdf).pvalue
+        pvalues[name] = stats.kstest(draws, lambda x: 1.0 - law.sf(x)).pvalue
     failures = {k: p for k, p in pvalues.items() if p <= 0.01}
     detail = ", ".join(f"{k}: p={p:.3f}" for k, p in pvalues.items())
     _report("8 tilted-law goodness of fit", not failures, detail)

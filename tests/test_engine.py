@@ -442,7 +442,7 @@ def test_weight_overflow_gives_an_infinite_estimate(model_exp_exp, linear_pair, 
     assert rep.estimate == math.inf
 
 
-def test_step_cap_propagates_from_batch_run(model_exp_exp, linear_pair, monkeypatch):
+def test_step_cap_propagates_from_a_run(model_exp_exp, linear_pair, monkeypatch):
     monkeypatch.setattr(engine, "_MAX_STEPS", 5)
     with pytest.raises(StepCapExceeded) as err:
         estimate_psi(model_exp_exp, linear_pair, SimConfig(u=50.0, k=50, seed=5))

@@ -1,4 +1,6 @@
 import importlib
+import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -28,7 +30,7 @@ import tempfile
 from pathlib import Path
 
 import ruinlab
-from ruinlab import SimConfig, Weibull, cli, estimate_psi
+from ruinlab import Exponential, InvWeibull, Pareto, SimConfig, Weibull, cli, estimate_psi
 from ruinlab.tables import TABLES, table_spec
 from ruinlab.tilts import tilt_from_config
 
@@ -37,6 +39,8 @@ for name in TABLES:
         tilt = tilt_from_config(col.tilt_config, col.model)
         estimate_psi(col.model, tilt, SimConfig(u=0.0, k=50, seed=1))
 laplace = Weibull(0.375, 0.5).laplace(1.0)
+tails = [float(law.sf(2.0)) for law in (Exponential(1.0), Weibull(0.375, 0.5), Pareto(1.5, 3.0),
+                                        InvWeibull(3.0, 1.48))]
 with tempfile.TemporaryDirectory() as tmp:
     model = Path(tmp) / "model.json"
     exp1 = {"family": "exp", "params": {"rate": 1.0}}
@@ -50,13 +54,14 @@ with tempfile.TemporaryDirectory() as tmp:
             assert cli.main(["check", "--model", str(model)]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 print(laplace.hex())
+print(json.dumps(tails))
 """
 
 FIRST_CALLS = """
 from ruinlab import InvGamma, LogNormal
 
-print(float(InvGamma(3.0, 4.0).cdf(2.0)).hex())
-print(float(LogNormal(0.0, 1.0).cdf(2.0)).hex())
+print(float(InvGamma(3.0, 4.0).sf(2.0)).hex())
+print(float(LogNormal(0.0, 1.0).sf(2.0)).hex())
 """
 
 
@@ -71,18 +76,21 @@ def _fresh_process(code: str) -> list[str]:
 
 
 def test_simulation_and_closed_form_check_load_no_scipy():
-    # the quadrature behind the Weibull Laplace transform and the checks on
+    # the quadrature behind the Weibull Laplace transform, the checks on
     # Exp/Wei, GGa/LN and Ga/Exp (M_X, L_W, the roots, the tilt's
-    # normalizers), x-space knots included, is numpy alone
-    loaded, laplace = _fresh_process(GUARD)
+    # normalizers), x-space knots included, and the sf of the exponential,
+    # Weibull, Pareto and inverse Weibull laws are numpy alone
+    loaded, laplace, tails = _fresh_process(GUARD)
     assert loaded == "[]"
     # against the value to 25 digits
     assert abs(float.fromhex(laplace) / 0.6499164412289979199724419 - 1.0) <= 1e-15
+    want = [math.exp(-2.0), math.exp(-(4.0**0.375)), 0.6**1.5, -math.expm1(-(0.74**3))]
+    assert json.loads(tails) == pytest.approx(want, rel=1e-15)
 
 
-def test_first_cdf_imports_scipy_special_with_the_same_values():
+def test_first_sf_imports_scipy_special_with_the_same_values():
     # the values with scipy.special imported when ruinlab is
     assert _fresh_process(FIRST_CALLS) == [
-        "0x1.5a7554caf623ep-1",
-        "0x1.830432b8db5c5p-1",
+        "0x1.4b15566a13b83p-2",
+        "0x1.f3ef351c928ecp-3",
     ]

@@ -200,7 +200,8 @@ def test_x_space_law_whose_knots_leave_the_doubles_raises(law, inside):
             expectation(law, lambda x: 0.0 * x)
 
 
-# each family as a scipy.stats law, whose quantiles pick test points
+# each family as a scipy.stats law: its quantiles pick test points, and its cdf
+# is the sampler tests' reference, independent of the law under test
 SCIPY_LAW = {
     Exponential: lambda law: stats.expon(scale=1.0 / law.rate),
     Gamma: lambda law: stats.gamma(law.shape, scale=1.0 / law.rate),
@@ -214,21 +215,21 @@ SCIPY_LAW = {
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=_ids(ALL_LAWS))
-def test_cdf_pdf_consistency(law):
-    # numeric derivative of the cdf recovers the density at a few interior points
+def test_sf_pdf_consistency(law):
+    # minus the numeric derivative of sf recovers the density at a few interior points
     for q in (0.2, 0.5, 0.9):
         x = float(SCIPY_LAW[type(law)](law).ppf(q))
         h = 1e-6 * max(1.0, x)
-        deriv = (law.cdf(x + h) - law.cdf(x - h)) / (2 * h)
+        deriv = (law.sf(x - h) - law.sf(x + h)) / (2 * h)
         assert deriv == pytest.approx(math.exp(law.logpdf(x)), rel=1e-4)
-        assert float(law.cdf(x)) == pytest.approx(q, abs=1e-9)
+        assert float(law.sf(x)) == pytest.approx(1.0 - q, abs=1e-9)
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=_ids(ALL_LAWS))
 def test_sampling_against_cdf(law, rng):
     draws = law.sample_n(rng, 100_000)
     assert np.all(draws > 0)
-    assert stats.kstest(draws, law.cdf).pvalue > 0.01
+    assert stats.kstest(draws, SCIPY_LAW[type(law)](law).cdf).pvalue > 0.01
 
 
 def test_gamma_law_of_large_numbers(rng):
@@ -242,7 +243,7 @@ def test_invweibull_reciprocal_transform(rng):
     draws = law.sample_n(np.random.default_rng(7), 100_000)
     base = Weibull(3.0, 1.0 / 1.48).sample_n(np.random.default_rng(7), 100_000)
     assert np.allclose(draws, 1.0 / base, rtol=1e-12)
-    assert stats.kstest(draws, law.cdf).pvalue > 0.01
+    assert stats.kstest(draws, SCIPY_LAW[InvWeibull](law).cdf).pvalue > 0.01
 
 
 def test_raw_moment_examples():
@@ -267,7 +268,7 @@ def test_gengamma_embeds_special_cases():
         assert np.allclose(
             np.exp(law.logpdf(grid)), np.exp(gga.logpdf(grid)), rtol=1e-12, atol=1e-300
         ), law.label()
-        assert np.allclose(law.cdf(grid), gga.cdf(grid), rtol=1e-10, atol=1e-14)
+        assert np.allclose(law.sf(grid), gga.sf(grid), rtol=1e-10, atol=1e-14)
         assert law.raw_moment(1.3) == pytest.approx(gga.raw_moment(1.3), rel=1e-12)
 
 
@@ -302,8 +303,9 @@ def test_hazard_inverse_roundtrip(law):
     h = np.linspace(0.01, 12.0, 100)
     x = quantile(-np.expm1(-h))
     assert np.allclose(law.cumulative_hazard(x), h, rtol=1e-10)
-    # H(x) agrees with -log(survival)
-    assert np.allclose(law.cumulative_hazard(x), -np.log1p(-law.cdf(x)), rtol=1e-9)
+    # H(x) agrees with scipy's -log(survival); against -log(sf) it would be
+    # a tautology, since sf is exp(-H)
+    assert np.allclose(law.cumulative_hazard(x), -SCIPY_LAW[type(law)](law).logsf(x), rtol=1e-9)
 
 
 def test_hazard_unsupported():
@@ -440,7 +442,7 @@ def test_weibull_shape_one_is_exponential():
 def test_mixture_moments_and_sampling(rng):
     mix = Mixture((Exponential(1.0), Gamma(2.0, 1.0)), (0.25, 0.75))
     draws = mix.sample_n(rng, 100_000)
-    assert stats.kstest(draws, mix.cdf).pvalue > 0.01
+    assert stats.kstest(draws, lambda x: 1.0 - mix.sf(x)).pvalue > 0.01
     assert mix.mgf(0.0) == 1.0
 
 
@@ -641,14 +643,14 @@ def test_gamma_type_logpdf_on_both_sides_of_the_shape_switch():
 @pytest.mark.parametrize("a", [0.7, 2.0, 99.0, 100.0, 1e4, 1e14])
 def test_gamma_and_inverse_gamma_are_gengamma_at_alpha_one_and_minus_one(a):
     # Ga(a, rate) = GGa(1, 1/rate, a) and InvGa(a, s) = GGa(-1, s, a) share one
-    # density and cdf; Gamma writes its moments in its rate
+    # density and sf; Gamma writes its moments in its rate
     for law, gga in ((Gamma(a, 2.5), GenGamma(1.0, 1.0 / 2.5, a)),
                      (InvGamma(a, 4.0), GenGamma(-1.0, 4.0, a))):
         x = SCIPY_LAW[GenGamma](gga).ppf(np.array([0.01, 0.3, 0.5, 0.7, 0.99]))
         assert np.all(np.isfinite(gga.logpdf(x))), gga
         assert np.array_equal(law.logpdf(x), gga.logpdf(x)), law
         assert law.logpdf(float(x[2])) == gga.logpdf(float(x[2])), law
-        assert np.array_equal(law.cdf(x), gga.cdf(x)), law
+        assert np.array_equal(law.sf(x), gga.sf(x)), law
         for k in (1.0, 2.0):
             assert law.raw_moment(k) == pytest.approx(gga.raw_moment(k), rel=1e-13), (law, k)
 
