@@ -184,6 +184,12 @@ def test_x_space_knots_are_ordered_and_finite(law):
     [
         (Gamma(2.0, 1e40), True),  # smallest node 1.0e-315
         (Gamma(0.001, 1.0), False),  # median knot 5.2e-302: the smallest node is 0
+        # knots inside, but Chernoff's bound on the mass outside the nodes is
+        # above the rule's tolerance: below the smallest node, or above 1e300
+        (Gamma(0.03, 1.0), False),
+        (Gamma(0.05, 1.0), True),
+        (Gamma(2.0, 1.03e-299), False),  # it read 1 - 3.8e-4
+        (Gamma(2.0, 1e-298), True),
         (InvGamma(2.0, 1e290), True),  # tail knot 2.2e291
         (InvGamma(0.005, 1.0), False),  # tail knot inf
         (LogNormal(0.0, 300.0), False),  # tail knot inf
