@@ -231,6 +231,35 @@ def test_sf_pdf_consistency(law):
         assert float(law.sf(x)) == pytest.approx(1.0 - q, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "law, x",
+    [
+        (Pareto(1.5, 3.0), 1e8),  # 1 - cdf keeps 5 digits
+        (Pareto(1.5, 3.0), 1e12),  # 5.2e-18: 1 - cdf reads 0 from here on
+        (InvGamma(3.0, 4.0), 1e6),
+        (Weibull(0.375, 0.5), 1e4),
+        (InvWeibull(3.0, 1.48), 1e6),
+        (Exponential(1.0), 700.0),
+        (LogNormal(0.0, 1.0), 1e3),
+    ],
+    ids=lambda v: v.label() if isinstance(v, laws.PositiveLaw) else f"{v:g}",
+)
+def test_sf_keeps_its_digits_deep_in_the_tail(law, x):
+    want = SCIPY_LAW[type(law)](law).sf(x)
+    assert 0.0 < want < 1e-4
+    assert abs(float(law.sf(x)) / want - 1.0) <= 1e-12
+
+
+def test_sf_is_one_at_zero_and_non_increasing():
+    grid = np.concatenate(([0.0], np.geomspace(1e-6, 1e8, 400)))
+    mix = Mixture((Exponential(1.0), Gamma(2.0, 1.0)), (0.25, 0.75))
+    for law in [*ALL_LAWS, mix]:
+        with np.errstate(divide="ignore"):  # x = 0: 1/x or log x is the IEEE fallback
+            sf = law.sf(grid)
+        assert sf[0] == 1.0, law.label()
+        assert np.all((np.diff(sf) <= 0.0) & (sf[1:] >= 0.0)), law.label()
+
+
 @pytest.mark.parametrize("law", ALL_LAWS, ids=_ids(ALL_LAWS))
 def test_sampling_against_cdf(law, rng):
     draws = law.sample_n(rng, 100_000)
