@@ -39,7 +39,9 @@ numpy arrays, one call per level; there is no QUADPACK (see ``expectation``).
 Its x-space knots are placements near the median and 0.999 quantile of a
 gamma-type or log-normal law, from closed forms: Wilson-Hilferty's for the
 gamma type, which is not refined to the exact quantile since the rule does
-not need it. A law whose knots leave the doubles raises ``DomainError``.
+not need it. A law whose knots leave the doubles raises ``DomainError``, and
+so does a gamma-type law whose mass outside the rule's nodes may exceed its
+tolerance.
 
 Arithmetic: each family writes its log-density once, as ``_logpdf(x)`` on a
 numpy array, and its T as ``_from_std_exp(e)``; the sampler, the engine and
@@ -624,8 +626,8 @@ def expectation(law: PositiveLaw, log_fn) -> float:
     it does for a gamma-type law whose mass outside [k1 u0, 1e300] may
     exceed ``_QUAD_RTOL`` by Chernoff's bound, though both knots are inside:
     Ga(0.03, 1) has up to 3.1e-9 of it below k1 u0, InvGa(0.02, 1) up to
-    1.1e-6 above 1e300, and Ga(2, 1.03e-299) loses 3.8e-4 above 1e300. The bound is
-    not taken for a log-normal law.
+    1.1e-6 above 1e300, and Ga(2, 1.03e-299) loses 3.8e-4 above 1e300. The
+    bound is not taken for a log-normal law.
 
     The rule (Takahasi & Mori, Publ. RIMS 9, 1974; Bailey, Jeyabalan & Li,
     Experimental Mathematics 14, 2005) is tanh-sinh on each finite piece
