@@ -19,11 +19,11 @@ run, and all K lanes draw from one SFC64 generator seeded by
 generator's three 64-bit state words; every stream starts with the same value
 in its fourth, a counter that each draw advances by one, so two streams with
 distinct starting states cannot overlap within 2^64 draws. A run's outcomes
-are a function of its seed, K, model, tilt and capital alone; K sets how the
-lanes fill the row blocks, so runs at different K share no paths.
-_BLOCK_ELEMS and the chunk schedule's _FIRST_DIV and _GROW_DIV are stream
-constants: changing any of them changes every stream. The reduction is an
-index-ordered array sum.
+are a function of its seed, K, model, tilt, capital and horizon alone; K sets
+how the lanes fill the row blocks, so runs at different K share no paths.
+_BLOCK_ELEMS and the chunk schedule's _FIRST_MIN, _FIRST_DIV and _GROW_DIV
+are stream constants: changing any of them changes every stream. The
+reduction is an index-ordered array sum.
 
 A run advances in chunks of steps: every live lane takes the same chunk,
 split into row blocks of about _BLOCK_ELEMS variates, and each row block draws
@@ -39,12 +39,12 @@ The waits' time sum is the same reduction. Each row's sums thus add the same
 elements in the same order as its used steps summed alone, and no step mask
 or compacted copy is built. A lane's draws therefore depend on which lanes of
 the run are still live.
-The first chunk is a quarter of the mean step count u_eff / drift, plus 16
-(64 without a positive drift), and each later chunk grows by a quarter, so a
-lane that stops early throws few drawn variates away. Chunk sizes are a
-fixed function of (model, tilt, effective capital), never of the horizon, but
-a horizon stops lanes early and so shifts the draws of the lanes after them:
-runs at different horizons do not share paths.
+The first chunk is 8 plus a quarter of the step by which lanes are expected
+to stop, min(u_eff / drift, horizon / E_Q[W]) with inf for a term that does
+not apply (no positive drift, no horizon), up to 16384; each later chunk
+grows by a quarter, so a lane that stops early throws few drawn variates
+away. Chunk sizes are a fixed function of (model, tilt, effective capital,
+horizon), so runs at different horizons do not share paths.
 """
 
 from __future__ import annotations
@@ -69,10 +69,11 @@ __all__ = [
     "estimate_psi",
 ]
 
-# the chunk schedule: the first chunk is 1/_FIRST_DIV of the mean step count
-# u_eff / drift, plus 16, and each later one grows by 1/_GROW_DIV of itself up
-# to _CHUNK_MAX; stream constants, since the chunks set which variates a lane
-# draws
+# the chunk schedule: the first chunk is _FIRST_MIN plus 1/_FIRST_DIV of the
+# step by which the lanes are expected to stop, up to 16384, and each later one
+# grows by 1/_GROW_DIV of itself up to _CHUNK_MAX; stream constants, since the
+# chunks set which variates a lane draws
+_FIRST_MIN = 8
 _FIRST_DIV = 4
 _GROW_DIV = 4
 _CHUNK_MAX = 65536
@@ -168,11 +169,11 @@ class _RunContext:
 def _prepare(model: RiskModel, pair: TiltingPair, cfg: SimConfig) -> _RunContext:
     u_eff = cfg.u - (cfg.threshold or 0.0)
     drift = pair.tilted_claim_mean() - model.premium * pair.tilted_wait_mean()
-    if math.isfinite(drift) and drift > 0 and u_eff > 0:
-        first_chunk = int(u_eff / (_FIRST_DIV * drift)) + 16
-    else:
-        first_chunk = 64
-    first_chunk = min(max(first_chunk, 16), 16384)
+    # the step by which lanes are expected to stop; inf for a term that does not apply
+    steps = u_eff / drift if drift > 0 else math.inf
+    if cfg.horizon is not None:
+        steps = min(steps, cfg.horizon / pair.tilted_wait_mean())
+    first_chunk = _FIRST_MIN + int(min(steps / _FIRST_DIV, 16384 - _FIRST_MIN))
     return _RunContext(
         premium=model.premium,
         u_eff=u_eff,

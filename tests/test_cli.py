@@ -230,6 +230,17 @@ def test_step_cap_exit_code(configs, tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_reserve_near_the_largest_double_exits_4(configs, tmp_path, capsys, monkeypatch):
+    # a tilted drift of 0.004 never reaches u = 1e308: the cap trips, no
+    # OverflowError from sizing the first chunk
+    monkeypatch.setattr(engine, "_MAX_STEPS", 100)
+    tilt = tmp_path / "slow.json"
+    tilt.write_text(json.dumps({"family": "linear", "params": {"xi_factor": 1.01}}))
+    assert main(["estimate", "--model", configs["model"], "--tilt", str(tilt),
+                 "--u", "1e308", "--K", "10", "--seed", "1"]) == 4
+    assert "step cap exceeded" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["estimate", "table"])
 def test_k_too_large_for_memory_exits_2(configs, tmp_path, capsys, monkeypatch, command):
     # a run allocates state for all K replications at once; numpy's

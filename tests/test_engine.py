@@ -276,12 +276,12 @@ def _same(a, b):
 # linear and identity cases run on Exp/Exp; "hazard" is table4's Pa(2,3)
 # column, whose twist weighs both components by their standard exponentials
 WALK_CASES = {
-    "infinite": ("linear", SimConfig(u=5.0, k=1000, seed=3), True),
+    "infinite": ("linear", SimConfig(u=5.0, k=4000, seed=3), True),
     "k_1500": ("linear", SimConfig(u=5.0, k=1500, seed=3), True),
-    "threshold": ("linear", SimConfig(u=10.0, k=1000, seed=3, threshold=5.0), True),
+    "threshold": ("linear", SimConfig(u=10.0, k=4000, seed=3, threshold=5.0), True),
     "horizon_crude": ("identity", SimConfig(u=1.0, k=600, seed=3, horizon=300.0), True),
-    "horizon_tilted": ("linear", SimConfig(u=2.0, k=1000, seed=3, horizon=20.0), False),
-    "hazard": ("hazard", SimConfig(u=2.0, k=1000, seed=3), True),
+    "horizon_tilted": ("linear", SimConfig(u=2.0, k=4000, seed=3, horizon=20.0), True),
+    "hazard": ("hazard", SimConfig(u=2.0, k=4000, seed=3), True),
 }
 
 
@@ -343,15 +343,19 @@ def test_stream_layout_is_pinned(model_exp_exp):
     assert (t1.label, t4.label) == ("Exp(1)", "Pa(2,3)")
     t1_pair = tilt_from_config(t1.tilt_config, t1.model)
     rho = lundberg_root(model_exp_exp)
+    crude = IdentityTilt(model_exp_exp)
     points = [
-        (t1.model, t1_pair, 5.0, 1000, "0x1.00e1bd7b3e10fp-3"),
-        (t1.model, t1_pair, 5.0, 2048, "0x1.01d0896604ef1p-3"),
-        (t4.model, tilt_from_config(t4.tilt_config, t4.model), 20.0, 2048, "0x1.3180d4f7fd54ap-1"),
-        (model_exp_exp, EsscherTilt(model_exp_exp, rho), 10.0, 2048, "0x1.8786910909cb9p-6"),
+        (t1.model, t1_pair, 5.0, 1000, None, "0x1.0104b9115a8c6p-3"),
+        (t1.model, t1_pair, 5.0, 2048, None, "0x1.f5c9474e03e7fp-4"),
+        (t4.model, tilt_from_config(t4.tilt_config, t4.model), 20.0, 2048, None,
+         "0x1.3869616b7fe8ap-1"),
+        (model_exp_exp, EsscherTilt(model_exp_exp, rho), 10.0, 2048, None, "0x1.880274cfb5986p-6"),
+        (t1.model, t1_pair, 0.0, 2048, None, "0x1.53a413e1681e8p-1"),
+        (model_exp_exp, crude, 5.0, 2048, 10.0, "0x1.5e00000000000p-4"),
     ]
-    for model, pair, u, k, want in points:
-        rep = estimate_psi(model, pair, SimConfig(u=u, k=k, seed=1))
-        assert rep.estimate.hex() == want, (pair.label(), k)
+    for model, pair, u, k, horizon, want in points:
+        rep = estimate_psi(model, pair, SimConfig(u=u, k=k, seed=1, horizon=horizon))
+        assert rep.estimate.hex() == want, (pair.label(), u, k)
 
 
 def test_replay_walks_each_run_once(model_exp_exp, linear_pair, monkeypatch):
@@ -388,17 +392,36 @@ def test_chunks_start_at_a_quarter_mean_and_grow_by_a_quarter(model_exp_exp, lin
     cfg = SimConfig(u=50.0, k=1, seed=1)
     ctx = engine._prepare(model_exp_exp, linear_pair, cfg)
     drift = linear_pair.tilted_claim_mean() - model_exp_exp.premium * linear_pair.tilted_wait_mean()
-    assert ctx.first_chunk == int(50.0 / (4 * drift)) + 16
-    # no positive drift: 64; a tiny capital: at least 16; a huge one: at most 16384
-    crude = engine._prepare(model_exp_exp, IdentityTilt(model_exp_exp), cfg)
-    assert crude.first_chunk == 64
-    assert engine._prepare(model_exp_exp, linear_pair, SimConfig(1e-9, 1, 1)).first_chunk == 16
+    assert ctx.first_chunk == 8 + int(50.0 / drift / 4)
+    # at u = 0 or a tiny capital: 8; a huge one: at most 16384
+    assert engine._prepare(model_exp_exp, linear_pair, SimConfig(0.0, 1, 1)).first_chunk == 8
+    assert engine._prepare(model_exp_exp, linear_pair, SimConfig(1e-9, 1, 1)).first_chunk == 8
     assert engine._prepare(model_exp_exp, linear_pair, SimConfig(1e9, 1, 1)).first_chunk == 16384
+    # no positive drift: the horizon's mean claim count T / E_Q[W], or with no
+    # horizon either (an ungated run_replication) 16384
+    crude = IdentityTilt(model_exp_exp)
+    for horizon in (10.0, 300.0):
+        at_t = engine._prepare(model_exp_exp, crude, dataclasses.replace(cfg, horizon=horizon))
+        assert at_t.first_chunk == 8 + int(horizon / (4 * crude.tilted_wait_mean()))
+    assert engine._prepare(model_exp_exp, crude, cfg).first_chunk == 16384
+    # a positive drift and a horizon: the smaller of the two step counts, here
+    # 6 claims by T = 4 and about 20 steps to ruin at u = 10
+    esscher = EsscherTilt(model_exp_exp, lundberg_root(model_exp_exp))
+    first = [engine._prepare(model_exp_exp, esscher, SimConfig(10.0, 1, 1, horizon=t)).first_chunk
+             for t in (4.0, 100.0, None)]
+    assert first[0] == 8 + int(4.0 / (4 * esscher.tilted_wait_mean())) < first[2]
+    assert first[1] == first[2]
     sizes = list(itertools.islice(engine._chunks(dataclasses.replace(ctx, first_chunk=16)), 7))
     assert sizes == [16, 20, 25, 31, 38, 47, 58]
     top = dataclasses.replace(ctx, first_chunk=16384)
     sizes = list(itertools.islice(engine._chunks(top), 9))
     assert sizes == [16384, 20480, 25600, 32000, 40000, 50000, 62500, 65536, 65536]
+
+
+def test_first_chunk_at_a_reserve_near_the_largest_double(model_exp_exp):
+    # at a tilted drift of 0.004, u / drift overflows to inf: the clamp holds
+    pair = LinearTilt(model_exp_exp, 1.01 * xi_hat(model_exp_exp))
+    assert engine._prepare(model_exp_exp, pair, SimConfig(1e308, 1, 1)).first_chunk == 16384
 
 
 def test_chunks_sum_to_the_step_cap(model_exp_exp, linear_pair, monkeypatch):
@@ -427,6 +450,27 @@ def test_lanes_walk_most_of_the_steps_they_draw(monkeypatch):
     walked = engine._walk(engine._prepare(col.model, pair, cfg), cfg.seed, cfg.k)
     assert walked.ruined.all()
     assert walked.n_claims.sum() / sum(drawn) >= 0.75
+
+
+def test_runs_stopping_early_draw_few_steps_past_their_stops(model_exp_exp, monkeypatch):
+    # lanes that stop within a few steps, at u = 0 or by a horizon, get a short
+    # first chunk: with the 64-step first chunk of an earlier layout these two
+    # runs drew 128920 and 128000 variates, here they draw 20293 and 32000
+    t1 = table_spec("table1").columns[0]
+    runs = [(t1.model, tilt_from_config(t1.tilt_config, t1.model), SimConfig(0.0, 2000, 1)),
+            (model_exp_exp, IdentityTilt(model_exp_exp), SimConfig(5.0, 2000, 1, horizon=10.0))]
+    drawn = []
+    walk_block = engine._walk_block
+
+    def counted(ctx, gen, out, n, m, pos, *rest):
+        drawn.append(len(pos) * m)
+        return walk_block(ctx, gen, out, n, m, pos, *rest)
+
+    monkeypatch.setattr(engine, "_walk_block", counted)
+    for model, pair, cfg in runs:
+        drawn.clear()
+        engine._walk(engine._prepare(model, pair, cfg), cfg.seed, cfg.k)
+        assert sum(drawn) <= 32 * cfg.k, pair.label()
 
 
 def test_weight_overflow_gives_an_infinite_estimate(model_exp_exp, linear_pair, monkeypatch):

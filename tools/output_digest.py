@@ -19,8 +19,9 @@ the last lines. It hashes
   GGa(1,1e-13,1e14)/Exp (exit code, stdout and stderr);
 * ``estimate`` runs with ``--exact`` on four exponential-claim models (up to
   u = 2300, where the closed form underflows and ``are`` reads nan), one with
-  ``--threshold`` and one without ``--exact`` (exit code, stdout, stderr and
-  the CSV without its ``runtime_seconds`` column);
+  ``--threshold``, one without ``--exact`` and two with ``--horizon 10``,
+  without a tilt and with the linear one (exit code, stdout, stderr and the
+  CSV without its ``runtime_seconds`` column);
 * every operation of every benchmark workload built at seeds 1 and 11, each
   estimate at ``K_SIM`` replications (every report field but its run time and,
   where a report still carries one, its ``are``) and each analytic check's
@@ -109,6 +110,9 @@ ESTIMATE_RUNS = [
     ("Exp/Exp threshold exact", _EXP, _EXP, _LINEAR,
      ["--u", "5", "--threshold", "2", "--exact"]),
     ("Exp/Exp", _EXP, _EXP, _LINEAR, ["--u", "0,5"]),
+    ("Exp/Exp identity horizon", _EXP, _EXP, {"family": "identity"},
+     ["--u", "0,5", "--horizon", "10"]),
+    ("Exp/Exp horizon", _EXP, _EXP, _LINEAR, ["--u", "0,5", "--horizon", "10"]),
 ]
 # laws whose transforms and mean are printed bit for bit
 BIT_LAWS = [
