@@ -454,8 +454,8 @@ def test_lanes_walk_most_of_the_steps_they_draw(monkeypatch):
 
 def test_runs_stopping_early_draw_few_steps_past_their_stops(model_exp_exp, monkeypatch):
     # lanes that stop within a few steps, at u = 0 or by a horizon, get a short
-    # first chunk: with the 64-step first chunk of an earlier layout these two
-    # runs drew 128920 and 128000 variates, here they draw 20293 and 32000
+    # first chunk: each run draws at most half the 64 K variates of a 64-step
+    # first chunk (20293 and 32000 here)
     t1 = table_spec("table1").columns[0]
     runs = [(t1.model, tilt_from_config(t1.tilt_config, t1.model), SimConfig(0.0, 2000, 1)),
             (model_exp_exp, IdentityTilt(model_exp_exp), SimConfig(5.0, 2000, 1, horizon=10.0))]
