@@ -258,32 +258,40 @@ def _walk_block(ctx: _RunContext, gen, out: _Walked, n, m, pos, z, t, log_w):
     np.subtract(x, zc, out=zc)
     np.cumsum(zc, axis=1, out=zc)
     zc += z[:, None]
-    j_stop = _first_true(zc >= ctx.u_eff)
-    late = np.zeros(len(pos), dtype=bool)
+    # a row stops at its first ruin or, with a horizon, its first late claim
+    hit = zc >= ctx.u_eff
     if ctx.horizon is not None:
         tc = np.cumsum(w, axis=1)
         tc += t[:, None]
-        j_late = _first_true(tc > ctx.horizon)
-        late = j_late <= j_stop
-        j_stop = np.minimum(j_stop, j_late)
+        hit |= tc > ctx.horizon
+    j = hit.argmax(axis=1)
+    stop = hit[np.arange(len(pos)), j]
+    # the stopping rows and their stop steps; every other row used all m
+    rs = np.flatnonzero(stop)
+    j = j[rs]
+    used = np.full(len(pos), m)
+    used[rs] = j + 1
 
     # each row's sums over the steps it used, taken where the row lies
-    used = np.minimum(j_stop + 1, m)
     bounds = _row_prefix_bounds(used, m)
     if ctx.pair.variant != "identity":
         ex, ew = (None if e is None else e.ravel() for e in (ex, ew))
         log_w -= ctx.pair.path_log_weight(x.ravel(), w.ravel(), bounds, ex, ew)[::2]
     t += np.add.reduceat(w.ravel(), bounds)[::2]
-
-    stop = j_stop < m
-    p, late_s, ruined = pos[stop], late[stop], ~late[stop]
-    out.ruined[p] = ruined
-    out.n_claims[p] = n + used[stop] - late_s
-    out.log_weight[p] = log_w[stop]
-    out.ruin_time[p[ruined]] = t[stop][ruined]
-    rows_r = np.flatnonzero(stop)[ruined]
-    out.overshoot[p[ruined]] = zc[rows_r, j_stop[rows_r]] - ctx.u_eff
     z[:] = zc[:, -1]
+
+    if rs.size:
+        p = pos[rs]
+        # a claim after the horizon is not counted, even where it would ruin
+        late = False if ctx.horizon is None else tc[rs, j] > ctx.horizon
+        out.n_claims[p] = n + 1 + j - late
+        out.log_weight[p] = log_w[rs]
+        if ctx.horizon is not None:
+            ruined = ~late
+            p, rs, j = p[ruined], rs[ruined], j[ruined]
+        out.ruined[p] = True
+        out.ruin_time[p] = t[rs]
+        out.overshoot[p] = zc[rs, j] - ctx.u_eff
     return ~stop
 
 
@@ -299,8 +307,10 @@ def _row_prefix_bounds(used: np.ndarray, m: int) -> np.ndarray:
     contiguous run of the row's own elements, so its sum is bit-identical to
     that run summed alone.
     """
-    starts = np.arange(0, len(used) * m, m)
-    bounds = np.stack((starts, starts + used), axis=1).ravel()
+    bounds = np.empty(2 * len(used), dtype=np.intp)
+    starts = bounds[::2]
+    starts[:] = np.arange(0, len(used) * m, m)
+    np.add(starts, used, out=bounds[1::2])
     return bounds[:-1] if used[-1] == m else bounds
 
 
@@ -311,12 +321,6 @@ def _draw(law, gen, rows: int, m: int, std_exp: bool):
         z, e = law.sample_n(gen, rows * m, return_std_exp=True)
         return z.reshape(-1, m), e.reshape(-1, m)
     return law.sample_n(gen, rows * m).reshape(-1, m), None
-
-
-def _first_true(flags: np.ndarray) -> np.ndarray:
-    """Per row, the index of the first True, or the row length if none is."""
-    j = flags.argmax(axis=1)
-    return np.where(flags[np.arange(len(j)), j], j, flags.shape[1])
 
 
 def run_replication(

@@ -127,6 +127,29 @@ def test_row_prefix_sums_match_each_row_alone(used, stride):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("horizon", [None, 1e300], ids=["infinite", "horizon"])
+def test_block_in_which_no_row_stops_writes_no_outcome(model_exp_exp, linear_pair, horizon):
+    # a block whose rows all go on leaves every outcome array as it was and
+    # still advances each row's walk, time and log-weight by all m steps
+    cfg = SimConfig(u=1e300, k=1, seed=7, horizon=horizon)
+    ctx = engine._prepare(model_exp_exp, linear_pair, cfg)
+    rows, m, k = 40, 16, 50
+    out = engine._Walked(np.ones(k, dtype=bool), np.full(k, -3, dtype=np.int64),
+                         np.full(k, 2.5), np.full(k, -1.5), np.full(k, 7.0))
+    before = [a.copy() for a in dataclasses.astuple(out)]
+    z, t, log_w = np.zeros(rows), np.zeros(rows), np.zeros(rows)
+    go = engine._walk_block(ctx, _stream(7, 0), out, 0, m, np.arange(5, 5 + rows), z, t, log_w)
+    assert go.dtype == bool and go.all()
+    for got, want in zip(dataclasses.astuple(out), before):
+        assert got.tobytes() == want.tobytes()
+    rng = _stream(7, 0)
+    w = ctx.qw.sample_n(rng, rows * m).reshape(rows, m)
+    x = ctx.qx.sample_n(rng, rows * m).reshape(rows, m)
+    assert np.array_equal(t, np.add.reduceat(w.ravel(), np.arange(0, rows * m, m)))
+    assert np.array_equal(z, np.cumsum(x - model_exp_exp.premium * w, axis=1)[:, -1])
+    assert np.all(log_w != 0.0) and np.all(np.isfinite(log_w))
+
+
 @pytest.mark.parametrize("field, bad", [("k", 2000.0), ("seed", 1.5), ("k", True), ("seed", "3")])
 def test_sim_config_rejects_a_non_integer_k_or_seed(field, bad):
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
