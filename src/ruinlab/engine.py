@@ -22,8 +22,10 @@ distinct starting states cannot overlap within 2^64 draws. A run's outcomes
 are a function of its seed, K, model, tilt, capital and horizon alone; K sets
 how the lanes fill the row blocks, so runs at different K share no paths.
 _BLOCK_ELEMS and the chunk schedule's _FIRST_MIN, _FIRST_DIV and _GROW_DIV
-are stream constants: changing any of them changes every stream. The
-reduction is an index-ordered array sum.
+are stream constants: changing any of them changes every stream.
+``laws._ERLANG_MAX``, the largest integer gamma shape drawn as an Erlang
+product of uniforms, is one too, for every run that draws a gamma-type law.
+The reduction is an index-ordered array sum.
 
 A run advances in chunks of steps: every live lane takes the same chunk,
 split into row blocks of about _BLOCK_ELEMS variates, and each row block draws

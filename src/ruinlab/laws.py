@@ -16,10 +16,13 @@ draw Z = T(E), where E = -log1p(-U) is a standard exponential made from
 ``sample_n(rng, n, return_std_exp=True)`` returns E beside Z, so a
 hazard-twist weight needs no transcendental call per draw; Z is the same
 array either way. Log-normal is exp(mu + sigma N) on
-``Generator.standard_normal``; gamma-type laws use ``Generator.standard_gamma``,
-numpy's Marsaglia-Tsang rejection sampler, and inverse gamma is the reciprocal
-of its draw. Streams are therefore reproducible for a fixed numpy version given
-the same generator state and call sequence.
+``Generator.standard_normal``. Gamma-type laws transform a standard gamma draw
+G from ``_std_gamma``: at an integer shape k <= ``_ERLANG_MAX`` it is the
+Erlang product -log prod(1 - U) of k uniforms from one ``Generator.random``
+call, at any other shape ``Generator.standard_gamma``, numpy's Marsaglia-Tsang
+rejection sampler; inverse gamma is the reciprocal of its draw. Streams are
+therefore reproducible for a fixed numpy version given the same generator
+state and call sequence.
 
 Gamma type: the gamma, inverse gamma and generalized gamma laws are members
 (alpha, b, p) of Stacy's family Z = b G^(1/alpha), G ~ Ga(p, 1): (1, 1/rate,
@@ -89,6 +92,10 @@ _LN_2 = math.log(2.0)
 _LN_1000 = math.log(1000.0)
 # Phi^-1(q) at the probabilities of the x-space quadrature knots
 _NORMAL_QUANTILE = {0.5: 0.0, 0.999: 3.090232306167813, 0.001: -3.090232306167813}
+# the largest integer gamma shape drawn as an Erlang product of uniforms
+# (``_std_gamma``); a stream constant, since it sets which gamma-type laws draw
+# from ``Generator.random`` and which from ``Generator.standard_gamma``
+_ERLANG_MAX = 4
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -192,6 +199,27 @@ def _std_exp(rng: np.random.Generator, n: int) -> np.ndarray:
     np.negative(e, out=e)
     np.log1p(e, out=e)
     return np.negative(e, out=e)
+
+
+def _std_gamma(rng: np.random.Generator, shape: float, n: int) -> np.ndarray:
+    """``n`` standard gamma draws of the given shape.
+
+    An integer shape k <= _ERLANG_MAX is an Erlang law, the sum of k standard
+    exponentials: one ``Generator.random(k * n)`` call, and -log of the
+    product of (1 - U) over its k consecutive runs of n, multiplied in run
+    order (Devroye 1986, ch. IX.3). Each factor lies in [2^-53, 1], so every
+    draw is finite and >= 0; it is 0 only where all k uniforms are 0. Any
+    other shape is numpy's ``standard_gamma``.
+    """
+    k = int(shape)
+    if k != shape or k > _ERLANG_MAX:
+        return rng.standard_gamma(shape, n)
+    u = rng.random(k * n)
+    g = np.subtract(1.0, u, out=u)[:n]
+    for i in range(1, k):
+        g *= u[i * n : (i + 1) * n]
+    np.log(g, out=g)
+    return np.negative(g, out=g)
 
 
 def _sample_t_of_e(law: PositiveLaw, rng, n: int, return_std_exp: bool):
@@ -326,7 +354,7 @@ class _GammaType(PositiveLaw):
 
 @dataclass(frozen=True)
 class Gamma(_GammaType):
-    """Gamma law (shape, rate); sampled via numpy's standard_gamma rejection.
+    """Gamma law (shape, rate); sampled as a ``_std_gamma`` draw over the rate.
 
     Its moments, mgf and mgf radius stay written in the rate: through
     b = 1/rate they would round differently.
@@ -359,7 +387,7 @@ class Gamma(_GammaType):
         return self.rate
 
     def sample_n(self, rng, n):
-        return rng.standard_gamma(self.shape, n) / self.rate
+        return _std_gamma(rng, self.shape, n) / self.rate
 
     def label(self) -> str:
         return f"Ga({self.shape:g},{self.rate:g})"
@@ -407,7 +435,7 @@ class Weibull(PositiveLaw):
 
 @dataclass(frozen=True)
 class InvGamma(_GammaType):
-    """Inverse gamma law (shape, scale); sampled as scale / standard gamma draw."""
+    """Inverse gamma law (shape, scale); sampled as scale / a ``_std_gamma`` draw."""
 
     shape: float
     scale: float
@@ -417,7 +445,7 @@ class InvGamma(_GammaType):
         self._set_triple(-1.0, self.scale, self.shape)
 
     def sample_n(self, rng, n):
-        return self.scale / rng.standard_gamma(self.shape, n)
+        return self.scale / _std_gamma(rng, self.shape, n)
 
     def label(self) -> str:
         return f"InvGa({self.shape:g},{self.scale:g})"
@@ -467,7 +495,7 @@ class GenGamma(_GammaType):
 
     ``alpha`` may be negative (inverse families); ``alpha = 1`` recovers the
     gamma law with rate 1/scale. Sampling: scale * G^{1/alpha} with G a
-    standard gamma(shape) draw.
+    ``_std_gamma`` draw of the shape.
     """
 
     alpha: float
@@ -480,7 +508,7 @@ class GenGamma(_GammaType):
         self._set_triple(self.alpha, self.scale, self.shape)
 
     def sample_n(self, rng, n):
-        return self.scale * rng.standard_gamma(self.shape, n) ** (1.0 / self.alpha)
+        return self.scale * _std_gamma(rng, self.shape, n) ** (1.0 / self.alpha)
 
     def label(self) -> str:
         return f"GGa({self.alpha:g},{self.scale:g},{self.shape:g})"

@@ -360,21 +360,30 @@ def test_run_stream_is_fresh_sfc64_of_seed(model_exp_exp, linear_pair):
 
 
 def test_stream_layout_is_pinned(model_exp_exp):
-    # the run's stream, chunk schedule and row blocks fix every estimate bit
-    # for bit (numpy 2.4.6 on x86-64): a change to any of them must edit these
+    # the run's stream, chunk schedule, row blocks and samplers fix every
+    # estimate bit for bit (numpy 2.4.6 on x86-64): a change to any of them
+    # must edit these. table1's linear tilt mixes in Ga(2,1) claims and
+    # table5 waits Ga(2,1), both Erlang products; Ga(3.5,0.3) is numpy's
+    # standard_gamma
     t1, t4 = table_spec("table1").columns[0], table_spec("table4").columns[1]
-    assert (t1.label, t4.label) == ("Exp(1)", "Pa(2,3)")
+    t5 = table_spec("table5").columns[0]
+    assert (t1.label, t4.label, t5.label) == ("Exp(1)", "Pa(2,3)", "Exp(1)/Ga(2,1)")
     t1_pair = tilt_from_config(t1.tilt_config, t1.model)
     rho = lundberg_root(model_exp_exp)
     crude = IdentityTilt(model_exp_exp)
+    exp_ga35 = RiskModel.from_safety_loading(Exponential(1.0), Gamma(3.5, 0.3), 0.5)
+    hazard = {"family": "hazard", "params": {"theta": 1.0, "r_factor": 0.9}}
     points = [
-        (t1.model, t1_pair, 5.0, 1000, None, "0x1.0104b9115a8c6p-3"),
-        (t1.model, t1_pair, 5.0, 2048, None, "0x1.f5c9474e03e7fp-4"),
+        (t1.model, t1_pair, 5.0, 1000, None, "0x1.ffd7fad19f741p-4"),
+        (t1.model, t1_pair, 5.0, 2048, None, "0x1.fcef8ada545e8p-4"),
         (t4.model, tilt_from_config(t4.tilt_config, t4.model), 20.0, 2048, None,
          "0x1.3869616b7fe8ap-1"),
         (model_exp_exp, EsscherTilt(model_exp_exp, rho), 10.0, 2048, None, "0x1.880274cfb5986p-6"),
-        (t1.model, t1_pair, 0.0, 2048, None, "0x1.53a413e1681e8p-1"),
+        (t1.model, t1_pair, 0.0, 2048, None, "0x1.541123fb9f7adp-1"),
         (model_exp_exp, crude, 5.0, 2048, 10.0, "0x1.5e00000000000p-4"),
+        (t5.model, tilt_from_config(t5.tilt_config, t5.model), 5.0, 2048, None,
+         "0x1.13dbd0710874cp-4"),
+        (exp_ga35, tilt_from_config(hazard, exp_ga35), 5.0, 2048, None, "0x1.7ebfcfcc27d2cp-5"),
     ]
     for model, pair, u, k, horizon, want in points:
         rep = estimate_psi(model, pair, SimConfig(u=u, k=k, seed=1, horizon=horizon))

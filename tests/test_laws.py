@@ -281,6 +281,60 @@ def test_invweibull_reciprocal_transform(rng):
     assert stats.kstest(draws, SCIPY_LAW[InvWeibull](law).cdf).pvalue > 0.01
 
 
+# gamma-type laws drawn as Erlang products, at integer shapes 1 to 4, for each
+# family's transform of the draw
+SPLIT_LAWS = [
+    Gamma(1.0, 0.5),
+    Gamma(3.0, 1.0),
+    Gamma(4.0, 2.0),
+    InvGamma(2.0, 4.0),
+    GenGamma(1.5, 2.0, 3.0),
+]
+
+
+@pytest.mark.parametrize("law", SPLIT_LAWS, ids=_ids(SPLIT_LAWS))
+def test_integer_shape_sampling_against_cdf(law, rng):
+    draws = law.sample_n(rng, 100_000)
+    assert np.all(draws > 0)
+    assert stats.kstest(draws, SCIPY_LAW[type(law)](law).cdf).pvalue > 0.01
+
+
+def test_shape_four_is_minus_log_of_a_product_of_uniforms():
+    # four consecutive runs of n uniforms from one call, multiplied in run order
+    n = 1000
+    got = laws._std_gamma(np.random.default_rng(3), 4.0, n)
+    u = 1.0 - np.random.default_rng(3).random(4 * n).reshape(4, n)
+    want = -np.log(((u[0] * u[1]) * u[2]) * u[3])
+    assert got.tobytes() == want.tobytes()
+    assert Gamma(4.0, 1.0).sample_n(np.random.default_rng(3), n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [4.5, 5.0])
+def test_shapes_past_the_erlang_cap_are_numpys_standard_gamma(shape):
+    assert laws._ERLANG_MAX == 4
+    got = laws._std_gamma(np.random.default_rng(3), shape, 1000)
+    want = np.random.default_rng(3).standard_gamma(shape, 1000)
+    assert got.tobytes() == want.tobytes()
+
+
+class _EndUniforms:
+    """A generator stub whose uniforms alternate 0 and 1 - 2^-53, the ends of
+    ``Generator.random``'s range."""
+
+    def random(self, n):
+        return np.resize([0.0, 1.0 - 2.0**-53], n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_erlang_draws_at_the_ends_of_the_uniforms_are_finite(k):
+    # n is even, so each draw's k uniforms are all 0 or all 1 - 2^-53: factors
+    # of 1, giving 0, or of 2^-53, giving k * 53 ln 2
+    g = laws._std_gamma(_EndUniforms(), float(k), 64)
+    assert np.all(np.isfinite(g)) and np.all(g >= 0.0)
+    assert np.all(g[::2] == 0.0)
+    assert np.allclose(g[1::2], k * 53 * math.log(2.0), rtol=1e-15)
+
+
 def test_raw_moment_examples():
     assert GenGamma(1.0, 1.0, 2.0).raw_moment(1.0) == pytest.approx(2.0, rel=1e-12)
     assert LogNormal(0.0, 1.0).raw_moment(2.0) == pytest.approx(math.exp(2.0), rel=1e-12)

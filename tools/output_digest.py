@@ -20,8 +20,11 @@ the last lines. It hashes
 * ``estimate`` runs with ``--exact`` on four exponential-claim models (up to
   u = 2300, where the closed form underflows and ``are`` reads nan), one with
   ``--threshold``, one without ``--exact`` and two with ``--horizon 10``,
-  without a tilt and with the linear one (exit code, stdout, stderr and the
-  CSV without its ``runtime_seconds`` column);
+  without a tilt and with the linear one; and two without a tilt at
+  ``--horizon 10`` on Exp claims over Ga(4,2) and Ga(5,2) waits, the first
+  drawn as an Erlang product of uniforms and the second from numpy's
+  ``standard_gamma`` (exit code, stdout, stderr and the CSV without its
+  ``runtime_seconds`` column);
 * every operation of every benchmark workload built at seeds 1 and 11, each
   estimate at ``K_SIM`` replications (every report field but its run time and,
   where a report still carries one, its ``are``) and each analytic check's
@@ -113,6 +116,13 @@ ESTIMATE_RUNS = [
     ("Exp/Exp identity horizon", _EXP, _EXP, {"family": "identity"},
      ["--u", "0,5", "--horizon", "10"]),
     ("Exp/Exp horizon", _EXP, _EXP, _LINEAR, ["--u", "0,5", "--horizon", "10"]),
+    # either side of laws._ERLANG_MAX: Erlang waits, then standard_gamma waits
+    ("Exp/Ga(4,2) identity horizon", _EXP,
+     {"family": "gamma", "params": {"shape": 4.0, "rate": 2.0}}, {"family": "identity"},
+     ["--u", "0,5", "--horizon", "10"]),
+    ("Exp/Ga(5,2) identity horizon", _EXP,
+     {"family": "gamma", "params": {"shape": 5.0, "rate": 2.0}}, {"family": "identity"},
+     ["--u", "0,5", "--horizon", "10"]),
 ]
 # laws whose transforms and mean are printed bit for bit
 BIT_LAWS = [
