@@ -125,8 +125,7 @@ def cmd_estimate(args) -> int:
     if args.exact and args.horizon is not None:
         raise ConfigError("--exact requested but finite-horizon psi has no closed form")
     # a threshold b moves the barrier to u - b: the estimate targets psi(u - b)
-    exacts = [exact_psi(model, cfg.u - (cfg.threshold or 0.0)) if args.exact else None
-              for cfg in cfgs]
+    exacts = [exact_psi(model, cfg.barrier) if args.exact else None for cfg in cfgs]
     rows = []
     for cfg, exact in zip(cfgs, exacts):
         rep = estimate_psi(model, pair, cfg)

@@ -33,14 +33,15 @@ its waits with one ``sample_n`` call and then its claims with another, both
 laid out row by row; where the pair weighs a component by the standard
 exponentials behind its draws (``TiltingPair.weighs_std_exp``), that call
 returns them too. The walk and the stop tests then run along the rows.
-gamma + delta is evaluated on every variate of the block, used or not, and
-one ``reduceat`` over the flat block sums each row's used steps where the row
-lies: its bounds alternate a row's start and that start plus the steps the
-row used, and the segments over the unused rest of each row are discarded.
-The waits' time sum is the same reduction. Each row's sums thus add the same
-elements in the same order as its used steps summed alone, and no step mask
-or compacted copy is built. A lane's draws therefore depend on which lanes of
-the run are still live.
+The pair gives each variate's gamma + delta (``TiltingPair.path_log_weight``),
+used or not, and this module alone decides which of them a row's weight
+sums: one ``reduceat`` over the flat block sums each row's used steps where
+the row lies. Its bounds (``_row_prefix_bounds``) alternate a row's start and
+that start plus the steps the row used, and the segments over the unused rest
+of each row are discarded. The waits' time sum is the same reduction over the
+same bounds. Each row's sums thus add the same elements in the same order as
+its used steps summed alone, and no step mask or compacted copy is built. A
+lane's draws therefore depend on which lanes of the run are still live.
 The first chunk is 8 plus a quarter of the step by which lanes are expected
 to stop, min(u_eff / drift, horizon / E_Q[W]) with inf for a term that does
 not apply (no positive drift, no horizon), up to 16384; each later chunk
@@ -120,6 +121,11 @@ class SimConfig:
         if self.threshold is not None and not 0 <= self.threshold <= self.u:
             raise ValueError("threshold must lie in [0, u]")
 
+    @property
+    def barrier(self) -> float:
+        """u - b, the level the walk targets; u without a threshold."""
+        return self.u - (self.threshold or 0.0)
+
 
 @dataclass(frozen=True)
 class ReplicationOutcome:
@@ -169,16 +175,16 @@ class _RunContext:
 
 
 def _prepare(model: RiskModel, pair: TiltingPair, cfg: SimConfig) -> _RunContext:
-    u_eff = cfg.u - (cfg.threshold or 0.0)
-    drift = pair.tilted_claim_mean() - model.premium * pair.tilted_wait_mean()
+    wait_mean = pair.tilted_wait_mean()
+    drift = pair.tilted_claim_mean() - model.premium * wait_mean
     # the step by which lanes are expected to stop; inf for a term that does not apply
-    steps = u_eff / drift if drift > 0 else math.inf
+    steps = cfg.barrier / drift if drift > 0 else math.inf
     if cfg.horizon is not None:
-        steps = min(steps, cfg.horizon / pair.tilted_wait_mean())
+        steps = min(steps, cfg.horizon / wait_mean)
     first_chunk = _FIRST_MIN + int(min(steps / _FIRST_DIV, 16384 - _FIRST_MIN))
     return _RunContext(
         premium=model.premium,
-        u_eff=u_eff,
+        u_eff=cfg.barrier,
         horizon=cfg.horizon,
         qx=pair.tilted_claim_law(),
         qw=pair.tilted_wait_law(),
@@ -246,11 +252,11 @@ def _walk_block(ctx: _RunContext, gen, out: _Walked, n, m, pos, z, t, log_w):
     One ``sample_n`` call draws the block's waits and one its claims, row by
     row, each with its standard exponentials where the pair weighs those; the
     walk and the stop tests run once along the rows. One ``path_log_weight``
-    call weighs the whole flat block and one ``reduceat`` sums its waits, both
-    over the bounds of ``_row_prefix_bounds``, whose even segments are each
-    row's used steps; the odd ones are dropped. Stopped lanes are written to
-    ``out``; ``z``, ``t`` and ``log_w`` are advanced in place. Returns which
-    rows go on.
+    call weighs every draw of the flat block; one ``reduceat`` sums those
+    values and one the waits, both over the bounds of ``_row_prefix_bounds``,
+    whose even segments are each row's used steps; the odd ones are dropped.
+    Stopped lanes are written to ``out``; ``z``, ``t`` and ``log_w`` are
+    advanced in place. Returns which rows go on.
     """
     ex_on, ew_on = ctx.pair.weighs_std_exp
     w, ew = _draw(ctx.qw, gen, len(pos), m, ew_on)
@@ -278,7 +284,8 @@ def _walk_block(ctx: _RunContext, gen, out: _Walked, n, m, pos, z, t, log_w):
     bounds = _row_prefix_bounds(used, m)
     if ctx.pair.variant != "identity":
         ex, ew = (None if e is None else e.ravel() for e in (ex, ew))
-        log_w -= ctx.pair.path_log_weight(x.ravel(), w.ravel(), bounds, ex, ew)[::2]
+        log_w -= np.add.reduceat(ctx.pair.path_log_weight(x.ravel(), w.ravel(), ex, ew),
+                                 bounds)[::2]
     t += np.add.reduceat(w.ravel(), bounds)[::2]
     z[:] = zc[:, -1]
 

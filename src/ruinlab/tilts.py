@@ -23,9 +23,10 @@ sampleable tilted laws wherever those exist:
 * from-target       gamma = ln(g/f_X), delta = ln(h/f_W) for prescribed
                     target densities g, h
 
-A family defines only gamma, delta and its tilted laws; the path log-weight,
-sum(gamma(X_j)) + sum(delta(W_j)) over each path's own steps, is evaluated
-pointwise for every family by ``TiltingPair.path_log_weight``. The hazard
+A family defines only gamma, delta and its tilted laws. The log-weight of one
+step, gamma(X_j) + delta(W_j), is evaluated draw by draw for every family by
+``TiltingPair.path_log_weight``; which steps a path used, and so which of
+these values its weight sums, is the walk's business (``engine``). The hazard
 twist alone may weigh a draw by the standard exponential E it was made from
 (see ``HazardTwist.path_log_weight``); its ``weighs_std_exp`` names the
 components for which a caller passes E.
@@ -146,21 +147,14 @@ class TiltingPair:
         """E[W exp(delta(W))], the tilted wait law's mean; may be inf."""
         return self.tilted_wait_law().mean()
 
-    def path_log_weight(self, x: np.ndarray, w: np.ndarray, starts: np.ndarray,
-                        ex=None, ew=None):
-        """sum(gamma) + sum(delta) over each path segment of the 1-D ``x``, ``w``.
+    def path_log_weight(self, x: np.ndarray, w: np.ndarray, ex=None, ew=None):
+        """gamma(x_i) + delta(w_i) for each draw i of the equal-shaped ``x``, ``w``.
 
-        Segment i runs from ``starts[i]`` to ``starts[i + 1]`` (the last to the
-        end); the pointwise log-weight is evaluated on every element. A
-        non-empty segment's value depends only on its own elements,
-        bit-identical to weighing it alone. An empty segment (a repeated
-        start) gives the element at its start, not 0, as ``reduceat`` does: a
-        caller may pass empty gap segments only where it discards them. ``ex``
-        and ``ew`` are the standard exponentials behind ``x`` and ``w``, passed
-        for the components ``weighs_std_exp`` names; only the hazard twist
-        reads them.
+        ``ex`` and ``ew`` are the standard exponentials behind ``x`` and ``w``,
+        passed for the components ``weighs_std_exp`` names; only the hazard
+        twist reads them.
         """
-        return np.add.reduceat(self.gamma(x) + self.delta(w), starts)
+        return self.gamma(x) + self.delta(w)
 
     @property
     def moment_method(self) -> str:
@@ -356,8 +350,8 @@ class HazardTwist(TiltingPair):
         h = self.model.wait_law.cumulative_hazard(_pos(w))
         return math.log(self.theta) - (self.theta - 1.0) * h
 
-    def path_log_weight(self, x, w, starts, ex=None, ew=None):
-        """The base class's segmented sum, reading E where it is passed.
+    def path_log_weight(self, x, w, ex=None, ew=None):
+        """Each draw's gamma + delta, as the base class, reading E where it is passed.
 
         Every law with a closed-form twist (Exp, Weibull, Pareto) is sampled
         as Z = T(E), and its twist by a factor f has cumulative hazard f H, so
@@ -368,7 +362,7 @@ class HazardTwist(TiltingPair):
         """
         g = self.gamma(x) if ex is None else _twist_log_weight(self.r, ex)
         d = self.delta(w) if ew is None else _twist_log_weight(self.theta, ew)
-        return np.add.reduceat(g + d, starts)
+        return g + d
 
     def tilted_claim_law(self):
         return self._qx

@@ -266,7 +266,8 @@ def reference_walk(model, pair, cfg):
                 # the block walk's segmented sums, on this row's one segment
                 if pair.variant != "identity":
                     ex, ew = (None if e is None else e[:used] for e in (ex, ew))
-                    log_w -= pair.path_log_weight(x[:used], w[:used], [0], ex, ew)[0]
+                    log_w -= np.add.reduceat(pair.path_log_weight(x[:used], w[:used], ex, ew),
+                                             [0])[0]
                 t += np.add.reduceat(w[:used], [0])[0]
                 if late:
                     outs[lane] = (False, n + used - 1, math.nan, log_w, math.nan)

@@ -118,17 +118,17 @@ def test_path_log_weight_matches_pointwise(model_exp_exp, model_pareto_weibull, 
         TargetTilt(model_exp_exp, Gamma(2.0, 2.0), Exponential(1.3)),
     ]
     for pair in pairs:
-        direct = [float(np.sum(pair.gamma(x[a:b])) + np.sum(pair.delta(w[a:b])))
-                  for a, b in ((0, 10), (10, 11), (11, 64))]
-        got = pair.path_log_weight(x, w, [0, 10, 11])
-        assert got.shape == (3,)
+        direct = [float(pair.gamma(x[i:i + 1])[0] + pair.delta(w[i:i + 1])[0])
+                  for i in range(64)]
+        got = pair.path_log_weight(x, w)
+        assert got.shape == (64,)
         assert got == pytest.approx(direct, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["identity", "esscher", "linear", "hazard", "from_target"])
 def test_block_path_log_weight_equals_row_calls(model_exp_exp, model_pareto_weibull, kind):
-    # the engine weighs a block's rows laid end to end in one segmented call;
-    # each segment must be bit-identical to that segment weighed alone
+    # the engine weighs a block's rows laid end to end in one call; each
+    # draw's value must be bit-identical to its segment weighed alone
     pair = {
         "identity": IdentityTilt(model_exp_exp),
         "esscher": EsscherTilt(model_exp_exp, 0.25),
@@ -146,12 +146,12 @@ def test_block_path_log_weight_equals_row_calls(model_exp_exp, model_pareto_weib
             (x[::2].copy(), w[::2].copy()),  # contiguous
             (x[::2], w[::2]),  # strided view
         ):
-            whole = pair.path_log_weight(xs, ws, starts)
+            whole = pair.path_log_weight(xs, ws)
             alone = [
-                pair.path_log_weight(xs[a : a + n], ws[a : a + n], [0])
+                pair.path_log_weight(xs[a : a + n], ws[a : a + n])
                 for a, n in zip(starts, order)
             ]
-            assert all(one.shape == (1,) for one in alone)
+            assert [one.shape for one in alone] == [(n,) for n in order]
             assert np.array_equal(whole, np.concatenate(alone)), (kind, order[0])
 
 
@@ -190,7 +190,7 @@ def test_log_weight_matches_reduced_forms():
     for pair in pairs:
         x = pair.model.claim_law.sample_n(rng, int(lengths.sum()))
         w = pair.model.wait_law.sample_n(rng, int(lengths.sum()))
-        got = pair.path_log_weight(x, w, starts)
+        got = np.add.reduceat(pair.path_log_weight(x, w), starts)
         for g, a, n in zip(got, starts, lengths):
             terms = _reduced_form(pair, x[a : a + n], w[a : a + n])
             # relative to the terms' scale: a path's terms may cancel to near 0
@@ -220,12 +220,11 @@ def test_hazard_weights_from_std_exp_match_pointwise(name, col):
         else:
             draws.append((law.sample_n(rng, 100_000 + edge.size), None))
     (x, ex), (w, ew) = draws
-    steps = np.arange(x.size)  # one step per segment
-    got = pair.path_log_weight(x, w, steps, ex, ew)
+    got = pair.path_log_weight(x, w, ex, ew)
     g, d = pair.gamma(x), pair.delta(w)
     assert np.all(np.abs(got - (g + d)) <= 2e-15 * scale)
     # without E the pair weighs the draws, as every other family does
-    assert np.array_equal(pair.path_log_weight(x, w, steps), g + d)
+    assert np.array_equal(pair.path_log_weight(x, w), g + d)
 
 
 # -- tilted laws ---------------------------------------------------------------
