@@ -341,8 +341,10 @@ def run_replication(
     part of ``estimate_psi``; past K it is that replication of the same run
     with K doubled until it covers ``index``. No admissibility gate applies.
     The last run walked is kept, so replaying indices in order walks each run
-    once.
+    once. ``index`` must be a non-negative integer, else ValueError.
     """
+    if isinstance(index, bool) or not isinstance(index, numbers.Integral) or index < 0:
+        raise ValueError(f"index must be a non-negative integer, not {index!r}")
     k = cfg.k
     while k <= index:
         k *= 2

@@ -793,6 +793,14 @@ _FAMILIES = {
 }
 
 
+def config_float(value, name: str) -> float:
+    """``float(value)`` for the config field ``name``; a JSON true or false is
+    not a number there, and raises ConfigError."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, not {value!r}")
+    return float(value)
+
+
 def law_from_config(obj: dict) -> PositiveLaw:
     """Build a law from {"family": ..., "params": {...}}; raises ConfigError."""
     if not isinstance(obj, dict) or "family" not in obj:
@@ -807,7 +815,7 @@ def law_from_config(obj: dict) -> PositiveLaw:
     if set(params) != set(names):
         raise ConfigError(f"{family} expects params {set(names)}, got {set(params)}")
     try:
-        return cls(**{k: float(params[k]) for k in names})
+        return cls(**{k: config_float(params[k], f"{family} parameter {k!r}") for k in names})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {family} parameters: {exc}") from exc
 

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .laws import PositiveLaw, law_from_config
+from .laws import PositiveLaw, config_float, law_from_config
 
 __all__ = ["RiskModel", "model_from_config"]
 
@@ -76,7 +76,8 @@ def model_from_config(obj: dict) -> RiskModel:
         raise ConfigError("model config needs exactly one of 'premium' or 'safety_loading'")
     try:
         if has_c:
-            return RiskModel(claim, wait, float(obj["premium"]))
-        return RiskModel.from_safety_loading(claim, wait, float(obj["safety_loading"]))
+            return RiskModel(claim, wait, config_float(obj["premium"], "'premium'"))
+        eta = config_float(obj["safety_loading"], "'safety_loading'")
+        return RiskModel.from_safety_loading(claim, wait, eta)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

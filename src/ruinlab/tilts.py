@@ -61,6 +61,7 @@ from .laws import (
     Pareto,
     PositiveLaw,
     Weibull,
+    config_float,
     expectation,
     law_from_config,
 )
@@ -475,27 +476,31 @@ def tilt_from_config(obj: dict, model: RiskModel) -> TiltingPair:
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{family} tilt params must be a dict, got {params!r}")
+
+    def num(key):
+        return config_float(params[key], f"{family} tilt parameter {key!r}")
+
     try:
         if family == "identity":
             return IdentityTilt(model)
         if family == "esscher":
-            return EsscherTilt(model, float(params["r"]))
+            return EsscherTilt(model, num("r"))
         if family == "linear":
             if ("xi" in params) == ("xi_factor" in params):
                 raise ConfigError("linear tilt needs exactly one of 'xi' or 'xi_factor'")
             if "xi" in params:
-                xi = float(params["xi"])
+                xi = num("xi")
             else:
-                xi = float(params["xi_factor"]) * xi_hat(model)
+                xi = num("xi_factor") * xi_hat(model)
             return LinearTilt(model, xi)
         if family == "hazard":
-            theta = float(params.get("theta", 1.0))
+            theta = num("theta") if "theta" in params else 1.0
             if ("r" in params) == ("r_factor" in params):
                 raise ConfigError("hazard tilt needs exactly one of 'r' or 'r_factor'")
             if "r" in params:
-                r = float(params["r"])
+                r = num("r")
             else:
-                r = float(params["r_factor"]) * hazard_r_max(model, theta)
+                r = num("r_factor") * hazard_r_max(model, theta)
             return HazardTwist(model, r, theta)
         if family == "from_target":
             return TargetTilt(

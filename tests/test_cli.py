@@ -14,8 +14,10 @@ import ruinlab
 from ruinlab import cli, engine
 from ruinlab.cli import main
 from ruinlab.errors import ConfigError
-from ruinlab.laws import Weibull
+from ruinlab.laws import Weibull, law_from_config
+from ruinlab.model import model_from_config
 from ruinlab.tables import _cl_model, table_spec
+from ruinlab.tilts import tilt_from_config
 
 MODEL_EE = {
     "claim": {"family": "exp", "params": {"rate": 1.0}},
@@ -289,6 +291,23 @@ def test_unwritable_out_exits_2(configs, tmp_path, capsys, monkeypatch, command)
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["estimate", "table", "check"])
+def test_out_naming_a_directory_exits_2(configs, tmp_path, capsys, command):
+    # the directory holding --out is writable, so the run goes ahead; the one
+    # write then cannot open a directory as a file and writes nothing
+    out = tmp_path / "dir"
+    out.mkdir()
+    argv = {
+        "estimate": ["estimate", "--model", configs["model"], "--tilt", configs["tilt"],
+                     "--u", "1", "--K", "10", "--seed", "1"],
+        "table": ["table", "table1", "--K", "10", "--seed", "1"],
+        "check": ["check", "--model", configs["model"]],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"configuration error: cannot write {out}" in capsys.readouterr().err
+    assert out.is_dir() and not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command", ["estimate", "table"])
 def test_unwritable_out_directory_exits_2(configs, tmp_path, capsys, monkeypatch, command):
     # an existing directory without write access is found with the settings;
@@ -346,8 +365,13 @@ _EXP = {"family": "exp", "params": {"rate": 1.0}}
         ({"claim": _EXP, "wait": _EXP, "premium": [2]}, None),
         (MODEL_EE, {"family": "linear", "params": None}),
         (MODEL_EE, {"family": "esscher", "params": {"r": [0.1]}}),
+        # JSON true is not the number 1
+        ({**MODEL_EE, "claim": {"family": "exp", "params": {"rate": True}}}, None),
+        ({**MODEL_EE, "safety_loading": True}, None),
+        (MODEL_EE, {"family": "linear", "params": {"xi_factor": True}}),
     ],
-    ids=["law-params-null", "law-param-list", "premium-list", "tilt-params-null", "r-list"],
+    ids=["law-params-null", "law-param-list", "premium-list", "tilt-params-null", "r-list",
+         "law-param-bool", "safety-loading-bool", "xi-factor-bool"],
 )
 def test_malformed_config_values_exit_2(tmp_path, model, tilt):
     model_path = tmp_path / "model.json"
@@ -358,6 +382,23 @@ def test_malformed_config_values_exit_2(tmp_path, model, tilt):
         tilt_path.write_text(json.dumps(tilt))
         argv += ["--tilt", str(tilt_path)]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "parse, config, field",
+    [
+        (law_from_config, {"family": "exp", "params": {"rate": True}}, "exp parameter 'rate'"),
+        (model_from_config, {**MODEL_EE, "safety_loading": True}, "'safety_loading'"),
+        (model_from_config, {"claim": _EXP, "wait": _EXP, "premium": False}, "'premium'"),
+        (lambda obj: tilt_from_config(obj, model_from_config(MODEL_EE)),
+         {"family": "hazard", "params": {"theta": True, "r_factor": 0.95}},
+         "hazard tilt parameter 'theta'"),
+    ],
+    ids=["law-param", "safety-loading", "premium", "tilt-param"],
+)
+def test_bool_config_value_names_its_field(parse, config, field):
+    with pytest.raises(ConfigError, match=f"^{re.escape(field)} must be a number, not "):
+        parse(config)
 
 
 @pytest.mark.parametrize(

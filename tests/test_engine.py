@@ -215,6 +215,21 @@ def test_identity_replication_has_unit_weight(model_exp_exp):
     assert out.log_weight == 0.0
 
 
+@pytest.mark.parametrize("index", [-1, 2.5, True, np.float64(3.0), "3"],
+                         ids=["negative", "float", "bool", "numpy-float", "str"])
+def test_replication_index_must_be_a_non_negative_integer(model_exp_exp, linear_pair, index):
+    with pytest.raises(ValueError, match="^index must be a non-negative integer"):
+        run_replication(model_exp_exp, linear_pair, SimConfig(5.0, 16, 3), index)
+
+
+def test_replication_index_accepts_numpy_integers(model_exp_exp, linear_pair):
+    cfg = SimConfig(5.0, 16, 3)
+    for index in (9, 20):  # within K and past it
+        got = run_replication(model_exp_exp, linear_pair, cfg, np.int64(index))
+        want = run_replication(model_exp_exp, linear_pair, cfg, index)
+        assert _same(dataclasses.astuple(got), dataclasses.astuple(want))
+
+
 def test_step_cap_exceeded(model_exp_exp, monkeypatch):
     # identity tilt cannot reach a high barrier: the cap must trip, not hang,
     # and it names the lowest live replication of the run, here its first

@@ -342,6 +342,9 @@ def test_raw_moment_examples():
     # Pareto mean b/(a-1) and second moment 2 b^2 / ((a-1)(a-2))
     assert Pareto(2.5, 3.0).raw_moment(1.0) == pytest.approx(2.0, rel=1e-12)
     assert Pareto(2.5, 3.0).raw_moment(2.0) == pytest.approx(2 * 9 / (1.5 * 0.5), rel=1e-12)
+    # InvWei(a, s) has moments of order below a only
+    assert InvWeibull(3.0, 1.48).raw_moment(3.0) == math.inf
+    assert InvWeibull(3.0, 1.48).raw_moment(4.5) == math.inf
 
 
 def test_gengamma_embeds_special_cases():
@@ -406,6 +409,9 @@ def test_hazard_unsupported():
 def test_transform_examples():
     assert Exponential(1.0).mgf(0.5) == pytest.approx(2.0, rel=1e-14)
     assert Pareto(1.5, 3.0).mgf(0.1) == math.inf
+    # the exponential and gamma mgfs diverge at the rate and past it
+    for law in (Exponential(1.0), Gamma(2.0, 1.0)):
+        assert law.mgf(1.0) == math.inf and law.mgf(1.5) == math.inf
     assert Gamma(2.0, 1.0).laplace(1.0) == pytest.approx(0.25, rel=1e-14)
 
 

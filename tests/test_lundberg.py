@@ -292,6 +292,24 @@ def test_exp_exp_roots_match_closed_forms(eta):
     )
 
 
+def test_exp_weighted_mean_is_inf_past_the_mgf_radius():
+    for law in (Exponential(1.0), Gamma(2.0, 1.0)):
+        assert exp_weighted_mean(law, 1.0) == math.inf
+        assert exp_weighted_mean(law, 1.5) == math.inf
+    # a Pareto law's mgf has radius 0: any t > 0 is past it
+    assert exp_weighted_mean(Pareto(2.5, 3.0), 1e-9) == math.inf
+
+
+def test_root_solves_raise_no_bracket(monkeypatch, model_exp_exp):
+    with pytest.raises(NoBracket, match="already positive"):
+        lundberg._climb_to_root(lambda r: 1.0, 0.0, 1.0)
+    # a theta' that jumps from -1 to 1 at r = 0.3 has no zero: the bracketed
+    # point leaves a residual of 1
+    monkeypatch.setattr(lundberg, "theta_prime", lambda model, r: -1.0 if r < 0.3 else 1.0)
+    with pytest.raises(NoBracket, match="did not converge"):
+        memm_point(model_exp_exp)
+
+
 @pytest.mark.parametrize("y", [0.01, 1.0, 40.0])
 def test_weibull_tilted_wait_mean_matches_x_space(y):
     # E[W exp(-yW)] for the table4 waits against x-space quadrature of the

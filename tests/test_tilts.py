@@ -435,6 +435,13 @@ def test_nonfinite_tilted_moment_raises(model_pareto_weibull):
     model = RiskModel.from_safety_loading(Exponential(1.0), Pareto(1.5, 3.0), 0.5)
     with pytest.raises(NonFiniteMoment):
         hazard_r_max(model, 0.5)
+    # Pa(1.5, 3) claims have no second moment, so the linear tilt's claim
+    # mixture has no mean
+    model = RiskModel.from_safety_loading(Pareto(1.5, 3.0), Exponential(1.0), 0.5)
+    pair = LinearTilt(model, -0.1)
+    assert pair.tilted_claim_mean() == math.inf
+    with pytest.raises(NonFiniteMoment):
+        check_admissible(pair)
 
 
 def test_monotone_pairs_inside_the_boundary_are_admissible(model_exp_exp):
