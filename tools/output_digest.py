@@ -23,8 +23,11 @@ the last lines. It hashes
   without a tilt and with the linear one; and two without a tilt at
   ``--horizon 10`` on Exp claims over Ga(4,2) and Ga(5,2) waits, the first
   drawn as an Erlang product of uniforms and the second from numpy's
-  ``standard_gamma`` (exit code, stdout, stderr and the CSV without its
-  ``runtime_seconds`` column);
+  ``standard_gamma``; table4's Pa(2,3)/Wei(0.375,0.5) model with its hazard
+  pair at ``--horizon 50``, whose weights read the standard exponentials on
+  lanes that stop late; and Exp/Exp with the linear tilt at ``--threshold 2
+  --horizon 10``, the barrier u - b together with a horizon (exit code,
+  stdout, stderr and the CSV without its ``runtime_seconds`` column);
 * every operation of every benchmark workload built at seeds 1 and 11, each
   estimate at ``K_SIM`` replications (every report field but its run time and,
   where a report still carries one, its ``are``) and each analytic check's
@@ -123,6 +126,14 @@ ESTIMATE_RUNS = [
     ("Exp/Ga(5,2) identity horizon", _EXP,
      {"family": "gamma", "params": {"shape": 5.0, "rate": 2.0}}, {"family": "identity"},
      ["--u", "0,5", "--horizon", "10"]),
+    # table4's middle column and pair: E-weights on lanes that stop late
+    ("Pa(2,3)/Wei(0.375,0.5) hazard horizon",
+     {"family": "pareto", "params": {"shape": 2.0, "scale": 3.0}},
+     CHECK_MODELS["Exp/Wei(0.375,0.5)"][1],
+     {"family": "hazard", "params": {"theta": 1.2, "r_factor": 0.95}},
+     ["--u", "0,20", "--horizon", "50"]),
+    ("Exp/Exp threshold horizon", _EXP, _EXP, _LINEAR,
+     ["--u", "5", "--threshold", "2", "--horizon", "10"]),
 ]
 # laws whose transforms and mean are printed bit for bit
 BIT_LAWS = [
