@@ -12,8 +12,8 @@ others. There is no quantile function: nothing in the package inverts ``sf``.
 Sampling contract: each family uses a fixed, documented algorithm driven by a
 ``numpy.random.Generator``. Exponential, Weibull, inverse Weibull and Pareto
 draw Z = T(E), where E = -log1p(-U) is a standard exponential made from
-``Generator.random`` and T is the family's ``_from_std_exp(e)``. Their
-``sample_n(rng, n, return_std_exp=True)`` returns E beside Z, so a
+``Generator.random`` and T is the family's ``_from_std_exp(e)``. They share
+one ``sample_n``, whose ``return_std_exp=True`` returns E beside Z, so a
 hazard-twist weight needs no transcendental call per draw; Z is the same
 array either way. Log-normal is exp(mu + sigma N) on
 ``Generator.standard_normal``. Gamma-type laws transform a standard gamma draw
@@ -24,13 +24,15 @@ rejection sampler; inverse gamma is the reciprocal of its draw. Streams are
 therefore reproducible for a fixed numpy version given the same generator
 state and call sequence.
 
-Gamma type: the gamma, inverse gamma and generalized gamma laws are members
-(alpha, b, p) of Stacy's family Z = b G^(1/alpha), G ~ Ga(p, 1): (1, 1/rate,
-shape), (-1, scale, shape) and (alpha, scale, shape). They share one
-log-density, ``sf``, moment formula and mgf radius, stated once in
-``_GammaType``; from shape ``_STIRLING_MIN`` on the log-density is written
-about G = p, where nothing cancels. The gamma law keeps its moments and mgf
-written in its rate.
+Gamma type: five laws are members (alpha, b, p) of Stacy's family
+Z = b G^(1/alpha), G ~ Ga(p, 1): gamma (1, 1/rate, shape), inverse gamma
+(-1, scale, shape), generalized gamma (alpha, scale, shape), Weibull (shape,
+scale, 1) and inverse Weibull (-shape, scale, 1). ``_GammaType`` states their
+log-density, ``sf``, moment formula and mgf radius once; from shape
+``_STIRLING_MIN`` on the log-density is written about G = p, where nothing
+cancels. The gamma law keeps its moments and mgf written in its rate. Weibull
+and inverse Weibull keep their closed-form log-density and tail, which need
+no incomplete gamma function, and their T(E) sampler.
 
 Quadrature: ``expectation`` integrates a family with a ``_from_std_exp`` over
 its standard exponential E, through the same T as the sampler, and every
@@ -222,8 +224,11 @@ def _std_gamma(rng: np.random.Generator, shape: float, n: int) -> np.ndarray:
     return np.negative(g, out=g)
 
 
-def _sample_t_of_e(law: PositiveLaw, rng, n: int, return_std_exp: bool):
-    """Z = T(E) for ``n`` standard exponentials E; (Z, E) if ``return_std_exp``."""
+def _sample_t_of_e(law: PositiveLaw, rng, n: int, return_std_exp: bool = False):
+    """Z = T(E) for ``n`` standard exponentials E; (Z, E) if ``return_std_exp``.
+
+    The ``sample_n`` of every family sampled that way.
+    """
     e = _std_exp(rng, n)
     z = law._from_std_exp(e)  # a new array: E stays as drawn
     return (z, e) if return_std_exp else z
@@ -261,8 +266,7 @@ class Exponential(PositiveLaw):
     def _from_std_exp(self, e):
         return e / self.rate
 
-    def sample_n(self, rng, n, return_std_exp=False):
-        return _sample_t_of_e(self, rng, n, return_std_exp)
+    sample_n = _sample_t_of_e
 
     def label(self) -> str:
         return f"Exp({self.rate:g})"
@@ -272,11 +276,15 @@ class _GammaType(PositiveLaw):
     """Stacy's generalized gamma law Z = b G^(1/alpha), G ~ Ga(p, 1).
 
     Its density is |alpha| x^(alpha p - 1) exp(-(x/b)^alpha) / (b^(alpha p) G(p)).
-    The gamma law is the member (1, 1/rate, shape) and the inverse gamma the
-    member (-1, scale, shape). Each family keeps its own fields, sampler and
-    label, and names its triple (alpha, b, p) to ``_set_triple`` when it is
-    built; the log-density, ``sf``, moments, mgf radius and quadrature
-    knots are stated here once.
+    The members are gamma (1, 1/rate, shape), inverse gamma (-1, scale,
+    shape), generalized gamma (alpha, scale, shape), Weibull (shape, scale, 1)
+    and inverse Weibull (-shape, scale, 1). Each family keeps its own fields,
+    sampler and label, and names its triple (alpha, b, p) to ``_set_triple``
+    when it is built; the log-density, ``sf``, moments, mgf radius and
+    quadrature knots are stated here once. Gamma keeps its moments, mgf and
+    mgf radius written in its rate; Weibull and inverse Weibull keep their
+    log-density and ``sf``, and are integrated over their standard
+    exponential, so the knots are not theirs.
     """
 
     def _set_triple(self, alpha: float, b: float, p: float) -> None:
@@ -293,6 +301,11 @@ class _GammaType(PositiveLaw):
             )
         for name, v in (("_alpha", alpha), ("_b", b), ("_p", p), ("_log_norm", log_norm)):
             object.__setattr__(self, name, v)
+
+    @property
+    def stacy_triple(self) -> tuple[float, float, float]:
+        """(alpha, b, p), the law as Z = b G^(1/alpha), G ~ Ga(p, 1)."""
+        return self._alpha, self._b, self._p
 
     def _logpdf(self, x):
         a, p = self._alpha, self._p
@@ -394,40 +407,31 @@ class Gamma(_GammaType):
 
 
 @dataclass(frozen=True)
-class Weibull(PositiveLaw):
-    """Weibull law (shape, scale); sampled by inverse CDF."""
+class Weibull(_GammaType):
+    """Weibull law (shape, scale), the member (shape, scale, 1); sampled by inverse CDF."""
 
     shape: float
     scale: float
 
     def __post_init__(self):
         _require_positive(shape=self.shape, scale=self.scale)
-        object.__setattr__(self, "_log_norm", math.log(self.shape / self.scale))
+        self._set_triple(self.shape, self.scale, 1.0)
+        object.__setattr__(self, "_log_shape_scale", math.log(self.shape / self.scale))
 
     def _logpdf(self, x):
         t = x / self.scale
-        return self._log_norm + (self.shape - 1.0) * np.log(t) - t**self.shape
-
-    def _raw_moment(self, k: float) -> float:
-        if k <= -self.shape:
-            return math.inf
-        return self.scale**k * math.exp(_lgam(1.0 + k / self.shape))
+        return self._log_shape_scale + (self.shape - 1.0) * np.log(t) - t**self.shape
 
     def cumulative_hazard(self, x):
         return (np.asarray(x, dtype=float) / self.scale) ** self.shape
 
-    def mgf_radius(self) -> float:
-        if self.shape > 1.0:
-            return math.inf
-        if self.shape == 1.0:
-            return 1.0 / self.scale
-        return 0.0
+    # exp(-H): the family's incomplete-gamma tail would import scipy.special
+    sf = PositiveLaw.sf
 
     def _from_std_exp(self, e):
         return self.scale * e ** (1.0 / self.shape)
 
-    def sample_n(self, rng, n, return_std_exp=False):
-        return _sample_t_of_e(self, rng, n, return_std_exp)
+    sample_n = _sample_t_of_e
 
     def label(self) -> str:
         return f"Wei({self.shape:g},{self.scale:g})"
@@ -452,38 +456,31 @@ class InvGamma(_GammaType):
 
 
 @dataclass(frozen=True)
-class InvWeibull(PositiveLaw):
-    """Inverse Weibull (Frechet) law; sampled as the reciprocal of a Weibull draw."""
+class InvWeibull(_GammaType):
+    """Inverse Weibull (Frechet) law, the member (-shape, scale, 1); sampled as
+    the reciprocal of a Weibull draw."""
 
     shape: float
     scale: float
 
     def __post_init__(self):
         _require_positive(shape=self.shape, scale=self.scale)
-        object.__setattr__(self, "_log_norm", math.log(self.shape / self.scale))
+        self._set_triple(-self.shape, self.scale, 1.0)
+        object.__setattr__(self, "_log_shape_scale", math.log(self.shape / self.scale))
 
     def _logpdf(self, x):
         t = self.scale / x
-        return self._log_norm + (self.shape + 1.0) * np.log(t) - t**self.shape
+        return self._log_shape_scale + (self.shape + 1.0) * np.log(t) - t**self.shape
 
     def sf(self, x):
         t = self.scale / np.asarray(x, dtype=float)
         return -np.expm1(-(t**self.shape))
 
-    def _raw_moment(self, k: float) -> float:
-        if k >= self.shape:
-            return math.inf
-        return self.scale**k * math.exp(_lgam(1.0 - k / self.shape))
-
-    def mgf_radius(self) -> float:
-        return 0.0
-
     def _from_std_exp(self, e):
         # reciprocal of Weibull(shape, 1/scale): scale * E^(-1/shape)
         return self.scale * e ** (-1.0 / self.shape)
 
-    def sample_n(self, rng, n, return_std_exp=False):
-        return _sample_t_of_e(self, rng, n, return_std_exp)
+    sample_n = _sample_t_of_e
 
     def label(self) -> str:
         return f"InvWei({self.shape:g},{self.scale:g})"
@@ -584,8 +581,7 @@ class Pareto(PositiveLaw):
     def _from_std_exp(self, e):
         return self.scale * np.expm1(e / self.shape)
 
-    def sample_n(self, rng, n, return_std_exp=False):
-        return _sample_t_of_e(self, rng, n, return_std_exp)
+    sample_n = _sample_t_of_e
 
     def label(self) -> str:
         return f"Pa({self.shape:g},{self.scale:g})"

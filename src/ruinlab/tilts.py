@@ -55,12 +55,12 @@ from .laws import (
     Gamma,
     GenGamma,
     InvGamma,
-    InvWeibull,
     LogNormal,
     Mixture,
     Pareto,
     PositiveLaw,
     Weibull,
+    _GammaType,
     config_float,
     expectation,
     law_from_config,
@@ -240,19 +240,19 @@ class EsscherTilt(TiltingPair):
 
 
 def size_biased(law: PositiveLaw) -> PositiveLaw:
-    """The law with density x*f(x)/E[X]; family-preserving shape shift."""
+    """The law with density x*f(x)/E[X], a shape shift: within the family for
+    exponential (into gamma), gamma, inverse gamma and log-normal laws, and
+    GGa(alpha, b, p + 1/alpha) for any other of Stacy's laws (alpha, b, p):
+    Weibull, inverse Weibull and generalized gamma."""
     if isinstance(law, Exponential):
         return Gamma(2.0, law.rate)
     if isinstance(law, Gamma):
         return Gamma(law.shape + 1.0, law.rate)
-    if isinstance(law, Weibull):
-        return GenGamma(law.shape, law.scale, 1.0 + 1.0 / law.shape)
     if isinstance(law, InvGamma):
         return InvGamma(law.shape - 1.0, law.scale)
-    if isinstance(law, InvWeibull):
-        return GenGamma(-law.shape, law.scale, 1.0 - 1.0 / law.shape)
-    if isinstance(law, GenGamma):
-        return GenGamma(law.alpha, law.scale, law.shape + 1.0 / law.alpha)
+    if isinstance(law, _GammaType):
+        alpha, b, p = law.stacy_triple
+        return GenGamma(alpha, b, p + 1.0 / alpha)
     if isinstance(law, LogNormal):
         return LogNormal(law.mu + law.sigma**2, law.sigma)
     raise UnsupportedCombination(f"no named size-biased family for {law.label()}")
