@@ -341,10 +341,12 @@ def run_replication(
     part of ``estimate_psi``; past K it is that replication of the same run
     with K doubled until it covers ``index``. No admissibility gate applies.
     The last run walked is kept, so replaying indices in order walks each run
-    once. ``index`` must be a non-negative integer, else ValueError.
+    once. ``index`` must be a non-negative integer and ``model`` the pair's
+    model, else ValueError.
     """
     if isinstance(index, bool) or not isinstance(index, numbers.Integral) or index < 0:
         raise ValueError(f"index must be a non-negative integer, not {index!r}")
+    _require_pair_model(model, pair)
     k = cfg.k
     while k <= index:
         k *= 2
@@ -356,6 +358,18 @@ def run_replication(
         float(walked.log_weight[index]),
         float(walked.overshoot[index]),
     )
+
+
+def _require_pair_model(model: RiskModel, pair: TiltingPair) -> None:
+    """Raise ValueError unless ``model`` is (or equals) the model ``pair`` is built on.
+
+    The walk takes the premium from ``model`` and the tilted laws and their
+    admissibility from ``pair.model``; two models would estimate neither's psi.
+    """
+    if not (model is pair.model or model == pair.model):
+        raise ValueError(
+            f"the tilting pair is built on {pair.model.label()}, not on {model.label()}"
+        )
 
 
 @functools.lru_cache(maxsize=1)
@@ -374,10 +388,12 @@ def estimate_psi(
     With ``cfg.horizon`` unset the pair must be ruin-inducing with a positive
     tilted drift, else NotRuinInducing (or NonFiniteMoment) is raised before
     any draw. A threshold b targets u - b; with b = 0 the run is bit-identical
-    to one without a threshold. ``workers`` is accepted for compatibility and
+    to one without a threshold. ``model`` must be the pair's model, else
+    ValueError before any draw. ``workers`` is accepted for compatibility and
     ignored.
     """
     start = time.perf_counter()
+    _require_pair_model(model, pair)
     if cfg.horizon is None:
         require_ruin_inducing(pair)
     ctx = _prepare(model, pair, cfg)

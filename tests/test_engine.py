@@ -222,6 +222,24 @@ def test_replication_index_must_be_a_non_negative_integer(model_exp_exp, linear_
         run_replication(model_exp_exp, linear_pair, SimConfig(5.0, 16, 3), index)
 
 
+@pytest.mark.parametrize("entry", ["estimate_psi", "run_replication"])
+def test_a_run_takes_the_pairs_model(model_exp_exp, linear_pair, monkeypatch, entry):
+    # the walk's premium and the pair's tilted laws must come from one model:
+    # at safety loading 0.2 this pair read 0.3413 at K = 20000, neither model's psi
+    cfg = SimConfig(5.0, 20, 1)
+    run = {"estimate_psi": lambda m: estimate_psi(m, linear_pair, cfg),
+           "run_replication": lambda m: run_replication(m, linear_pair, cfg, 0)}[entry]
+    equal = RiskModel.from_safety_loading(Exponential(1.0), Exponential(1.0), 0.5)
+    assert equal is not model_exp_exp
+    run(equal)
+    walked = []
+    monkeypatch.setattr(engine, "_walk", lambda *a: walked.append(a))
+    other = RiskModel.from_safety_loading(Exponential(1.0), Exponential(1.0), 0.2)
+    with pytest.raises(ValueError, match="^the tilting pair is built on .* c=1.5, not on .* c=1.2$"):
+        run(other)
+    assert walked == []
+
+
 def test_replication_index_accepts_numpy_integers(model_exp_exp, linear_pair):
     cfg = SimConfig(5.0, 16, 3)
     for index in (9, 20):  # within K and past it
