@@ -267,8 +267,8 @@ class LinearTilt(TiltingPair):
         super().__init__(model)
         if not isinstance(model.wait_law, Exponential):
             raise UnsupportedCombination("the linear tilt requires exponential interarrivals")
-        if not xi < 0:
-            raise ValueError(f"xi must be negative, got {xi:g}")
+        if not -math.inf < xi < 0:
+            raise ValueError(f"xi must be negative and finite, got {xi:g}")
         self.xi = float(xi)
         self._m1 = model.claim_mean
         self._m2 = model.claim_law.raw_moment(2.0)

@@ -292,9 +292,12 @@ def test_unwritable_out_exits_2(configs, tmp_path, capsys, monkeypatch, command)
 
 
 @pytest.mark.parametrize("command", ["estimate", "table", "check"])
-def test_out_naming_a_directory_exits_2(configs, tmp_path, capsys, command):
-    # the directory holding --out is writable, so the run goes ahead; the one
-    # write then cannot open a directory as a file and writes nothing
+def test_out_naming_a_directory_exits_2(configs, tmp_path, capsys, monkeypatch, command):
+    # a directory cannot be opened as the output file: it is found with the
+    # settings, so no replication runs and nothing is written
+    calls = []
+    real = cli.estimate_psi
+    monkeypatch.setattr(cli, "estimate_psi", lambda *a, **kw: calls.append(1) or real(*a, **kw))
     out = tmp_path / "dir"
     out.mkdir()
     argv = {
@@ -306,6 +309,7 @@ def test_out_naming_a_directory_exits_2(configs, tmp_path, capsys, command):
     assert main(argv + ["--out", str(out)]) == 2
     assert f"configuration error: cannot write {out}" in capsys.readouterr().err
     assert out.is_dir() and not any(out.iterdir())
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", ["estimate", "table"])
@@ -449,8 +453,9 @@ _LN = _law("lognormal", mu=0.0, sigma=0.5)
 # every exit path: tilted laws with no sampler (Esscher on Weibull claims or
 # waits, the linear tilt's size-biased Pareto), missing mgfs, non-exponential
 # waits for the linear tilt, gamma waits for the hazard twist, pairs that are
-# not ruin-inducing, heavy-tailed waits with an infinite twisted mean, and
-# loadings where the Lundberg and r_m solves find no usable root
+# not ruin-inducing, heavy-tailed waits with an infinite twisted mean,
+# loadings where the Lundberg and r_m solves find no usable root, and a linear
+# tilt at xi = -inf, whose tilted waits would have mean 0
 MATRIX_MODELS = {
     "exp_exp": (_EXP, _EXP, 0.5),
     "exp_wei": (_EXP, _law("weibull", shape=0.375, scale=0.5), 0.5),
@@ -474,6 +479,7 @@ MATRIX_TILTS = {
     "hazard": {"family": "hazard", "params": {"theta": 1.2, "r_factor": 0.95}},
     "from_target": TILT_TARGET,
     "hazard_waits": {"family": "hazard", "params": {"theta": 0.5, "r": 0.5}},
+    "linear_xi_-inf": {"family": "linear", "params": {"xi": -math.inf}},
 }
 
 
