@@ -9,9 +9,9 @@ per replication). ``check`` prints a quantity the library cannot compute as
 ``unavailable (<reason>)`` and still exits 0.
 
 Every setting is checked and every row computed before the one CSV write, so a
-command that exits non-zero leaves no ``--out`` file; an ``--out`` whose
-directory does not exist or is not writable fails with the settings, before
-any replication. ``estimate --exact`` takes psi(u - b) for every reserve from
+command that exits non-zero leaves no ``--out`` file; an ``--out`` that names
+a directory, or whose directory does not exist or is not writable, fails with
+the settings, before any replication. ``estimate --exact`` takes psi(u - b) for every reserve from
 ``lundberg.exact_psi`` before the first replication too, so a model with no
 closed form exits 2; an ``are`` cell is |exact - estimate| / exact, and nan
 where the closed form underflows to 0.
@@ -243,8 +243,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # an --out directory that is missing or unwritable fails before anything
-        # runs (_write_csv opens the file)
+        # an --out that is a directory, or whose directory is missing or
+        # unwritable, fails before anything runs (_write_csv opens the file)
+        if args.out not in (None, "-") and os.path.isdir(args.out):
+            raise ConfigError(f"cannot write {args.out}: it is a directory")
         directory = os.path.dirname(args.out or "-") or "."
         if not os.path.isdir(directory):
             raise ConfigError(f"cannot write {args.out}: no directory {directory}")
