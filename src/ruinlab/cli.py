@@ -11,10 +11,10 @@ per replication). ``check`` prints a quantity the library cannot compute as
 Every setting is checked and every row computed before the one CSV write, so a
 command that exits non-zero leaves no ``--out`` file; an ``--out`` that names
 a directory, or whose directory does not exist or is not writable, fails with
-the settings, before any replication. ``estimate --exact`` takes psi(u - b) for every reserve from
-``lundberg.exact_psi`` before the first replication too, so a model with no
-closed form exits 2; an ``are`` cell is |exact - estimate| / exact, and nan
-where the closed form underflows to 0.
+the settings, before any replication. ``estimate --exact`` takes psi(u - b)
+for every reserve from ``lundberg.exact_psi`` before the first replication
+too, so a model with no closed form exits 2; an ``are`` cell is
+|exact - estimate| / exact, and nan where the closed form underflows to 0.
 
 Admissibility has one rule, applied by ``estimate_psi``: without a horizon the
 pair must be ruin-inducing with a positive tilted drift (exit 3); with

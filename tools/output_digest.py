@@ -38,7 +38,12 @@ the last lines. It hashes
 * the bits of ``laplace(0.5)``, ``laplace(2)`` and the quadrature mean
   ``expectation(law, np.log)`` of five laws integrated over x, where a change
   to the x-space knots or the rule moves a last bit that ``check``'s 11
-  printed digits hide.
+  printed digits hide;
+* the bits of ``raw_moment(k)`` for k in ``STACY_ORDERS``, ``mgf_radius()``
+  and the size-biased law's label and mean (or the error it raises) for
+  twelve laws of Stacy's gamma type: Weibull with shape below, at and above
+  1, inverse Weibull with and without a size bias, gamma, inverse gamma and
+  generalized gamma.
 
 Each part's digest is printed on its own line (a ``bits`` part prints its
 ``float.hex`` values instead), then the digest of them all.
@@ -143,6 +148,23 @@ BIT_LAWS = [
     {"family": "gengamma", "params": {"alpha": -3.0, "scale": 1.48, "shape": 2.0 / 3.0}},
     UNTILTED_CHECK_MODELS["GGa(1.5,1,2)/LN(0,0.5)"][1],
 ]
+# gamma-type laws whose moments, mgf radius and size bias are printed bit for bit
+STACY_LAWS = [
+    CHECK_MODELS["Exp/Wei(0.375,0.5)"][1],
+    CHECK_MODELS["Wei(2,1)/Exp"][0],
+    {"family": "weibull", "params": {"shape": 1.0, "scale": 2.0}},
+    UNTILTED_CHECK_MODELS["InvWei(3,1.48)/Exp"][0],
+    # shape below 1: no mean, and no size-biased law
+    {"family": "invweibull", "params": {"shape": 0.8, "scale": 1.48}},
+    _GA_07,
+    _GA_35,
+    _INVGA,
+    {"family": "invgamma", "params": {"shape": 1.5, "scale": 2.0}},
+    UNTILTED_CHECK_MODELS["GGa(1.5,1,2)/LN(0,0.5)"][0],
+    BIT_LAWS[3],
+    {"family": "gengamma", "params": {"alpha": 0.5, "scale": 2.0, "shape": 3.0}},
+]
+STACY_ORDERS = (-0.5, 0.5, 1.0, 2.0, 3.0)
 CHECK_TILTS = {
     "none": None,
     "hazard": {"family": "hazard", "params": {"theta": 1.0, "r_factor": 0.9}},
@@ -240,13 +262,26 @@ def _bits(laws):
         yield f"bits {law.label()}", " ".join(float(v).hex() for v in values).encode()
 
 
+def _stacy_bits(laws, tilts):
+    for config in STACY_LAWS:
+        law = laws.law_from_config(config)
+        values = [law.raw_moment(k) for k in STACY_ORDERS] + [law.mgf_radius()]
+        try:
+            biased = tilts.size_biased(law)
+            bias = f"{biased.label()} {biased.mean().hex()}"
+        except ValueError as exc:  # a law with no size-biased law: its error is the output
+            bias = f"{type(exc).__name__}: {exc}"
+        data = " ".join(float(v).hex() for v in values) + " " + bias
+        yield f"bits stacy {law.label()}", data.encode()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     root = Path(argv[0]).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    from ruinlab import cli, laws
+    from ruinlab import cli, laws, tilts
 
     import workloads
 
@@ -259,6 +294,7 @@ def main(argv: list[str]) -> int:
             *_workloads(workloads),
             *_workloads_own_k(workloads),
             *_bits(laws),
+            *_stacy_bits(laws, tilts),
         ]
     for label, data in parts:
         part = data.decode() if label.startswith("bits ") else hashlib.sha256(data).hexdigest()
