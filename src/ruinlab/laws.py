@@ -225,10 +225,7 @@ def _std_gamma(rng: np.random.Generator, shape: float, n: int) -> np.ndarray:
 
 
 def _sample_t_of_e(law: PositiveLaw, rng, n: int, return_std_exp: bool = False):
-    """Z = T(E) for ``n`` standard exponentials E; (Z, E) if ``return_std_exp``.
-
-    The ``sample_n`` of every family sampled that way.
-    """
+    """Z = T(E) for ``n`` standard exponentials E; (Z, E) if ``return_std_exp``."""
     e = _std_exp(rng, n)
     z = law._from_std_exp(e)  # a new array: E stays as drawn
     return (z, e) if return_std_exp else z
@@ -282,9 +279,8 @@ class _GammaType(PositiveLaw):
     sampler and label, and names its triple (alpha, b, p) to ``_set_triple``
     when it is built; the log-density, ``sf``, moments, mgf radius and
     quadrature knots are stated here once. Gamma keeps its moments, mgf and
-    mgf radius written in its rate; Weibull and inverse Weibull keep their
-    log-density and ``sf``, and are integrated over their standard
-    exponential, so the knots are not theirs.
+    mgf radius written in its rate, and Weibull and inverse Weibull their
+    log-density and ``sf``.
     """
 
     def _set_triple(self, alpha: float, b: float, p: float) -> None:

@@ -140,12 +140,13 @@ ESTIMATE_RUNS = [
     ("Exp/Exp threshold horizon", _EXP, _EXP, _LINEAR,
      ["--u", "5", "--threshold", "2", "--horizon", "10"]),
 ]
+_GGA_INV = {"family": "gengamma", "params": {"alpha": -3.0, "scale": 1.48, "shape": 2.0 / 3.0}}
 # laws whose transforms and mean are printed bit for bit
 BIT_LAWS = [
     _GA_07,
     _INVGA,
     UNTILTED_CHECK_MODELS["GGa(1.5,1,2)/LN(0,0.5)"][0],
-    {"family": "gengamma", "params": {"alpha": -3.0, "scale": 1.48, "shape": 2.0 / 3.0}},
+    _GGA_INV,
     UNTILTED_CHECK_MODELS["GGa(1.5,1,2)/LN(0,0.5)"][1],
 ]
 # gamma-type laws whose moments, mgf radius and size bias are printed bit for bit
@@ -161,7 +162,7 @@ STACY_LAWS = [
     _INVGA,
     {"family": "invgamma", "params": {"shape": 1.5, "scale": 2.0}},
     UNTILTED_CHECK_MODELS["GGa(1.5,1,2)/LN(0,0.5)"][0],
-    BIT_LAWS[3],
+    _GGA_INV,
     {"family": "gengamma", "params": {"alpha": 0.5, "scale": 2.0, "shape": 3.0}},
 ]
 STACY_ORDERS = (-0.5, 0.5, 1.0, 2.0, 3.0)
